@@ -292,7 +292,7 @@ func BenchmarkAblationK(b *testing.B) {
 					b.Fatal(err)
 				}
 				pl := res.Placement
-				if err := hidap.PlaceCells(pl); err != nil {
+				if err := hidap.PlaceStdCells(context.Background(), pl); err != nil {
 					b.Fatal(err)
 				}
 				wl = metrics.WirelengthMeters(pl)
@@ -319,7 +319,7 @@ func BenchmarkAblationEffort(b *testing.B) {
 					b.Fatal(err)
 				}
 				pl := res.Placement
-				if err := hidap.PlaceCells(pl); err != nil {
+				if err := hidap.PlaceStdCells(context.Background(), pl); err != nil {
 					b.Fatal(err)
 				}
 				wl = metrics.WirelengthMeters(pl)
@@ -347,7 +347,7 @@ func BenchmarkAblationMinBits(b *testing.B) {
 				}
 				nodes = res.SeqStats.Nodes
 				pl := res.Placement
-				if err := hidap.PlaceCells(pl); err != nil {
+				if err := hidap.PlaceStdCells(context.Background(), pl); err != nil {
 					b.Fatal(err)
 				}
 				wl = metrics.WirelengthMeters(pl)
@@ -377,7 +377,7 @@ func BenchmarkAblationFlat(b *testing.B) {
 					b.Fatal(err)
 				}
 				pl := res.Placement
-				if err := hidap.PlaceCells(pl); err != nil {
+				if err := hidap.PlaceStdCells(context.Background(), pl); err != nil {
 					b.Fatal(err)
 				}
 				wl = metrics.WirelengthMeters(pl)

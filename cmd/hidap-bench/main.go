@@ -12,7 +12,6 @@
 //	hidap-bench -cluster-smoke -smoke-insts 50000 -json BENCH_smoke.json
 //	hidap-bench -emit flat.json -smoke-insts 100000   # flat netlist for cmd/hidap
 //	hidap-bench -sched-bench -json BENCH_PR7.json     # scheduler scaling record
-//	hidap-bench -batch-bench -json BENCH_PR10.json    # speculative batching record
 package main
 
 import (
@@ -31,7 +30,6 @@ import (
 	"time"
 
 	"repro/circuits"
-	"repro/internal/anneal"
 	"repro/internal/autocluster"
 	"repro/internal/core"
 	"repro/internal/dataflow"
@@ -71,8 +69,6 @@ func main() {
 		schedBlocks = flag.Int("sched-blocks", 24, "block count of the -sched-bench level")
 		schedChains = flag.Int("sched-chains", 8, "restart chains of the -sched-bench solve")
 		minSpeedup  = flag.Float64("min-speedup", 0, "with -sched-bench: fail unless speedup_vs_serial at parallelism 4 reaches this (gate skipped, with a note, when the machine has < 4 cores)")
-
-		batchBench = flag.Bool("batch-bench", false, "time the annealing hot loop across speculative batch sizes and verify identical results")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this path")
@@ -126,12 +122,6 @@ func main() {
 	}
 	if *schedBench {
 		if err := runSchedBench(ctx, *jsonOut, *schedBlocks, *schedChains, *seed, *minSpeedup); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *batchBench {
-		if err := runBatchBench(ctx, *jsonOut, *seed); err != nil {
 			fatal(err)
 		}
 		return
@@ -652,136 +642,6 @@ func runSchedBench(ctx context.Context, jsonPath string, blocks, chains int, see
 			fmt.Printf("  speedup gate passed: %.2fx >= %.2fx at parallelism 4\n", s, minSpeedup)
 		}
 	}
-
-	if jsonPath == "" {
-		return nil
-	}
-	var out io.Writer = os.Stdout
-	var f *os.File
-	if jsonPath != "-" {
-		var err error
-		if f, err = os.Create(jsonPath); err != nil {
-			return err
-		}
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	err := enc.Encode(rec)
-	if f != nil {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err == nil && jsonPath != "-" {
-		fmt.Fprintf(os.Stderr, "# wrote %s\n", jsonPath)
-	}
-	return err
-}
-
-// batchRunJSON is one timed setting of the speculative-batching benchmark.
-type batchRunJSON struct {
-	Blocks            int     `json:"blocks"`
-	Batch             int     `json:"batch"`
-	NsPerProposal     float64 `json:"ns_per_proposal"`
-	AllocsPerProposal float64 `json:"allocs_per_proposal"`
-	SpeedupVsSerial   float64 `json:"speedup_vs_serial"`
-	Cost              float64 `json:"cost"`
-}
-
-// batchBenchJSON is the machine-readable speculative-batching record
-// (BENCH_PR10.json): per-proposal cost of the annealing hot loop across
-// batch sizes, on a pinned near-zero temperature so the loop sits in the
-// reject-dense converged phase that dominates a real solve — the regime
-// speculative batching targets. Cores records the physical budget of the
-// machine that produced the numbers: the batched engine's scoring fan-out
-// needs cores to win wall-clock, so a 1-core box legitimately reports
-// ~1.0x across the board while still proving the identical-result
-// property (the same caveat as the committed scheduler record).
-type batchBenchJSON struct {
-	Bench     string         `json:"bench"`
-	Seed      int64          `json:"seed"`
-	Cores     int            `json:"cores"`
-	Moves     int            `json:"moves_per_setting"`
-	Runs      []batchRunJSON `json:"runs"`
-	Identical bool           `json:"identical_results"`
-}
-
-// runBatchBench times single-chain level solves across speculative batch
-// sizes at 24 and 48 blocks, pinning per-proposal nanoseconds and
-// allocations, and asserts the serial and batched engines return identical
-// layouts. The schedule is pinned to a near-zero temperature: per-proposal
-// numbers then measure the reject-dense hot loop rather than the brief
-// accept-dense warm-up.
-func runBatchBench(ctx context.Context, jsonPath string, seed int64) error {
-	const movesPerRound, rounds = 256, 100
-	moves := movesPerRound * rounds
-	rec := batchBenchJSON{
-		Bench: "batch", Seed: seed, Cores: runtime.NumCPU(),
-		Moves: moves, Identical: true,
-	}
-	fmt.Printf("batch-bench: %d moves per setting, %d cores\n", moves, rec.Cores)
-
-	// Scoring fan-out lanes, capped at the physical budget: lanes beyond
-	// the core count would only timeslice the dispatch overhead onto the
-	// hot loop (the batched engine's wall-clock win needs real cores).
-	lanes := runtime.NumCPU()
-	if lanes > 4 {
-		lanes = 4
-	}
-	pool := sched.NewPool(lanes)
-	defer pool.Close()
-	for _, blocks := range []int{24, 48} {
-		p := schedLevelProblem(blocks)
-		var refExpr string
-		var refCost, serialNs float64
-		for _, batch := range []int{1, 4, 8, 16} {
-			opt := layout.DefaultOptions()
-			opt.Seed = seed
-			opt.Batch = batch
-			opt.Sched = pool
-			opt.Pool = &slicing.EvaluatorPool{}
-			opt.Schedule = &anneal.Options{
-				InitialTemp:   1e-6, // effectively greedy at this cost scale: the converged phase
-				MovesPerRound: movesPerRound,
-				MaxRounds:     rounds,
-			}
-			layout.Solve(ctx, p, opt) // warm the pooled scratch
-			best := 0.0
-			var r *layout.Result
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
-			for rep := 0; rep < 3; rep++ {
-				t0 := time.Now()
-				r = layout.Solve(ctx, p, opt)
-				if s := time.Since(t0).Seconds(); rep == 0 || s < best {
-					best = s
-				}
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			runtime.ReadMemStats(&ms1)
-			allocs := float64(ms1.Mallocs-ms0.Mallocs) / float64(3*moves)
-			ns := best / float64(moves) * 1e9
-			if refExpr == "" {
-				refExpr, refCost, serialNs = r.Expr.String(), r.Cost, ns
-			} else if r.Expr.String() != refExpr || r.Cost != refCost {
-				rec.Identical = false
-			}
-			rec.Runs = append(rec.Runs, batchRunJSON{
-				Blocks: blocks, Batch: batch, NsPerProposal: ns,
-				AllocsPerProposal: allocs, SpeedupVsSerial: serialNs / ns,
-				Cost: r.Cost,
-			})
-			fmt.Printf("  blocks=%-3d batch=%-3d %8.0f ns/proposal  %6.3f allocs/proposal  %.2fx  cost=%.4g\n",
-				blocks, batch, ns, allocs, serialNs/ns, r.Cost)
-		}
-	}
-	if !rec.Identical {
-		return fmt.Errorf("batch-bench: results differ across batch sizes")
-	}
-	fmt.Printf("  identical results across batch sizes: %v\n", rec.Identical)
 
 	if jsonPath == "" {
 		return nil

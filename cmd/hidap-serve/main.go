@@ -142,9 +142,6 @@ type jobRequest struct {
 	// defers to the engine (serial inside a worker slot on multi-worker
 	// engines). Placements never depend on it.
 	Parallelism int `json:"parallelism"`
-	// Batch sizes the speculative proposal groups of the annealing hot
-	// loop; 0 and 1 keep the serial engine. Placements never depend on it.
-	Batch int `json:"batch"`
 	// Autocluster enables the hierarchy-synthesis front-end for flat
 	// netlists. {} uses the default knobs; fields override individually
 	// (max_num_inst, min_num_inst, max_num_macro, min_num_macro,
@@ -206,12 +203,6 @@ func (req *jobRequest) toJob() (hidap.Job, error) {
 	}
 	if req.Parallelism > 0 {
 		opts = append(opts, hidap.WithParallelism(req.Parallelism))
-	}
-	if req.Batch < 0 {
-		return hidap.Job{}, fmt.Errorf("negative batch %d", req.Batch)
-	}
-	if req.Batch > 1 {
-		opts = append(opts, hidap.WithBatch(req.Batch))
 	}
 	switch strings.ToLower(req.Effort) {
 	case "", "medium":

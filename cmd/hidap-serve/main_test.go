@@ -230,6 +230,44 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
+// TestServeIgnoresLegacyBatchField: older clients still send the removed
+// "batch" knob. The decoder ignores unknown fields, so such a request must be
+// accepted and place exactly as the same request without the field.
+func TestServeIgnoresLegacyBatchField(t *testing.T) {
+	s, ts, eng := newTestServer(t, 1)
+	defer eng.Close()
+
+	var sb strings.Builder
+	if err := hidap.WriteJSON(&sb, circuits.ABCDX().Design); err != nil {
+		t.Fatal(err)
+	}
+	place := func(extra string) *hidap.JobResult {
+		t.Helper()
+		st, code := postJob(t, ts, fmt.Sprintf(
+			`{"placer": "hidap", "seed": 3, "effort": "low", "evaluate": false%s, "design": %s}`, extra, sb.String()))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit%s: status = %d", extra, code)
+		}
+		waitState(t, ts, st.ID, hidap.JobDone)
+		s.mu.Lock()
+		tk := s.jobs[st.ID]
+		s.mu.Unlock()
+		res, err := tk.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := place("")
+	got := place(`, "batch": 8`)
+	for _, m := range circuits.ABCDX().Design.Macros() {
+		if got.Placement.Pos[m] != want.Placement.Pos[m] || got.Placement.Orient[m] != want.Placement.Orient[m] {
+			t.Fatalf("macro %d: placed %v %v with \"batch\", %v %v without", m,
+				got.Placement.Pos[m], got.Placement.Orient[m], want.Placement.Pos[m], want.Placement.Orient[m])
+		}
+	}
+}
+
 // TestServeMetricsEndpoint runs one job to completion and checks that
 // /metrics exposes the job and cache counters in Prometheus text form, and
 // that /healthz carries the same counts in JSON.

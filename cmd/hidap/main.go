@@ -46,7 +46,6 @@ func main() {
 		effort   = flag.String("effort", "medium", "annealing effort: low|medium|high")
 		restarts = flag.Int("restarts", 1, "independent annealing chains per level (best layout wins)")
 		par      = flag.Int("parallelism", 0, "work-stealing scheduler lanes: 1 = serial, 0 = all cores; never changes the placement")
-		batch    = flag.Int("batch", 1, "speculative proposal group size in the anneal hot loop: 1 = serial engine; never changes the placement")
 		seed     = flag.Int64("seed", 1, "random seed")
 		cells    = flag.Bool("cells", false, "also run standard-cell placement and report metrics")
 		jsonOut  = flag.Bool("json", false, "with -cells: print the evaluation report as JSON")
@@ -107,7 +106,6 @@ func main() {
 		hidap.WithSeed(*seed),
 		hidap.WithRestarts(*restarts),
 		hidap.WithParallelism(*par),
-		hidap.WithBatch(*batch),
 	}
 	switch *effort {
 	case "low":

@@ -60,13 +60,6 @@ type Config struct {
 	// on the calling goroutine, <= 0 uses all cores. It trades wall time
 	// only, never the result.
 	Parallelism int
-	// Batch sizes the speculative proposal groups inside every annealing
-	// chain: <= 1 keeps the serial engine; larger values let reject
-	// streaks stage and score up to Batch candidate moves against one
-	// frozen floorplan per step, exposing intra-chain parallelism to the
-	// scheduler. Like Parallelism it trades wall time only — the placement
-	// is byte-identical at any value.
-	Batch int
 	// Seed drives all stochastic steps; equal seeds give equal placements.
 	Seed int64
 	// Trace records the per-level block floorplans (Fig. 1 evolution) into
@@ -135,12 +128,6 @@ func WithRestarts(k int) Option { return func(c *Config) { c.Restarts = k } }
 // depends on it.
 func WithParallelism(n int) Option { return func(c *Config) { c.Parallelism = n } }
 
-// WithBatch sizes the speculative proposal groups of the annealing hot loop
-// (1 = the serial engine). Larger batches amortize evaluation over reject
-// streaks and give the scheduler intra-chain work; the placement never
-// depends on the value.
-func WithBatch(b int) Option { return func(c *Config) { c.Batch = b } }
-
 // WithTrace records the per-level block floorplans into Stats.Trace.
 func WithTrace() Option { return func(c *Config) { c.Trace = true } }
 
@@ -171,7 +158,6 @@ func (c *Config) coreOptions() core.Options {
 	opt.Effort = c.Effort
 	opt.Restarts = c.Restarts
 	opt.Parallelism = c.Parallelism
-	opt.Batch = c.Batch
 	opt.Seed = c.Seed
 	opt.Trace = c.Trace
 	opt.Flat = c.Flat

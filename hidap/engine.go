@@ -878,7 +878,6 @@ func (e *Engine) runCircuitJob(ctx context.Context, t *Ticket, cfg *Config) (*Jo
 	fopt.Effort = cfg.Effort
 	fopt.LevelRestarts = cfg.Restarts
 	fopt.Parallelism = cfg.Parallelism
-	fopt.Batch = cfg.Batch
 	fopt.Pool = e.pool
 	if len(t.job.Lambdas) > 0 {
 		fopt.Lambdas = t.job.Lambdas

@@ -42,35 +42,27 @@
 // wrapper over a single job on a shared package-level engine, so the
 // one-shot API above inherits the same caches.
 //
-// # Interchange and deprecated surface
+// # Interchange
 //
 // The package also re-exports the stable subset of the internal machinery:
 // netlist construction, the Verilog front end, metric models, interchange
-// formats and SVG rendering. The free functions Place, PlaceIndEDA,
-// PlaceHandFP, PlaceCells, Wirelength, Congestion and Timing are the
-// deprecated pre-registry surface, kept as thin wrappers.
+// formats and SVG rendering. Placements go through a Placer (or an Engine
+// job) and measurements through Evaluate.
 package hidap
 
 import (
-	"context"
 	"io"
 
 	"repro/internal/core"
 	"repro/internal/deffmt"
-	"repro/internal/eval"
 	"repro/internal/geom"
 	"repro/internal/handfp"
-	"repro/internal/indeda"
 	"repro/internal/layout"
 	"repro/internal/leffmt"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
-	"repro/internal/place"
 	"repro/internal/placement"
 	"repro/internal/render"
-	"repro/internal/route"
-	"repro/internal/seqgraph"
-	"repro/internal/sta"
 	"repro/internal/verilog"
 )
 
@@ -130,11 +122,6 @@ func WriteVerilog(w io.Writer, d *Design, lib *Library) error {
 
 // Placer aliases.
 type (
-	// Options configures the HiDaP flow (λ, k, declustering fractions,
-	// annealing effort, seed).
-	Options = core.Options
-	// Result is a finished macro placement with the per-level trace.
-	Result = core.Result
 	// LevelTrace is one recursion level of the multi-level floorplan.
 	LevelTrace = core.LevelTrace
 	// Placement is the physical state: positions and orientations.
@@ -150,76 +137,9 @@ const (
 	EffortHigh   = layout.EffortHigh
 )
 
-// DefaultOptions mirrors the paper's parameter choices (λ=0.5, k=2,
-// open_area=1%, min_area=40%).
-//
-// Deprecated: use NewConfig with functional options.
-func DefaultOptions() Options { return core.DefaultOptions() }
-
-// Place runs the HiDaP flow: hierarchy tree, shape curves, recursive
-// dataflow-driven block floorplanning, and macro flipping.
-//
-// Deprecated: use Lookup("hidap") and Placer.Place, which add cancellation
-// and progress reporting.
-func Place(d *Design, opt Options) (*Result, error) {
-	//hidapvet:allow ctxflow deprecated pre-context compatibility wrapper; new code uses Placer.Place
-	return core.Place(context.Background(), d, opt)
-}
-
-// PlaceIndEDA runs the industrial-baseline macro placer (hierarchy- and
-// dataflow-blind; wall-packing plus netlist annealing).
-//
-// Deprecated: use Lookup("indeda") and Placer.Place.
-func PlaceIndEDA(d *Design, seed int64) (*Placement, error) {
-	//hidapvet:allow ctxflow deprecated pre-context compatibility wrapper; new code uses Placer.Place
-	return indeda.Place(context.Background(), d, indeda.Options{Seed: seed, HighEffort: true, WallWeight: 0.4})
-}
-
 // Intent maps macro cell names to intended placed outlines; it feeds the
 // handcrafted-floorplan oracle.
 type Intent = handfp.Intent
-
-// PlaceHandFP realizes a handcrafted floorplan from a designer intent and
-// refines it locally.
-//
-// Deprecated: use Lookup("handfp") and Placer.Place with WithIntent.
-func PlaceHandFP(d *Design, intent Intent, seed int64) (*Placement, error) {
-	//hidapvet:allow ctxflow deprecated pre-context compatibility wrapper; new code uses Placer.Place
-	return handfp.Place(context.Background(), d, intent, handfp.Options{Seed: seed})
-}
-
-// PlaceCells runs the standard-cell global placer over a design whose
-// macros are already placed.
-//
-// Deprecated: use PlaceStdCells, which honors cancellation.
-func PlaceCells(pl *Placement) error {
-	//hidapvet:allow ctxflow deprecated pre-context compatibility wrapper; new code uses PlaceStdCells
-	return place.Run(context.Background(), pl, place.DefaultOptions())
-}
-
-// Wirelength returns the total half-perimeter wirelength in meters.
-//
-// Deprecated: use Evaluate, which returns every metric in one Report.
-func Wirelength(pl *Placement) float64 { return metrics.WirelengthMeters(pl) }
-
-// Congestion returns GRC%: the percentage of routing gcells whose estimated
-// demand exceeds capacity.
-//
-// Deprecated: use Evaluate, which returns every metric in one Report.
-func Congestion(pl *Placement) float64 {
-	return route.Estimate(pl, route.DefaultOptions()).OverflowPct
-}
-
-// Timing returns (WNS as % of the clock period, TNS in ns) under the
-// synthetic timing model, with the wire delay calibrated to the die by
-// CalibrateSTA.
-//
-// Deprecated: use Evaluate, which returns every metric in one Report.
-func Timing(d *Design, pl *Placement) (wnsPct, tnsNs float64) {
-	sg := seqgraph.Build(d, seqgraph.DefaultParams())
-	res := sta.Analyze(sg, pl, eval.CalibrateSTA(d, sta.Options{}))
-	return res.WNSPct, res.TNSns
-}
 
 // WriteFloorplanSVG renders macros and ports of a placement.
 func WriteFloorplanSVG(w io.Writer, pl *Placement) { render.Floorplan(w, pl, 800) }

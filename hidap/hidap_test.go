@@ -1,6 +1,7 @@
 package hidap_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,6 +22,21 @@ module top (din, dout);
 endmodule
 `
 
+// place runs the named registry placer on d under a config built from opts,
+// failing the test on error.
+func place(t *testing.T, name string, d *hidap.Design, opts ...hidap.Option) (*hidap.Placement, hidap.Stats) {
+	t.Helper()
+	p, err := hidap.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, stats, err := p.Place(context.Background(), d, hidap.NewConfig(opts...))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return pl, stats
+}
+
 func TestParseVerilogAndPlace(t *testing.T) {
 	lib := hidap.DefaultLibrary()
 	lib.AddMacro("RAM4", 20_000, 12_000, 4)
@@ -28,18 +44,20 @@ func TestParseVerilogAndPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hidap.Place(d, hidap.DefaultOptions())
+	pl, _ := place(t, "hidap", d)
+	if !pl.AllMacrosPlaced() {
+		t.Fatal("macro unplaced")
+	}
+	ctx := context.Background()
+	if err := hidap.PlaceStdCells(ctx, pl); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := hidap.Evaluate(ctx, d, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Placement.AllMacrosPlaced() {
-		t.Fatal("macro unplaced")
-	}
-	if err := hidap.PlaceCells(res.Placement); err != nil {
-		t.Fatal(err)
-	}
-	if wl := hidap.Wirelength(res.Placement); wl <= 0 {
-		t.Errorf("wirelength = %v", wl)
+	if rep.WirelengthM <= 0 {
+		t.Errorf("wirelength = %v", rep.WirelengthM)
 	}
 }
 
@@ -48,54 +66,47 @@ func TestFullPublicFlow(t *testing.T) {
 		Name: "pub", Cells: 200_000, Macros: 6, Subsystems: 2,
 		BusWidth: 32, Scale: 400, Seed: 3,
 	})
-	opt := hidap.DefaultOptions()
-	opt.Effort = hidap.EffortLow
-	opt.Trace = true
-	res, err := hidap.Place(g.Design, opt)
+	pl, stats := place(t, "hidap", g.Design, hidap.WithEffort(hidap.EffortLow), hidap.WithTrace())
+	ctx := context.Background()
+	if err := hidap.PlaceStdCells(ctx, pl); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := hidap.Evaluate(ctx, g.Design, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hidap.PlaceCells(res.Placement); err != nil {
-		t.Fatal(err)
-	}
-	if hidap.Congestion(res.Placement) < 0 {
+	if rep.CongestionPct < 0 {
 		t.Error("congestion negative")
 	}
-	wns, tns := hidap.Timing(g.Design, res.Placement)
-	if wns > 0 || tns > 0 {
-		t.Errorf("timing sign convention broken: wns=%v tns=%v", wns, tns)
+	if rep.WNSPct > 0 || rep.TNSns > 0 {
+		t.Errorf("timing sign convention broken: wns=%v tns=%v", rep.WNSPct, rep.TNSns)
 	}
 
 	var sb strings.Builder
-	hidap.WriteFloorplanSVG(&sb, res.Placement)
+	hidap.WriteFloorplanSVG(&sb, pl)
 	if !strings.Contains(sb.String(), "</svg>") {
 		t.Error("floorplan SVG incomplete")
 	}
-	if len(res.Trace) > 0 {
-		sb.Reset()
-		hidap.WriteTraceSVG(&sb, g.Design.Die, res.Trace[0])
-		if !strings.Contains(sb.String(), "</svg>") {
-			t.Error("trace SVG incomplete")
-		}
+	if len(stats.Trace) == 0 {
+		t.Fatal("WithTrace recorded no levels")
 	}
-	if txt := hidap.DensityASCII(res.Placement, 12); len(txt) == 0 {
+	sb.Reset()
+	hidap.WriteTraceSVG(&sb, g.Design.Die, stats.Trace[0])
+	if !strings.Contains(sb.String(), "</svg>") {
+		t.Error("trace SVG incomplete")
+	}
+	if txt := hidap.DensityASCII(pl, 12); len(txt) == 0 {
 		t.Error("density ASCII empty")
 	}
 }
 
 func TestBaselinesPublicAPI(t *testing.T) {
 	g := circuits.ABCDX()
-	ind, err := hidap.PlaceIndEDA(g.Design, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ind, _ := place(t, "indeda", g.Design, hidap.WithSeed(1))
 	if !ind.AllMacrosPlaced() {
 		t.Error("IndEDA left macros unplaced")
 	}
-	hfp, err := hidap.PlaceHandFP(g.Design, g.Intent, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hfp, _ := place(t, "handfp", g.Design, hidap.WithSeed(1), hidap.WithIntent(g.Intent))
 	if !hfp.AllMacrosPlaced() {
 		t.Error("handFP left macros unplaced")
 	}
@@ -111,11 +122,8 @@ func TestBuilderPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hidap.Place(d, hidap.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Die.ContainsRect(res.Placement.Rect(m)) {
+	pl, _ := place(t, "hidap", d)
+	if !d.Die.ContainsRect(pl.Rect(m)) {
 		t.Error("macro escaped die")
 	}
 }

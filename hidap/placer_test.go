@@ -277,26 +277,3 @@ func TestEvaluateHonorsCancellation(t *testing.T) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
-
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	g := circuits.ABCDX()
-	res, err := hidap.Place(g.Design, hidap.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hidap.PlaceCells(res.Placement); err != nil {
-		t.Fatal(err)
-	}
-	wl := hidap.Wirelength(res.Placement)
-	wns, tns := hidap.Timing(g.Design, res.Placement)
-	rep, err := hidap.Evaluate(context.Background(), g.Design, res.Placement)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wl != rep.WirelengthM {
-		t.Errorf("Wirelength %v != Report %v", wl, rep.WirelengthM)
-	}
-	if wns != rep.WNSPct || tns != rep.TNSns {
-		t.Errorf("Timing (%v, %v) != Report (%v, %v)", wns, tns, rep.WNSPct, rep.TNSns)
-	}
-}

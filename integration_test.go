@@ -54,6 +54,17 @@ func TestEndToEndSuiteCircuit(t *testing.T) {
 	}
 }
 
+// placeHiDaP runs the registered "hidap" placer with the default config.
+func placeHiDaP(t *testing.T, d *hidap.Design) (*hidap.Placement, error) {
+	t.Helper()
+	p, err := hidap.Lookup("hidap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, _, err := p.Place(context.Background(), d, hidap.NewConfig())
+	return pl, err
+}
+
 // TestVerilogExportImport writes a generated circuit as flat Verilog and
 // elaborates it back, checking the structural counts survive.
 func TestVerilogExportImport(t *testing.T) {
@@ -114,11 +125,11 @@ func TestPlaceOverfullDie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hidap.Place(d, hidap.DefaultOptions())
+	pl, err := placeHiDaP(t, d)
 	if err != nil {
 		t.Fatalf("Place should degrade gracefully: %v", err)
 	}
-	if err := res.Placement.MacrosInsideDie(); err != nil {
+	if err := pl.MacrosInsideDie(); err != nil {
 		t.Error(err)
 	}
 }
@@ -133,12 +144,12 @@ func TestPlaceMacroLargerThanDie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hidap.Place(d, hidap.DefaultOptions())
+	pl, err := placeHiDaP(t, d)
 	if err != nil {
 		t.Fatalf("Place: %v", err)
 	}
 	m := d.Macros()[0]
-	r := res.Placement.Rect(m)
+	r := pl.Rect(m)
 	if r.X != 0 && r.X2() != d.Die.X2() {
 		t.Errorf("oversized macro not anchored to die: %v", r)
 	}
@@ -161,15 +172,15 @@ func TestPlaceMacroOnlyDesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := hidap.Place(d, hidap.DefaultOptions())
+	pl, err := placeHiDaP(t, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ov := res.Placement.MacroOverlapArea(); ov != 0 {
+	if ov := pl.MacroOverlapArea(); ov != 0 {
 		t.Errorf("overlap = %d", ov)
 	}
 	// Cell placement over a macro-only design is a no-op but must succeed.
-	if err := hidap.PlaceCells(res.Placement); err != nil {
+	if err := hidap.PlaceStdCells(context.Background(), pl); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -202,15 +213,15 @@ func TestRestartsImproveOrKeep(t *testing.T) {
 // TestDEFHandoff: place, export DEF, re-import onto a fresh placement.
 func TestDEFHandoff(t *testing.T) {
 	g := circuits.ABCDX()
-	res, err := hidap.Place(g.Design, hidap.DefaultOptions())
+	pl, err := placeHiDaP(t, g.Design)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := hidap.WriteDEF(&sb, res.Placement); err != nil {
+	if err := hidap.WriteDEF(&sb, pl); err != nil {
 		t.Fatal(err)
 	}
-	fresh := res.Placement.Clone()
+	fresh := pl.Clone()
 	for _, m := range g.Design.Macros() {
 		fresh.Placed[m] = false
 	}
@@ -218,7 +229,7 @@ func TestDEFHandoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range g.Design.Macros() {
-		if fresh.Pos[m] != res.Placement.Pos[m] || fresh.Orient[m] != res.Placement.Orient[m] {
+		if fresh.Pos[m] != pl.Pos[m] || fresh.Orient[m] != pl.Orient[m] {
 			t.Fatalf("DEF handoff mismatch on %s", g.Design.Cell(m).Name)
 		}
 	}

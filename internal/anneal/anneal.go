@@ -35,11 +35,6 @@ type Options struct {
 	// StallRounds stops early after this many rounds without a new best
 	// (default 0: disabled).
 	StallRounds int
-	// Batch, when > 1 and the model implements BatchModel, stages up to this
-	// many speculative candidates per step and scores them together against
-	// the frozen state (see batch.go). The walk, traces and result are
-	// byte-identical at every batch size; 1 (or 0) selects the serial loop.
-	Batch int
 }
 
 func (o Options) withDefaults() Options {
@@ -54,9 +49,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = 200
-	}
-	if o.Batch < 1 {
-		o.Batch = 1
 	}
 	return o
 }
@@ -111,11 +103,6 @@ const ctxCheckMoves = 16
 //hidapvet:hotpath
 func RunModel(ctx context.Context, opt Options, m Model) Result {
 	opt = opt.withDefaults()
-	if opt.Batch > 1 {
-		if bm, ok := m.(BatchModel); ok {
-			return runBatched(ctx, opt, bm) //hidapvet:allow allocfree one recording source per schedule, constructed before the move loop
-		}
-	}
 	rng := rand.New(rand.NewSource(opt.Seed)) //hidapvet:allow allocfree one RNG per schedule, constructed before the move loop; the loop itself is the hot path
 
 	cur := m.Cost()

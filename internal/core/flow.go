@@ -103,12 +103,6 @@ type Options struct {
 	// creating one per Place call; a multi-candidate sweep passes its pool
 	// here so candidates, subtrees and chains share one set of lanes.
 	Sched *sched.Pool
-	// Batch sizes the speculative proposal groups of every level's
-	// annealing chains (see layout.Options.Batch): <= 1 keeps the serial
-	// engine, larger values let reject streaks score up to Batch
-	// candidates against one frozen state per step. The placement is
-	// byte-identical at any value.
-	Batch int
 	// Eval sets the slicing evaluation penalties.
 	Eval slicing.EvalParams
 	// Seed drives all stochastic steps; equal seeds give equal floorplans.
@@ -387,7 +381,7 @@ func (st *flowState) recurse(ctx context.Context, nh netlist.HierID, region geom
 
 	opt := layout.Options{
 		Seed: sched.Derive(st.opt.Seed, int64(nh)), Effort: st.opt.Effort, Eval: st.opt.Eval, Pool: st.opt.Pool,
-		Restarts: st.opt.Restarts, Sched: st.sched, Batch: st.opt.Batch,
+		Restarts: st.opt.Restarts, Sched: st.sched,
 	}
 	sol := layout.Solve(ctx, prob, opt)
 	if err := ctx.Err(); err != nil {
@@ -550,7 +544,7 @@ func (st *flowState) flatPlace(ctx context.Context, region geom.Rect, run *subRu
 	}
 	sol := layout.Solve(ctx, prob, layout.Options{
 		Seed: st.opt.Seed, Effort: st.opt.Effort, Eval: st.opt.Eval, Pool: st.opt.Pool,
-		Restarts: st.opt.Restarts, Sched: st.sched, Batch: st.opt.Batch,
+		Restarts: st.opt.Restarts, Sched: st.sched,
 	})
 	if err := ctx.Err(); err != nil {
 		return err

@@ -22,7 +22,6 @@ import (
 	"repro/internal/indeda"
 	"repro/internal/layout"
 	"repro/internal/metrics"
-	"repro/internal/netlist"
 	"repro/internal/place"
 	"repro/internal/placement"
 	"repro/internal/route"
@@ -56,12 +55,6 @@ type Options struct {
 	// wirelength (default 1). A cheap robustness extension beyond the
 	// paper's best-of-three-λ policy.
 	Restarts int
-	// Batch sizes the speculative proposal groups inside every annealing
-	// chain (core.Options.Batch): <= 1 keeps the serial engine; larger
-	// values let reject streaks score up to Batch candidates against one
-	// frozen state per step, exposing intra-chain parallelism to the
-	// scheduler. Placements are byte-identical at any value.
-	Batch int
 	// LevelRestarts runs this many independent annealing chains per
 	// floorplanning level inside each HiDaP placement, keeping the best
 	// (core.Options.Restarts). Orthogonal to Restarts, which restarts whole
@@ -128,13 +121,6 @@ type Metrics struct {
 	// WLnorm is WirelengthM normalized to the circuit's handFP flow (set
 	// by Normalize; 0 when the circuit has no handFP reference row).
 	WLnorm float64 `json:"wl_norm,omitempty"`
-}
-
-// CalibrateSTA scales the wire-delay coefficient to the die.
-//
-// Deprecated: use eval.CalibrateSTA, which this forwards to.
-func CalibrateSTA(d *netlist.Design, base sta.Options) sta.Options {
-	return eval.CalibrateSTA(d, base)
 }
 
 // Run executes one flow on a generated circuit and measures it. A cancelled
@@ -264,7 +250,6 @@ func runHiDaP(ctx context.Context, g *circuits.Generated, opt Options) (*placeme
 		coreOpt.Seed = opt.Seed + int64(i/len(opt.Lambdas))*1_000_003
 		coreOpt.Effort = opt.Effort
 		coreOpt.Restarts = opt.LevelRestarts
-		coreOpt.Batch = opt.Batch
 		coreOpt.Sched = pool
 		// Every candidate places the same design: reuse the circuit's cached
 		// Gseq (built under default params, matching coreOpt.Seq) and the

@@ -103,7 +103,7 @@ func TestRunUnknownFlow(t *testing.T) {
 
 func TestCalibrateSTA(t *testing.T) {
 	g := tinyCircuit()
-	opt := CalibrateSTA(g.Design, sta.Options{})
+	opt := eval.CalibrateSTA(g.Design, sta.Options{})
 	if opt.WirePsPerDBU <= 0 {
 		t.Fatalf("calibrated wire delay = %v", opt.WirePsPerDBU)
 	}
@@ -114,7 +114,7 @@ func TestCalibrateSTA(t *testing.T) {
 		t.Error("calibration too lax: a half-span wire should violate")
 	}
 	// Explicit values pass through untouched.
-	fixed := CalibrateSTA(g.Design, sta.Options{ClockPs: 1000, IntrinsicPs: 1, WirePsPerDBU: 42})
+	fixed := eval.CalibrateSTA(g.Design, sta.Options{ClockPs: 1000, IntrinsicPs: 1, WirePsPerDBU: 42})
 	if fixed.WirePsPerDBU != 42 {
 		t.Error("explicit wire delay overridden")
 	}

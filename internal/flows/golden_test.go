@@ -1,0 +1,45 @@
+package flows
+
+import (
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/circuits"
+	"repro/internal/layout"
+)
+
+// flowsGolden is the sha256 of every macro's position and orientation after
+// each of the three flows places suite circuit c1 at low effort. It pins the
+// placements across commits, covering the HiDaP model-based anneal as well
+// as the closure-based anneals of IndEDA, handFP and shape-curve
+// generation. Update it only for a deliberate behaviour change.
+const flowsGolden = "8934f06a9c40d08e0af45230feac13fe737a8da4b8d6e5f7586553b57a5bf088"
+
+func TestFlowsGolden(t *testing.T) {
+	spec, err := circuits.SuiteSpec("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Scale = 2000
+	g := circuits.Generate(spec)
+	opt := DefaultOptions()
+	opt.Effort = layout.EffortLow
+	opt.Place.Iterations = 3
+	var sb strings.Builder
+	for _, f := range []Flow{FlowIndEDA, FlowHiDaP, FlowHandFP} {
+		m, pl, err := Run(context.Background(), g, f, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		fmt.Fprintf(&sb, "%s lambda %v\n", f, m.Lambda)
+		for _, c := range g.Design.Macros() {
+			fmt.Fprintf(&sb, "%s %s %v %v\n", f, g.Design.Cells[c].Name, pl.Pos[c], pl.Orient[c])
+		}
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(sb.String()))); got != flowsGolden {
+		t.Fatalf("flow placements sha256 = %s, want %s\n%s", got, flowsGolden, sb.String())
+	}
+}

@@ -100,19 +100,6 @@ type Options struct {
 	// (sched.Derive) and compared in index order, so scheduling affects
 	// wall time only, never the solution.
 	Sched *sched.Pool
-	// Batch, when > 1, anneals with speculative proposal batching: each step
-	// stages up to Batch candidate moves, scores them read-only against the
-	// frozen state and replays the Metropolis chain over the scores
-	// (anneal.BatchModel). Large batches additionally fan the scoring out
-	// over Sched when it has parallelism to spare. Results are byte-identical
-	// at every batch size; <= 1 keeps the serial loop.
-	Batch int
-	// Schedule, when non-nil, replaces the Effort-derived annealing
-	// schedule wholesale (Seed and Batch are still threaded from this
-	// struct). For schedule tuning and benchmarking — e.g. pinning the
-	// temperature to probe the converged phase; ordinary solves should
-	// pick an Effort and leave this nil.
-	Schedule *anneal.Options
 }
 
 // DefaultOptions returns medium effort with the standard penalties.
@@ -220,7 +207,6 @@ type solver struct {
 	cost   costState
 	expr   slicing.Expr
 	best   slicing.Expr
-	bs     batchScratch
 }
 
 var solverPool = sync.Pool{New: func() any { return new(solver) }}
@@ -248,23 +234,7 @@ func solveChain(ctx context.Context, p *Problem, opt Options, seed int64, idx *p
 		inc = slicing.NewEvaluator(&s.expr, s.blocks, opt.Eval)
 	}
 	m := mover{inc: inc, cs: &s.cost, region: p.Region, expr: &s.expr, best: &s.best}
-	schedOpt := opt.Effort.schedule(seed)
-	if opt.Schedule != nil {
-		schedOpt = *opt.Schedule
-		schedOpt.Seed = seed
-	}
-	if opt.Batch > 1 {
-		schedOpt.Batch = opt.Batch
-		m.bs = &s.bs
-		// Thunks close over this chain's mover; a pooled scratch may carry
-		// a previous chain's, so they rebuild (one alloc per candidate slot
-		// per chain, amortized over the whole schedule).
-		m.bs.thunks = m.bs.thunks[:0]
-		m.ctx = ctx
-		m.pool = opt.Sched
-		inc.EnsureSpecRegions(opt.Batch)
-	}
-	anneal.RunModel(ctx, schedOpt, &m)
+	anneal.RunModel(ctx, opt.Effort.schedule(seed), &m)
 
 	// Final evaluation of the winner reuses the incremental evaluator's
 	// arena (Reset + Eval is bit-identical to a from-scratch Evaluate, per
@@ -292,15 +262,6 @@ type mover struct {
 	expr   *slicing.Expr
 	best   *slicing.Expr
 	undoEv func()
-
-	// Speculative batching state (anneal.BatchModel), active when solveChain
-	// wired bs. Staged candidates are invalidated by the first ProposeSpec
-	// after a scoring pass, matching the engine's group discipline.
-	bs     *batchScratch
-	ctx    context.Context
-	pool   *sched.Pool
-	staged int
-	scored bool
 }
 
 func (m *mover) Cost() float64 {
@@ -327,99 +288,6 @@ func (m *mover) Undo() {
 }
 
 func (m *mover) Snapshot() { m.best.CopyFrom(m.expr) }
-
-// batchScratch holds the staged candidates of speculative batching: the
-// drawn moves, one scoring scratch pair (evaluator overrides + cost
-// overlay) per candidate, and one reusable scoring thunk per candidate
-// slot so the fan-out path forks without allocating closures per group.
-// It lives in the pooled solver so back-to-back chains reuse the buffers.
-type batchScratch struct {
-	cands  []specCand
-	costs  []float64
-	thunks []sched.Task
-}
-
-// specCand is one staged candidate move and its private scoring scratch.
-type specCand struct {
-	mv slicing.Move
-	ss slicing.SpecScratch
-	cs costSpec
-}
-
-// ProposeSpec draws one candidate exactly as Propose would — the move comes
-// off the same rng through the same Expr.PerturbMove — and rolls the
-// expression back, staging the move for EvalBatch. The rare moves the
-// evaluator cannot price speculatively report false without staging.
-//
-//hidapvet:hotpath
-func (m *mover) ProposeSpec(rng *rand.Rand) bool {
-	if m.scored {
-		m.staged, m.scored = 0, false
-	}
-	if m.staged >= len(m.bs.cands) {
-		m.bs.cands = append(m.bs.cands, specCand{}) //hidapvet:allow allocfree one-time warm-up: the slice caps out at the batch size and is pooled across chains
-	}
-	if m.staged >= len(m.bs.thunks) {
-		k := m.staged
-		m.bs.thunks = append(m.bs.thunks, func(context.Context) { m.specScore(k) }) //hidapvet:allow allocfree one-time warm-up: one reusable thunk per candidate slot, shared by every later group
-	}
-	c := &m.bs.cands[m.staged]
-	m.expr.PerturbMove(rng, &c.mv)
-	m.expr.UndoMove(&c.mv)
-	if !m.inc.SpecFeasible(&c.mv) {
-		return false
-	}
-	m.staged++
-	return true
-}
-
-// EvalBatch scores every staged candidate against the frozen state: the
-// slicing evaluator prices the candidate tree read-only (SpecScore) and the
-// wirelength overlay re-sums the pair contributions the rectangle diff
-// touches (specCost), composing cost exactly as Propose does. Batches of 4+
-// fan out over the shared scheduler when it has parallelism to spare; each
-// candidate owns its scratch and arena region, so the scores are
-// independent of scheduling.
-//
-//hidapvet:hotpath
-func (m *mover) EvalBatch() []float64 {
-	m.scored = true
-	m.bs.costs = resizeSlice(m.bs.costs, m.staged) //hidapvet:allow allocfree grows once to the batch size, then resizes within capacity
-	if m.pool != nil && m.staged >= 4 && m.pool.Parallelism() > 1 {
-		g := m.pool.Group(m.ctx) //hidapvet:allow allocfree one group header per scoring fan-out, amortized over >= 4 parallel scores; the serial arm below is the single-core hot path
-		for k := 0; k < m.staged; k++ {
-			g.Go(m.bs.thunks[k]) //hidapvet:allow allocfree one task header per forked score, amortized the same way
-		}
-		//hidapvet:allow allocfree workerOf's context-key boxing rides the fan-out arm only
-		g.Wait() //hidapvet:allow ctxflow the group drains even when ctx is cancelled; every cost slot must be filled before the replay
-	} else {
-		for k := 0; k < m.staged; k++ {
-			m.specScore(k)
-		}
-	}
-	return m.bs.costs[:m.staged]
-}
-
-// specScore prices staged candidate k into costs[k].
-//
-//hidapvet:hotpath
-func (m *mover) specScore(k int) {
-	c := &m.bs.cands[k]
-	pen, _ := m.inc.SpecScore(&c.mv, m.region, &c.ss, k)
-	m.bs.costs[k] = pen * (1 + m.cs.specCost(c.ss.ChangedB, c.ss.ChangedR, &c.cs))
-}
-
-// CommitSpec commits staged candidate k from its speculative score: the
-// evaluator writes the already-computed node state back instead of
-// re-evaluating, and the cost overlay journals the same rectangle diff the
-// full path would. State and cost land bit-identical to a serial accept.
-//
-//hidapvet:hotpath
-func (m *mover) CommitSpec(k int) float64 {
-	c := &m.bs.cands[k]
-	ev := m.inc.CommitSpec(&c.mv, m.region, &c.ss)
-	return ev.Penalty * (1 + m.cs.update(ev.Rects, m.inc.Changed()))
-}
 
 // pair is one nonzero affinity entry with at least one movable endpoint.
 type pair struct {
@@ -611,109 +479,6 @@ func (cs *costState) update(rects []geom.Rect, changed []int32) float64 {
 		cs.contrib[pi] = cs.pairContrib(int(pi))
 	}
 	return cs.sum()
-}
-
-// costSpec is the per-candidate overlay of one speculative cost query:
-// epoch-stamped center and contribution overrides, so specCost reads the
-// base state without writing it. Each concurrently scored candidate owns
-// one; reuse across candidates needs no clearing.
-type costSpec struct {
-	gen     uint32
-	pairGen []uint32 // pair k is overridden when pairGen[k] == gen
-	pairVal []float64
-	ptGen   []uint32 // block b's center is overridden when ptGen[b] == gen
-	ptVal   []geom.Point
-	touched []int32
-}
-
-// specCost prices the wirelength of a candidate layout given the rectangle
-// diff a speculative evaluation produced, without touching the state: moved
-// centers and the contributions of their incident pairs go to the overlay,
-// and the total re-sums the contribution array under the same fixed
-// association as sum(), substituting overridden entries. The result is
-// bit-identical to what update(rects, changed) would return — the overlay
-// recomputes exactly the entries update rewrites, with the same values —
-// which the batched annealer's replay discipline relies on.
-//
-//hidapvet:hotpath
-func (cs *costState) specCost(chB []int32, chR []geom.Rect, sp *costSpec) float64 {
-	np := len(cs.idx.pairs)
-	sp.pairGen = resizeSlice(sp.pairGen, np) //hidapvet:allow allocfree overlay growth is a one-time warm-up per problem shape; steady state resizes within capacity
-	sp.pairVal = resizeSlice(sp.pairVal, np) //hidapvet:allow allocfree same warm-up
-	sp.ptGen = resizeSlice(sp.ptGen, cs.nb)  //hidapvet:allow allocfree same warm-up
-	sp.ptVal = resizeSlice(sp.ptVal, cs.nb)  //hidapvet:allow allocfree same warm-up
-	sp.touched = sp.touched[:0]
-	sp.gen++
-	if sp.gen == 0 { // uint32 wrap: stale stamps could alias the new epoch
-		for i := range sp.pairGen {
-			sp.pairGen[i] = 0
-		}
-		for i := range sp.ptGen {
-			sp.ptGen[i] = 0
-		}
-		sp.gen = 1
-	}
-	for x, b := range chB {
-		c := chR[x].Center()
-		if c == cs.pts[b] {
-			continue // resized in place: no distance term moved
-		}
-		sp.ptGen[b] = sp.gen
-		sp.ptVal[b] = c
-		for _, pi := range cs.idx.adjPair[cs.idx.adjOff[b]:cs.idx.adjOff[b+1]] {
-			if sp.pairGen[pi] == sp.gen {
-				continue
-			}
-			sp.pairGen[pi] = sp.gen
-			sp.touched = append(sp.touched, pi)
-		}
-	}
-	// Two phases like update: contributions recompute only after every moved
-	// center is staged, so a pair between two moved blocks prices once,
-	// against both new centers.
-	for _, pi := range sp.touched {
-		pr := &cs.idx.pairs[pi]
-		a, b := cs.pts[pr.i], cs.pts[pr.j]
-		if pr.i < cs.nb && sp.ptGen[pr.i] == sp.gen {
-			a = sp.ptVal[pr.i]
-		}
-		if pr.j < cs.nb && sp.ptGen[pr.j] == sp.gen {
-			b = sp.ptVal[pr.j]
-		}
-		sp.pairVal[pi] = float64(a.ManhattanDist(b)) * pr.w
-	}
-	// sum()'s strided fold, reading through the overlay.
-	var s0, s1, s2, s3 float64
-	c := cs.contrib
-	pg, pv, g := sp.pairGen, sp.pairVal, sp.gen
-	i := 0
-	for ; i+4 <= len(c); i += 4 {
-		v0, v1, v2, v3 := c[i], c[i+1], c[i+2], c[i+3]
-		if pg[i] == g {
-			v0 = pv[i]
-		}
-		if pg[i+1] == g {
-			v1 = pv[i+1]
-		}
-		if pg[i+2] == g {
-			v2 = pv[i+2]
-		}
-		if pg[i+3] == g {
-			v3 = pv[i+3]
-		}
-		s0 += v0
-		s1 += v1
-		s2 += v2
-		s3 += v3
-	}
-	for ; i < len(c); i++ {
-		v := c[i]
-		if pg[i] == g {
-			v = pv[i]
-		}
-		s0 += v
-	}
-	return (s0 + s1) + (s2 + s3)
 }
 
 // undo reverts the last update: centers and contributions restore from the

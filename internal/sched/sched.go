@@ -67,7 +67,6 @@ type Pool struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	par   int
 	stats Stats
 }
 
@@ -107,7 +106,7 @@ func NewPool(n int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{par: n}
+	p := &Pool{}
 	p.cond = sync.NewCond(&p.mu)
 	// Build the whole worker set before starting any goroutine: a
 	// running worker scans p.ws inside takeLocked, so the slice must be
@@ -121,9 +120,6 @@ func NewPool(n int) *Pool {
 	}
 	return p
 }
-
-// Parallelism returns the pool's degree (workers + the caller's lane).
-func (p *Pool) Parallelism() int { return p.par }
 
 // Stats snapshots the traffic counters.
 func (p *Pool) Stats() Stats {

@@ -187,16 +187,6 @@ func (a *Arena) combineAt(dst int32, l, r Span, k int, beside bool) Span {
 	return s
 }
 
-// CopyAt copies a span's corners into the region at dst (caller-guaranteed
-// capacity s.N) and returns the landed span. It lets a caller that already
-// composed a frontier elsewhere in the arena move it into a slot it owns
-// without re-running the merge.
-//
-//hidapvet:hotpath
-func (a *Arena) CopyAt(dst int32, s Span) Span {
-	return Span{Off: dst, N: a.copyAt(dst, s)}
-}
-
 // copyAt copies a span's corners to dst and returns the count.
 //
 //hidapvet:hotpath

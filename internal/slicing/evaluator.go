@@ -41,17 +41,12 @@ type Evaluator struct {
 	// arena holds every curve corner of the tree in two shared int64 slabs:
 	// first the leaf region (per-block curves, thinned once to CompactPoints
 	// at Reset), then two fixed-capacity slots per node for the
-	// double-buffered composed curves, then (when EnsureSpecRegions reserved
-	// them) one disjoint region per in-flight speculative candidate. leafSpan
-	// indexes the leaf region by operand id; node spans live in ev.spans.
+	// double-buffered composed curves. leafSpan indexes the leaf region by
+	// operand id; node spans live in ev.spans.
 	arena    shape.Arena
 	leafSpan []shape.Span
 	slotCap  int32
 	rootPts  []shape.Point // RootCurve materialization buffer
-	// specBase/specRegions describe the speculative slot regions appended
-	// after the node slots (see EnsureSpecRegions). Reset drops them.
-	specBase    int32
-	specRegions int
 
 	nodes []enode      // one node per expression position
 	spans []shape.Span // active composed curve per node (leaf region or buf[side]);
@@ -208,8 +203,6 @@ func (ev *Evaluator) Reset(e *Expr, blocks []Block, p EvalParams) {
 		}
 	}
 	ev.slotCap = 2 * maxChild
-	ev.specBase = int32(leafTotal + n*2*int(ev.slotCap))
-	ev.specRegions = 0 // spec regions must be re-reserved after a Reset
 	ev.arena.Resize(leafTotal + n*2*int(ev.slotCap))
 	off := int32(0)
 	for i := range blocks {
@@ -250,42 +243,13 @@ func resizeSlice[T any](s []T, n int) []T {
 //
 //hidapvet:hotpath
 func (ev *Evaluator) Perturb(rng *rand.Rand) (undo func(), kind MoveKind) {
-	ev.movePrologue()
-	//hidapvet:commit pairing handed to the caller through the returned ev.undoFn closure; the annealer invokes it on reject
-	ev.expr.PerturbMove(rng, &ev.move)
-	ev.resyncMove()
-	return ev.undoFn, ev.move.Kind
-}
-
-// ApplyMove is Perturb with a known move instead of a random draw: the
-// caller drew mv through Expr.PerturbMove earlier, rolled it back on the
-// expression (speculative scoring), and now commits it. The expression is
-// re-perturbed and the cached tree resynchronized exactly as Perturb would
-// have; the returned undo follows the same discipline.
-//
-//hidapvet:hotpath
-func (ev *Evaluator) ApplyMove(mv *Move) (undo func()) {
-	ev.movePrologue()
-	ev.move = *mv
-	ev.expr.ApplyMove(mv)
-	ev.resyncMove()
-	return ev.undoFn
-}
-
-// movePrologue clears the per-move journals before a new move is applied.
-func (ev *Evaluator) movePrologue() {
 	ev.rjBlock, ev.rjRect = ev.rjBlock[:0], ev.rjRect[:0]
 	ev.ajIdx = ev.ajIdx[:0]
 	ev.pjIdx, ev.pjPar = ev.pjIdx[:0], ev.pjPar[:0]
 	ev.reparsed = false
 	ev.moveBudget, ev.budgetMoved = ev.lastBudget, false
-}
-
-// resyncMove repairs the cached tree after ev.move was applied to the
-// expression, dispatching on the move kind.
-//
-//hidapvet:hotpath
-func (ev *Evaluator) resyncMove() {
+	//hidapvet:commit pairing handed to the caller through the returned ev.undoFn closure; the annealer invokes it on reject
+	ev.expr.PerturbMove(rng, &ev.move)
 	switch {
 	case ev.move.I == ev.move.J:
 		ev.journal = ev.journal[:0] // no-op move on a trivial expression
@@ -299,6 +263,7 @@ func (ev *Evaluator) resyncMove() {
 		ev.markPath(ev.move.J)
 		ev.sweep(ev.move.I)
 	}
+	return ev.undoFn, ev.move.Kind
 }
 
 // resyncFrom re-parses the expression, diffs every position from lo onward

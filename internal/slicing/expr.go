@@ -239,15 +239,6 @@ func (e *Expr) PerturbMove(rng *rand.Rand, mv *Move) {
 	}
 }
 
-// ApplyMove re-applies a move previously drawn by PerturbMove and undone on
-// the expression — the speculative-batching pattern, where a candidate move
-// is drawn, rolled back, scored against the frozen state and only then
-// committed. Every move kind is an involution on the positions it recorded,
-// so applying and undoing are the same replay.
-//
-//hidapvet:hotpath
-func (e *Expr) ApplyMove(mv *Move) { e.UndoMove(mv) }
-
 // UndoMove reverts a move applied by PerturbMove. Every move kind is an
 // involution on the positions it recorded, so undo replays it.
 //
