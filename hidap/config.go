@@ -3,10 +3,6 @@ package hidap
 import (
 	"repro/internal/autocluster"
 	"repro/internal/core"
-	"repro/internal/graph"
-	"repro/internal/hier"
-	"repro/internal/seqgraph"
-	"repro/internal/slicing"
 )
 
 // AutoclusterParams are the hierarchy-synthesis knobs of the autoclustering
@@ -39,57 +35,31 @@ const (
 	StageCandidate = core.StageCandidate
 )
 
+// Knobs are the HiDaP parameters — λ, k, effort, restarts, parallelism,
+// seed, trace, flat and progress — declared once in the internal flow and
+// embedded in Config.
+type Knobs = core.Knobs
+
 // Config parameterizes a Placer run. Build one with NewConfig and functional
 // options; the zero value is not a valid configuration.
 type Config struct {
-	// Lambda blends block flow (λ) against macro flow (1−λ); the paper
-	// evaluates λ ∈ {0.2, 0.5, 0.8}.
-	Lambda float64
-	// K is the latency decay exponent of the affinity score (paper: 2).
-	K float64
-	// Effort selects the annealing budget.
-	Effort Effort
-	// Restarts runs this many independent annealing chains per
-	// floorplanning level, keeping the best layout (<= 1 means one chain).
-	// The placement is a pure function of (Seed, Restarts) regardless of
-	// Parallelism.
-	Restarts int
-	// Parallelism sizes the work-stealing scheduler a run's whole solve
-	// DAG — sibling hierarchy subtrees, per-level restart chains, and (in
-	// harness runs) placement candidates — drains through: 1 keeps the run
-	// on the calling goroutine, <= 0 uses all cores. It trades wall time
-	// only, never the result.
-	Parallelism int
-	// Seed drives all stochastic steps; equal seeds give equal placements.
-	Seed int64
-	// Trace records the per-level block floorplans (Fig. 1 evolution) into
-	// Stats.Trace.
-	Trace bool
-	// Flat disables the multi-level recursion (the paper's ablation).
-	Flat bool
+	// Knobs are the HiDaP parameters. Parallelism trades wall time only,
+	// never the result; Progress streams per-level events so a server can
+	// report status for long runs.
+	Knobs
 	// Intent maps macro names to intended outlines; required by the
 	// "handfp" placer, ignored by the others.
 	Intent Intent
-	// Progress, when set, streams per-level (and, in harness runs,
-	// per-candidate) events so a server can report status for long runs.
-	Progress ProgressFunc
 	// Autocluster, when set, runs the hierarchy-synthesis front-end before
 	// HiDaP placement: flat (or badly shaped) netlists get a synthesized
 	// physical hierarchy honoring the given bounds; well-shaped ones pass
 	// through untouched. Engines cache the clustered design per
-	// (design, params). Ignored by the "indeda" and "handfp" placers, which
-	// never read the hierarchy.
+	// (design, params). Read only by the "hidap" placer.
 	Autocluster *AutoclusterParams
 
-	// seqGraph, tree, bipartite and pool are warm-cache plumbing set by an
-	// Engine before it hands the config to a placer: prebuilt per-design
-	// artifacts (Gseq, hierarchy tree, cell–net bipartite graph) and the
-	// engine's shared annealing-scratch pool. Never set on configs built by
-	// callers.
-	seqGraph  *seqgraph.Graph
-	tree      *hier.Tree
-	bipartite *graph.Bipartite
-	pool      *slicing.EvaluatorPool
+	// warm is set by an Engine on a design job's config so the hidap
+	// placer reuses the job's cached artifacts; never set by callers.
+	warm *warmJob
 }
 
 // Option mutates a Config under construction.
@@ -98,8 +68,7 @@ type Option func(*Config)
 // NewConfig returns the paper's default parameters (λ=0.5, k=2, medium
 // effort, seed 0) with the given options applied.
 func NewConfig(opts ...Option) *Config {
-	base := core.DefaultOptions()
-	c := &Config{Lambda: base.Lambda, K: base.K, Effort: base.Effort}
+	c := &Config{Knobs: core.DefaultKnobs()}
 	for _, o := range opts {
 		o(c)
 	}
@@ -146,25 +115,4 @@ func WithProgress(fn ProgressFunc) Option { return func(c *Config) { c.Progress 
 // before placement; already well-shaped ones pass through as a no-op.
 func WithAutocluster(p AutoclusterParams) Option {
 	return func(c *Config) { c.Autocluster = &p }
-}
-
-// coreOptions lowers a Config to the internal HiDaP flow options.
-func (c *Config) coreOptions() core.Options {
-	opt := core.DefaultOptions()
-	opt.Lambda = c.Lambda
-	if c.K != 0 {
-		opt.K = c.K
-	}
-	opt.Effort = c.Effort
-	opt.Restarts = c.Restarts
-	opt.Parallelism = c.Parallelism
-	opt.Seed = c.Seed
-	opt.Trace = c.Trace
-	opt.Flat = c.Flat
-	opt.Progress = c.Progress
-	opt.SeqGraph = c.seqGraph
-	opt.Tree = c.tree
-	opt.Bipartite = c.bipartite
-	opt.Pool = c.pool
-	return opt
 }

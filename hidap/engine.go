@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -104,10 +103,6 @@ type Job struct {
 	Config *Config
 	// Label is an opaque tag echoed on the result and its Report.
 	Label string
-
-	// placer carries a pre-resolved Placer (set by Placer.Place wrappers),
-	// so placers that were never registered still run through the engine.
-	placer Placer
 }
 
 // JobResult is the outcome of a finished job.
@@ -253,8 +248,7 @@ type EngineStats struct {
 // their sequential graphs, keyed by content hash) and pooled annealing
 // scratch, so back-to-back jobs on the same design run allocation-warm.
 // One Engine serves concurrent callers; all methods are safe for concurrent
-// use. Placer.Place is a thin wrapper over a shared single-job engine, so
-// the one-shot registry API inherits the same caches.
+// use.
 type Engine struct {
 	cfg        *Config
 	workers    int
@@ -292,13 +286,6 @@ type Engine struct {
 // NewEngine builds an engine whose jobs default to cfg (nil means
 // NewConfig() defaults) and starts its worker pool. Close releases it.
 func NewEngine(cfg *Config, opt EngineOptions) *Engine {
-	return newEngine(cfg, opt, true)
-}
-
-// newEngine optionally skips spawning the worker pool: the shared engine
-// behind Placer.Place only ever executes inline through Run, so it keeps no
-// parked goroutines.
-func newEngine(cfg *Config, opt EngineOptions, spawnWorkers bool) *Engine {
 	if cfg == nil {
 		cfg = NewConfig()
 	}
@@ -320,12 +307,10 @@ func newEngine(cfg *Config, opt EngineOptions, spawnWorkers bool) *Engine {
 		gens:       newLRU[*cachedCircuit](cache),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	if spawnWorkers {
-		for i := 0; i < workers; i++ {
-			e.wg.Add(1)
-			//hidapvet:allow gocap long-lived engine worker pool, bounded by Workers and joined via wg on Close; not per-solve fan-out
-			go e.worker()
-		}
+	for i := 0; i < workers; i++ {
+		e.wg.Add(1)
+		//hidapvet:allow gocap long-lived engine worker pool, bounded by Workers and joined via wg on Close; not per-solve fan-out
+		go e.worker()
 	}
 	return e
 }
@@ -371,9 +356,11 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // noteAutocluster tallies one autoclustering outcome into the engine
-// counters: a cache hit, a no-op pass-through, or a fresh synthesis.
+// counters: a cache hit, a no-op pass-through, or a fresh synthesis. A nil
+// engine (a one-shot Place) tallies nothing.
 func (e *Engine) noteAutocluster(stats autocluster.Stats, fresh bool) {
 	switch {
+	case e == nil:
 	case !fresh:
 		e.acHits.Add(1)
 	case stats.NoOp:
@@ -453,8 +440,7 @@ func (e *Engine) acceptable(bulk bool) error {
 }
 
 // Run executes one job synchronously on the caller's goroutine, outside the
-// worker pool but inside the engine's caches and scratch pool. It is the
-// single-job path behind Placer.Place.
+// worker pool but inside the engine's caches and scratch pool.
 func (e *Engine) Run(ctx context.Context, job Job) (*JobResult, error) {
 	t, err := e.prepare(ctx, job)
 	if err != nil {
@@ -660,18 +646,15 @@ func (e *Engine) prepare(ctx context.Context, job Job) (*Ticket, error) {
 	case job.Design != nil && job.Circuit != nil:
 		return nil, errors.New("hidap: job sets both Design and Circuit")
 	case job.Design != nil:
-		t.placer = job.placer
-		if t.placer == nil {
-			name := job.Placer
-			if name == "" {
-				name = "hidap"
-			}
-			p, err := Lookup(name)
-			if err != nil {
-				return nil, err
-			}
-			t.placer = p
+		name := job.Placer
+		if name == "" {
+			name = "hidap"
 		}
+		p, err := Lookup(name)
+		if err != nil {
+			return nil, err
+		}
+		t.placer = p
 		key := job.Key
 		if key == "" {
 			var err error
@@ -785,24 +768,27 @@ func (e *Engine) resultsStream() chan *Ticket {
 	return e.results
 }
 
-// execute runs one job on the caller's goroutine. A panicking job (a
-// degenerate design tripping an internal invariant) is converted into a job
-// error: one bad job must not take down the engine or a server built on it.
+// execute runs one job on the caller's goroutine under guard, so a
+// panicking job becomes a job error rather than taking down the engine. A
+// failure names the job, whichever layer (engine or placer) reported it.
 func (e *Engine) execute(t *Ticket) (res *JobResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("hidap: job %d (%q) panicked: %v\n%s", t.id, t.label, r, debug.Stack())
-		}
-	}()
-	ctx := t.ctx
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	err = guard(t.ctx, "job", func() (err error) {
+		res, err = e.executeJob(t)
+		return err
+	})
+	if err != nil && t.ctx.Err() == nil {
+		err = fmt.Errorf("hidap: job %d (%q): %w", t.id, t.label, err)
 	}
+	return res, err
+}
+
+func (e *Engine) executeJob(t *Ticket) (*JobResult, error) {
+	ctx := t.ctx
 	cfg := t.job.Config
 	if cfg == nil {
 		cfg = e.cfg
 	}
-	cc := *cfg // shallow copy: the job must not see engine plumbing twice
+	cc := *cfg // shallow copy: the warm handle is per job
 	if e.workers > 1 && cc.Parallelism <= 0 {
 		// The engine's worker pool is the outer parallelism layer: a job's
 		// internal scheduler must not default to all cores on top of it, or
@@ -819,33 +805,12 @@ func (e *Engine) execute(t *Ticket) (res *JobResult, err error) {
 }
 
 // runDesignJob places (and optionally evaluates) a cached design with a
-// registered placer, warm: the cached Gseq and the engine scratch pool ride
-// in on the config.
+// registered placer. The config carries the warm handle; only the hidap
+// placer reads it, building the cached artifacts (and the autoclustered
+// variant) on first use, so indeda and handfp jobs pay for none of them.
 func (e *Engine) runDesignJob(ctx context.Context, t *Ticket, cfg *Config) (*JobResult, error) {
-	cd := t.cd
-	if cfg.Autocluster != nil && t.placer.Name() != "indeda" && t.placer.Name() != "handfp" {
-		// Hierarchy-consuming placers get the autoclustered variant; indeda
-		// and handfp never read the hierarchy, so clustering for them would
-		// be wasted work.
-		ent, fresh, err := cd.clustered(*cfg.Autocluster)
-		if err != nil {
-			return nil, err
-		}
-		e.noteAutocluster(ent.stats, fresh)
-		cd = ent.cd
-	}
-	d := cd.d
-	if t.placer.Name() == "hidap" {
-		// Only the paper's flow consumes these during placement; building
-		// them for indeda/handfp jobs would charge them work they never did
-		// before the engine existed. (Evaluate below builds Gseq on demand —
-		// every cachedDesign artifact is once-per-design either way.)
-		cfg.seqGraph = cd.graph()
-		cfg.tree = cd.hierTree()
-		cfg.bipartite = cd.bipartite()
-	}
-	cfg.pool = e.pool
-	pl, stats, err := placerRun(ctx, t.placer, d, cfg)
+	cfg.warm = &warmJob{cd: t.cd, eng: e}
+	pl, stats, err := t.placer.Place(ctx, t.cd.d, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -854,7 +819,9 @@ func (e *Engine) runDesignJob(ctx context.Context, t *Ticket, cfg *Config) (*Job
 		if err := PlaceStdCells(ctx, pl); err != nil {
 			return nil, err
 		}
-		rep, err := eval.Evaluate(ctx, d, pl, eval.Options{Graph: t.cd.graph()})
+		// Measure against the design the placement was made on (the
+		// autoclustered variant shares cells, nets and Gseq with t.cd).
+		rep, err := eval.Evaluate(ctx, pl.D, pl, eval.Options{Graph: t.cd.graph()})
 		if err != nil {
 			return nil, err
 		}
@@ -893,7 +860,7 @@ func (e *Engine) runCircuitJob(ctx context.Context, t *Ticket, cfg *Config) (*Jo
 		e.noteAutocluster(res.Stats, fresh)
 		fopt.Autocluster = cfg.Autocluster
 	}
-	// Parallelism rides in from the config (execute pinned it to 1 on
+	// Parallelism rides in from the config (executeJob pinned it to 1 on
 	// multi-worker engines, so the Workers bound stays the whole story of a
 	// busy engine's parallelism; a single-worker engine lets the job's own
 	// scheduler use the machine).
@@ -911,15 +878,13 @@ func (e *Engine) runCircuitJob(ctx context.Context, t *Ticket, cfg *Config) (*Jo
 	}, nil
 }
 
-// placerRun dispatches to a placer's implementation. Built-in flows (and
-// any Placer built with PlacerFunc) are unwrapped to their raw function:
-// their Place method routes through the shared engine, and unwrapping here
-// is what keeps that loop open instead of recursive.
-func placerRun(ctx context.Context, p Placer, d *Design, cfg *Config) (*Placement, Stats, error) {
-	if pf, ok := p.(placerFunc); ok {
-		return pf.fn(ctx, d, cfg)
-	}
-	return p.Place(ctx, d, cfg)
+// warmJob is the handle an Engine puts on a design job's config: the job's
+// cache entry (Gseq, hierarchy tree, bipartite graph, autoclustered
+// variants) and the engine itself (scratch pool, autocluster counters). A
+// one-shot hidap Place builds a throwaway handle with a nil engine.
+type warmJob struct {
+	cd  *cachedDesign
+	eng *Engine
 }
 
 // cachedDesign is one design cache entry: the canonical parsed instance and
@@ -1076,23 +1041,4 @@ func (c *lruCache[V]) flush() {
 	defer c.mu.Unlock()
 	c.m = make(map[string]*list.Element)
 	c.l.Init()
-}
-
-// sharedEngine is the process-wide single-job engine behind Placer.Place:
-// one-shot callers inherit its scratch pool and a small design cache
-// without managing an Engine themselves. It spawns no worker goroutines
-// (Place executes inline through Run) and its cache is deliberately small —
-// Place retains at most the last 16 distinct designs (keyed by pointer
-// identity, see placerFunc.Place), a bounded warm set rather than an
-// accumulating one.
-var (
-	sharedOnce sync.Once
-	sharedInst *Engine
-)
-
-func sharedEngine() *Engine {
-	sharedOnce.Do(func() {
-		sharedInst = newEngine(nil, EngineOptions{CacheSize: 16}, false)
-	})
-	return sharedInst
 }

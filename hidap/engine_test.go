@@ -268,7 +268,7 @@ func TestEngineCancelAndQueueFull(t *testing.T) {
 }
 
 // TestEngineCloseWaitsForRun: Close's drain contract covers jobs executing
-// inline through Run (the Placer.Place path), not only pool workers.
+// inline through Run on the caller's goroutine, not only pool workers.
 func TestEngineCloseWaitsForRun(t *testing.T) {
 	started := make(chan struct{}, 4)
 	hidap.MustRegister(blockingPlacer("test-engine-run-block", started))
@@ -431,12 +431,14 @@ func TestEnginePanicIsolated(t *testing.T) {
 	defer eng.Close()
 	ctx := context.Background()
 
-	tk, err := eng.Submit(ctx, hidap.Job{Design: g.Design, Placer: "test-engine-panic"})
+	tk, err := eng.Submit(ctx, hidap.Job{Label: "boom-job", Design: g.Design, Placer: "test-engine-panic"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tk.Wait(ctx); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("err = %v, want panic converted to error", err)
+	} else if !strings.Contains(err.Error(), `"boom-job"`) {
+		t.Errorf("err = %v, want it to name the job", err)
 	}
 	if tk.State() != hidap.JobFailed {
 		t.Errorf("state = %q, want failed", tk.State())

@@ -38,9 +38,10 @@
 // Engine.SubmitBatch fans a whole evaluation suite (circuits × flows ×
 // seeds) through the pool and aggregates it with the Tables II/III
 // pipeline; Engine.Results streams completions for serving layers (see
-// cmd/hidap-serve for the HTTP surface). Placer.Place is itself a thin
-// wrapper over a single job on a shared package-level engine, so the
-// one-shot API above inherits the same caches.
+// cmd/hidap-serve for the HTTP surface). The Engine wraps the same
+// placers: a one-shot Placer.Place is cold, building every per-design
+// artifact itself, so callers that place a design more than once should
+// run an Engine to reuse its warm caches.
 //
 // # Interchange
 //

@@ -3,6 +3,7 @@ package hidap
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -63,12 +64,10 @@ type Placer interface {
 }
 
 // PlacerFunc adapts a placement function to the Placer interface. The
-// returned placer's Place method is a thin wrapper over a single-job run on
-// the package's shared Engine, so one-shot callers inherit its design cache
-// and warm annealing scratch; fn itself is invoked by the engine. The
-// shared cache retains at most the 16 most recently placed designs (with
-// their sequential graphs) for warm reuse; callers that manage placement
-// memory explicitly should run their own Engine and use FlushCaches.
+// returned placer's Place calls fn directly: it returns ctx.Err() without
+// starting when ctx is already done, and turns a panic in fn into an error.
+// A one-shot Place is cold — it builds every per-design artifact itself;
+// run jobs on an Engine to reuse warm caches across placements.
 func PlacerFunc(name string, fn func(ctx context.Context, d *Design, cfg *Config) (*Placement, Stats, error)) Placer {
 	return placerFunc{name: name, fn: fn}
 }
@@ -80,24 +79,34 @@ type placerFunc struct {
 
 func (p placerFunc) Name() string { return p.name }
 
-func (p placerFunc) Place(ctx context.Context, d *Design, cfg *Config) (*Placement, Stats, error) {
+func (p placerFunc) Place(ctx context.Context, d *Design, cfg *Config) (pl *Placement, stats Stats, err error) {
 	if cfg == nil {
 		cfg = NewConfig()
 	}
-	// Key by pointer identity: repeated Place calls on one design hit the
-	// warm path without the content hash's full-netlist serialization.
-	// Safe because the cache entry retains d, so the address cannot be
-	// reused while the key is live; a different pointer to equal content
-	// simply misses (exactly the pre-engine behavior). Designs are frozen
-	// after Build; the structural counts in the key additionally miss the
-	// cache if a caller grows one anyway, rather than serving a placement
-	// against a stale cached Gseq.
-	key := fmt.Sprintf("ptr:%p:%d:%d", d, len(d.Cells), len(d.Nets))
-	res, err := sharedEngine().Run(ctx, Job{Design: d, Key: key, Placer: p.name, Config: cfg, placer: p})
+	err = guard(ctx, fmt.Sprintf("placer %q", p.name), func() (err error) {
+		pl, stats, err = p.fn(ctx, d, cfg)
+		return err
+	})
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return res.Placement, res.Stats, nil
+	return pl, stats, nil
+}
+
+// guard runs one placement call: not at all when ctx is already done, and
+// with a panic (a degenerate design tripping an internal invariant) turned
+// into an error naming what panicked, so one bad call cannot take down its
+// caller or a server built on it.
+func guard(ctx context.Context, what string, run func() error) (err error) {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("hidap: %s panicked: %v\n%s", what, r, debug.Stack())
+		}
+	}()
+	return run()
 }
 
 var (
@@ -163,10 +172,34 @@ func init() {
 }
 
 // placeHiDaP runs the paper's flow: hierarchy tree, shape curves, recursive
-// dataflow-driven block floorplanning, and macro flipping.
+// dataflow-driven block floorplanning, and macro flipping. On an Engine job
+// it reads the job's cached artifacts (and autoclustered variant) and the
+// engine's scratch pool; one-shot, a throwaway handle builds them cold.
 func placeHiDaP(ctx context.Context, d *Design, cfg *Config) (*Placement, Stats, error) {
 	start := time.Now()
-	res, err := core.Place(ctx, d, cfg.coreOptions())
+	opt := core.DefaultOptions()
+	opt.Knobs = cfg.Knobs
+	// The handle describes the job's design; a plug-in wrapping this placer
+	// on another design places that one cold.
+	w := cfg.warm
+	if w == nil || w.cd.d != d {
+		w = &warmJob{cd: &cachedDesign{d: d}}
+	}
+	cd := w.cd
+	if cfg.Autocluster != nil {
+		ent, fresh, err := cd.clustered(*cfg.Autocluster)
+		if err != nil {
+			return nil, Stats{}, err
+		}
+		w.eng.noteAutocluster(ent.stats, fresh)
+		cd = ent.cd
+	}
+	d = cd.d
+	opt.SeqGraph, opt.Tree, opt.Bipartite = cd.graph(), cd.hierTree(), cd.bipartite()
+	if w.eng != nil {
+		opt.Pool = w.eng.pool
+	}
+	res, err := core.Place(ctx, d, opt)
 	if err != nil {
 		return nil, Stats{}, err
 	}

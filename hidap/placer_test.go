@@ -202,12 +202,25 @@ func TestCancelledBeforeStart(t *testing.T) {
 	g := circuits.ABCDX()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, name := range []string{"hidap", "indeda"} {
+	for _, name := range []string{"hidap", "indeda", "handfp"} {
 		p, _ := hidap.Lookup(name)
 		cfg := hidap.NewConfig(hidap.WithSeed(1), hidap.WithIntent(g.Intent))
 		if _, _, err := p.Place(ctx, g.Design, cfg); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
+	}
+}
+
+// TestPlacerFuncPanicIsError: a one-shot Place on a panicking placer
+// returns an error instead of crashing the caller.
+func TestPlacerFuncPanicIsError(t *testing.T) {
+	p := hidap.PlacerFunc("test-oneshot-panic",
+		func(ctx context.Context, d *hidap.Design, cfg *hidap.Config) (*hidap.Placement, hidap.Stats, error) {
+			panic("boom")
+		})
+	_, _, err := p.Place(context.Background(), circuits.ABCDX().Design, nil)
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("err = %v, want panic converted to error", err)
 	}
 }
 

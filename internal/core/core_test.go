@@ -120,12 +120,12 @@ func TestPlaceDeterministic(t *testing.T) {
 
 func TestPlaceSeedMatters(t *testing.T) {
 	d := miniSoC(t)
-	a, err := Place(context.Background(), d, Options{Seed: 1, Lambda: 0.5, K: 2,
+	a, err := Place(context.Background(), d, Options{Knobs: Knobs{Seed: 1, Lambda: 0.5, K: 2},
 		Decluster: hier.DefaultParams()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Place(context.Background(), d, Options{Seed: 2, Lambda: 0.5, K: 2,
+	b, err := Place(context.Background(), d, Options{Knobs: Knobs{Seed: 2, Lambda: 0.5, K: 2},
 		Decluster: hier.DefaultParams()})
 	if err != nil {
 		t.Fatal(err)

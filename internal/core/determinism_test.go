@@ -14,8 +14,8 @@ import (
 // fingerprint serializes everything observable about a placement run —
 // macro positions and orientations, level count, flips, the full trace,
 // and the complete progress-event stream in delivery order — so two runs
-// can be compared byte for byte.
-func fingerprint(t *testing.T, par int) string {
+// can be compared byte for byte. flat selects the single-level ablation.
+func fingerprint(t *testing.T, par int, flat bool) string {
 	t.Helper()
 	d := miniSoC(t)
 	opt := DefaultOptions()
@@ -23,6 +23,7 @@ func fingerprint(t *testing.T, par int) string {
 	opt.Trace = true
 	opt.Restarts = 3 // chain tasks join subtree tasks in the same pool
 	opt.Parallelism = par
+	opt.Flat = flat
 	var sb strings.Builder
 	opt.Progress = func(ev Progress) { fmt.Fprintf(&sb, "ev %+v\n", ev) }
 	res, err := Place(context.Background(), d, opt)
@@ -49,7 +50,7 @@ func TestPlaceDeterminismMatrix(t *testing.T) {
 	for _, procs := range []int{1, 4, 16} {
 		runtime.GOMAXPROCS(procs)
 		for _, par := range []int{1, 2, 8} {
-			got := fingerprint(t, par)
+			got := fingerprint(t, par, false)
 			if want == "" {
 				want = got
 				continue
@@ -68,10 +69,21 @@ func TestPlaceDeterminismMatrix(t *testing.T) {
 // progress event fails here. Update it only for a deliberate behaviour change.
 const placeGolden = "80e0c1810ea33da51457f00aaad5b718d840db1669c8ba8829db6912f01a9e38"
 
+// flatGolden pins the same run with Flat set, covering the single-level
+// ablation that TestPlaceGolden never enters.
+const flatGolden = "ef98a29e0cd4b860b6ee7e55155dd8844b4207b4230a29d6588bebedf280bffd"
+
 func TestPlaceGolden(t *testing.T) {
-	fp := fingerprint(t, 1)
+	fp := fingerprint(t, 1, false)
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp))); got != placeGolden {
 		t.Fatalf("placement fingerprint sha256 = %s, want %s\n%s", got, placeGolden, fp)
+	}
+}
+
+func TestPlaceFlatGolden(t *testing.T) {
+	fp := fingerprint(t, 2, true)
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp))); got != flatGolden {
+		t.Fatalf("flat placement fingerprint sha256 = %s, want %s\n%s", got, flatGolden, fp)
 	}
 }
 
@@ -79,7 +91,7 @@ func TestPlaceGolden(t *testing.T) {
 // shares one across candidates) must produce the same placement as the
 // pool Place builds for itself.
 func TestPlaceSchedBorrowedPool(t *testing.T) {
-	own := fingerprint(t, 4)
+	own := fingerprint(t, 4, false)
 
 	d := miniSoC(t)
 	pool := sched.NewPool(4)

@@ -57,13 +57,55 @@ type Progress struct {
 // subtree task and replay at the join.
 type ProgressFunc func(Progress)
 
-// Options configures the HiDaP flow.
-type Options struct {
+// Knobs are the HiDaP parameters a caller sets: the paper's λ, k, effort
+// and seed plus the run controls. Options embeds them and hidap.Config
+// embeds the same struct, so each knob is declared once.
+type Knobs struct {
 	// Lambda blends block flow (λ) against macro flow (1−λ); the paper
 	// evaluates λ ∈ {0.2, 0.5, 0.8} and keeps the best wirelength.
 	Lambda float64
-	// K is the latency decay exponent of the affinity score (default 2).
+	// K is the latency decay exponent of the affinity score (paper: 2; 0
+	// means 2).
 	K float64
+	// Effort selects the annealing budget per level.
+	Effort layout.Effort
+	// Restarts runs this many independent annealing chains per level solve,
+	// keeping the best (see layout.Options.Restarts; <= 1 means one chain).
+	// The placement is a pure function of (Seed, Restarts) regardless of
+	// Parallelism.
+	Restarts int
+	// Parallelism sizes the work-stealing scheduler the whole solve DAG —
+	// sibling subtrees of the hierarchy and the restart chains of every
+	// level — drains through: 1 keeps the run on the calling goroutine,
+	// <= 0 uses runtime.GOMAXPROCS(0), and anything else starts that many
+	// lanes. The placement is a pure function of (Seed, Lambda, Restarts,
+	// Effort) regardless of this value: tasks are indexed, seeded from
+	// stable task paths (sched.Derive), and reduced in index order.
+	// Ignored when Options.Sched is set.
+	Parallelism int
+	// Seed drives all stochastic steps; equal seeds give equal floorplans.
+	Seed int64
+	// Trace records the per-level block floorplans (Fig. 1 evolution).
+	Trace bool
+	// Flat disables the multi-level recursion: every macro becomes its own
+	// block in a single floorplanning instance. This is the ablation for
+	// the paper's first contribution (multi-level placement with
+	// hierarchy-aware declustering); dataflow affinity is still used.
+	Flat bool
+	// Progress, when set, receives one event per floorplanned level and one
+	// for the flipping post-process.
+	Progress ProgressFunc
+}
+
+// DefaultKnobs are the paper's defaults: λ=0.5, k=2, medium effort, seed 0.
+func DefaultKnobs() Knobs {
+	return Knobs{Lambda: 0.5, K: 2, Effort: layout.EffortMedium}
+}
+
+// Options configures the HiDaP flow: the caller-facing Knobs plus the
+// model parameters and prebuilt artifacts a harness or engine supplies.
+type Options struct {
+	Knobs
 	// Decluster sets the open/min area fractions (paper: 1% / 40%).
 	Decluster hier.Params
 	// Seq sets Gseq construction parameters.
@@ -85,48 +127,20 @@ type Options struct {
 	// Pool optionally shares annealing scratch (incremental slicing
 	// evaluators) across levels and runs; see layout.Options.Pool.
 	Pool *slicing.EvaluatorPool
-	// Effort selects the annealing budget per level.
-	Effort layout.Effort
-	// Restarts runs this many independent annealing chains per level solve,
-	// keeping the best (see layout.Options.Restarts; <= 1 means one chain).
-	Restarts int
-	// Parallelism sizes the work-stealing scheduler the whole solve DAG —
-	// sibling subtrees of the hierarchy and the restart chains of every
-	// level — drains through: 1 keeps the run on the calling goroutine,
-	// <= 0 uses runtime.GOMAXPROCS(0), and anything else starts that many
-	// lanes. The placement is a pure function of (Seed, Lambda, Restarts,
-	// Effort) regardless of this value: tasks are indexed, seeded from
-	// stable task paths (sched.Derive), and reduced in index order.
-	// Ignored when Sched is set.
-	Parallelism int
 	// Sched, when set, borrows an existing work-stealing pool instead of
 	// creating one per Place call; a multi-candidate sweep passes its pool
 	// here so candidates, subtrees and chains share one set of lanes.
 	Sched *sched.Pool
 	// Eval sets the slicing evaluation penalties.
 	Eval slicing.EvalParams
-	// Seed drives all stochastic steps; equal seeds give equal floorplans.
-	Seed int64
-	// Trace records the per-level block floorplans (Fig. 1 evolution).
-	Trace bool
-	// Flat disables the multi-level recursion: every macro becomes its own
-	// block in a single floorplanning instance. This is the ablation for
-	// the paper's first contribution (multi-level placement with
-	// hierarchy-aware declustering); dataflow affinity is still used.
-	Flat bool
-	// Progress, when set, receives one event per floorplanned level and one
-	// for the flipping post-process.
-	Progress ProgressFunc
 }
 
 // DefaultOptions mirrors the paper's defaults.
 func DefaultOptions() Options {
 	return Options{
-		Lambda:    0.5,
-		K:         2,
+		Knobs:     DefaultKnobs(),
 		Decluster: hier.DefaultParams(),
 		Seq:       seqgraph.DefaultParams(),
-		Effort:    layout.EffortMedium,
 		Eval:      slicing.DefaultEvalParams(),
 	}
 }
@@ -356,35 +370,8 @@ func (st *flowState) recurse(ctx context.Context, nh netlist.HierID, region geom
 		return nil
 	}
 
-	at := st.targetAreas(decl)
-	gdf := dataflow.Build(st.sg, decl)
-	aff := gdf.Affinity(dataflow.Params{Lambda: st.opt.Lambda, K: st.opt.K})
-
-	prob := &layout.Problem{Region: region, Affinity: aff}
-	for i := range decl.Blocks {
-		b := &decl.Blocks[i]
-		prob.Blocks = append(prob.Blocks, layout.BlockSpec{
-			Name: b.Name,
-			Block: slicing.Block{
-				Curve:      st.sc.Curve(b),
-				MinArea:    b.Area,
-				TargetArea: at[i],
-			},
-		})
-	}
-	for i := len(decl.Blocks); i < len(gdf.Nodes); i++ {
-		prob.Terminals = append(prob.Terminals, layout.Terminal{
-			Name: gdf.Nodes[i].Name,
-			Pos:  st.terminalPos(gdf, i, run.view),
-		})
-	}
-
-	opt := layout.Options{
-		Seed: sched.Derive(st.opt.Seed, int64(nh)), Effort: st.opt.Effort, Eval: st.opt.Eval, Pool: st.opt.Pool,
-		Restarts: st.opt.Restarts, Sched: st.sched,
-	}
-	sol := layout.Solve(ctx, prob, opt)
-	if err := ctx.Err(); err != nil {
+	gdf, aff, sol, err := st.solveLevel(ctx, decl, region, sched.Derive(st.opt.Seed, int64(nh)), run.view)
+	if err != nil {
 		return err
 	}
 	run.event(st, Progress{
@@ -520,6 +507,30 @@ func (st *flowState) flatPlace(ctx context.Context, region geom.Rect, run *subRu
 	}
 	run.levels = 1
 
+	gdf, aff, sol, err := st.solveLevel(ctx, decl, region, st.opt.Seed, run.view)
+	if err != nil {
+		return err
+	}
+	run.event(st, Progress{Stage: StageLevel, Path: "(flat)", Blocks: len(decl.Blocks), Level: 1, Lambda: st.opt.Lambda})
+	for i := range decl.Blocks {
+		st.fixSingleMacro(decl.Blocks[i].MacroCells[0], sol.Rects[i], gdf, aff, int32(i), sol, run.view)
+	}
+	if st.opt.Trace {
+		tl := LevelTrace{Path: "(flat)", Depth: 0, Region: region}
+		for i := range decl.Blocks {
+			tl.Blocks = append(tl.Blocks, TraceBlock{Name: decl.Blocks[i].Name, Rect: sol.Rects[i], MacroCount: 1})
+		}
+		run.trace = append(run.trace, tl)
+	}
+	return nil
+}
+
+// solveLevel floorplans one level: the declustered blocks (with their
+// §IV-C target areas and shape curves) and the Gdf terminals (at their
+// positions in view v) go into one layout instance inside region, annealed
+// from seed. It returns the level's Gdf, its affinity matrix and the
+// solution, or ctx.Err() when the solve was cancelled.
+func (st *flowState) solveLevel(ctx context.Context, decl *hier.Result, region geom.Rect, seed int64, v *view) (*dataflow.Graph, [][]float64, *layout.Result, error) {
 	at := st.targetAreas(decl)
 	gdf := dataflow.Build(st.sg, decl)
 	aff := gdf.Affinity(dataflow.Params{Lambda: st.opt.Lambda, K: st.opt.K})
@@ -539,28 +550,14 @@ func (st *flowState) flatPlace(ctx context.Context, region geom.Rect, run *subRu
 	for i := len(decl.Blocks); i < len(gdf.Nodes); i++ {
 		prob.Terminals = append(prob.Terminals, layout.Terminal{
 			Name: gdf.Nodes[i].Name,
-			Pos:  st.terminalPos(gdf, i, run.view),
+			Pos:  st.terminalPos(gdf, i, v),
 		})
 	}
 	sol := layout.Solve(ctx, prob, layout.Options{
-		Seed: st.opt.Seed, Effort: st.opt.Effort, Eval: st.opt.Eval, Pool: st.opt.Pool,
+		Seed: seed, Effort: st.opt.Effort, Eval: st.opt.Eval, Pool: st.opt.Pool,
 		Restarts: st.opt.Restarts, Sched: st.sched,
 	})
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	run.event(st, Progress{Stage: StageLevel, Path: "(flat)", Blocks: len(decl.Blocks), Level: 1, Lambda: st.opt.Lambda})
-	for i := range decl.Blocks {
-		st.fixSingleMacro(decl.Blocks[i].MacroCells[0], sol.Rects[i], gdf, aff, int32(i), sol, run.view)
-	}
-	if st.opt.Trace {
-		tl := LevelTrace{Path: "(flat)", Depth: 0, Region: region}
-		for i := range decl.Blocks {
-			tl.Blocks = append(tl.Blocks, TraceBlock{Name: decl.Blocks[i].Name, Rect: sol.Rects[i], MacroCount: 1})
-		}
-		run.trace = append(run.trace, tl)
-	}
-	return nil
+	return gdf, aff, sol, ctx.Err()
 }
 
 // targetAreas implements §IV-C: glue cells adopt their BFS-nearest block,

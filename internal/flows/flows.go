@@ -24,7 +24,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/place"
 	"repro/internal/placement"
-	"repro/internal/route"
 	"repro/internal/sched"
 	"repro/internal/slicing"
 	"repro/internal/sta"
@@ -92,13 +91,10 @@ type Options struct {
 	// runs share one synthesis. Only the HiDaP flow consumes the
 	// hierarchy; IndEDA and handFP ignore this option.
 	Autocluster *autocluster.Params
-	// Place configures the shared standard-cell placer.
+	// Place configures the shared standard-cell placer. Congestion and
+	// timing use the eval pipeline's defaults, with the wire delay
+	// calibrated to each die (see eval.CalibrateSTA).
 	Place place.Options
-	// Route configures the congestion model.
-	Route route.Options
-	// STA configures timing; a zero WirePsPerDBU is auto-calibrated to the
-	// die (see eval.CalibrateSTA).
-	STA sta.Options
 }
 
 // DefaultOptions mirrors the paper's setup.
@@ -107,8 +103,6 @@ func DefaultOptions() Options {
 		Effort:  layout.EffortMedium,
 		Lambdas: []float64{0.2, 0.5, 0.8},
 		Place:   place.DefaultOptions(),
-		Route:   route.DefaultOptions(),
-		// STA left zero: eval.CalibrateSTA fits the wire delay to each die.
 	}
 }
 
@@ -163,7 +157,7 @@ func Run(ctx context.Context, g *circuits.Generated, flow Flow, opt Options) (*M
 	}
 	elapsed := time.Since(start).Seconds()
 
-	m, err := measure(ctx, g, flow, pl, opt)
+	m, err := measure(ctx, g, flow, pl)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -268,7 +262,7 @@ func runHiDaP(ctx context.Context, g *circuits.Generated, opt Options) (*placeme
 		}
 		c.wl = metrics.WirelengthMeters(c.pl)
 		if opt.SelectBy == "timing" {
-			c.wns = sta.Analyze(g.SeqGraph(), c.pl, eval.CalibrateSTA(d, opt.STA)).WNSPct
+			c.wns = sta.Analyze(g.SeqGraph(), c.pl, eval.CalibrateSTA(d, sta.Options{})).WNSPct
 		}
 	}
 	grp := pool.Group(ctx)
@@ -307,12 +301,8 @@ func cellPlace(ctx context.Context, pl *placement.Placement, opt Options) error 
 
 // measure computes the Table III metric columns for a fully placed design
 // through the shared eval pipeline.
-func measure(ctx context.Context, g *circuits.Generated, flow Flow, pl *placement.Placement, opt Options) (*Metrics, error) {
-	rep, err := eval.Evaluate(ctx, g.Design, pl, eval.Options{
-		Route: opt.Route,
-		STA:   opt.STA,
-		Graph: g.SeqGraph(),
-	})
+func measure(ctx context.Context, g *circuits.Generated, flow Flow, pl *placement.Placement) (*Metrics, error) {
+	rep, err := eval.Evaluate(ctx, g.Design, pl, eval.Options{Graph: g.SeqGraph()})
 	if err != nil {
 		return nil, err
 	}

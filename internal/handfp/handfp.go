@@ -56,7 +56,7 @@ func Place(ctx context.Context, d *netlist.Design, intent Intent, opt Options) (
 		return nil, err
 	}
 	legalize.Macros(pl, d.Die)
-	flipAll(pl, macros)
+	pl.FlipForPinWL(macros)
 	return pl, nil
 }
 
@@ -130,29 +130,4 @@ func refine(ctx context.Context, pl *placement.Placement, macros []netlist.CellI
 	for i, m := range macros {
 		pl.PlaceOriented(m, bestPos[i], bestOri[i])
 	}
-}
-
-func flipAll(pl *placement.Placement, macros []netlist.CellID) {
-	for _, m := range macros {
-		base := pl.Orient[m]
-		bestO := base
-		bestC := macroPinWL(pl, m)
-		for _, o := range []geom.Orient{base.FlipX(), base.FlipY(), base.FlipX().FlipY()} {
-			pl.PlaceOriented(m, pl.Pos[m], o)
-			if c := macroPinWL(pl, m); c < bestC {
-				bestC = c
-				bestO = o
-			}
-		}
-		pl.PlaceOriented(m, pl.Pos[m], bestO)
-	}
-}
-
-func macroPinWL(pl *placement.Placement, m netlist.CellID) int64 {
-	d := pl.D
-	var sum int64
-	for _, pid := range d.Cell(m).Pins {
-		sum += pl.NetHPWL(d.Pin(pid).Net)
-	}
-	return sum
 }

@@ -61,7 +61,7 @@ func Place(ctx context.Context, d *netlist.Design, opt Options) (*placement.Plac
 		return nil, err
 	}
 	legalize.Macros(pl, d.Die)
-	flipAll(pl, macros)
+	pl.FlipForPinWL(macros)
 	return pl, nil
 }
 
@@ -240,35 +240,6 @@ func refine(ctx context.Context, pl *placement.Placement, macros []netlist.CellI
 	for i, m := range macros {
 		pl.Place(m, bestPos[i])
 	}
-}
-
-// flipAll greedily flips macros for pin wirelength, like any competent
-// floorplanner (against placed macros and ports only).
-func flipAll(pl *placement.Placement, macros []netlist.CellID) {
-	d := pl.D
-	for _, m := range macros {
-		base := pl.Orient[m]
-		bestO := base
-		bestC := macroPinWL(pl, m)
-		for _, o := range []geom.Orient{base.FlipX(), base.FlipY(), base.FlipX().FlipY()} {
-			pl.PlaceOriented(m, pl.Pos[m], o)
-			if c := macroPinWL(pl, m); c < bestC {
-				bestC = c
-				bestO = o
-			}
-		}
-		pl.PlaceOriented(m, pl.Pos[m], bestO)
-	}
-	_ = d
-}
-
-func macroPinWL(pl *placement.Placement, m netlist.CellID) int64 {
-	d := pl.D
-	var sum int64
-	for _, pid := range d.Cell(m).Pins {
-		sum += pl.NetHPWL(d.Pin(pid).Net)
-	}
-	return sum
 }
 
 func min4(a, b, c, d int64) int64 {
