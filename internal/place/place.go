@@ -10,9 +10,10 @@
 package place
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/netlist"
@@ -82,6 +83,7 @@ func Run(ctx context.Context, pl *placement.Placement, opt Options) error {
 		opt.TargetUtil = deriveTargetUtil(d, pl)
 	}
 	grid := newGrid(d, pl, opt)
+	s := newScratch(d, len(grid.cap))
 	for iter := 0; iter < opt.Iterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -90,8 +92,8 @@ func Run(ctx context.Context, pl *placement.Placement, opt Options) error {
 		// the next quadratic solve (a light-weight stand-in for the anchor
 		// pseudo-nets of production placers).
 		keep := float64(iter) / float64(opt.Iterations+1)
-		solve(pl, movable, opt.SolveSweeps, keep)
-		grid.spread(pl, movable)
+		solve(pl, movable, opt.SolveSweeps, keep, s)
+		grid.spread(pl, movable, s)
 	}
 	// Final cleanups: keep cells inside the die and off macros.
 	grid.evictFromMacros(pl, movable)
@@ -125,25 +127,56 @@ func deriveTargetUtil(d *netlist.Design, pl *placement.Placement) float64 {
 	return t
 }
 
+// scratch is the working memory of solve and spread, allocated once per Run
+// and reused by every round.
+type scratch struct {
+	centers    []geom.Point       // cell centers, snapshotted per sweep and per spread round
+	cx, cy, cn []int64            // per-net sums of placed pin centers, and their count
+	binCells   [][]netlist.CellID // movable cells per spreading bin
+	keys       []spreadKey        // one overfull bin's cells in eviction order
+}
+
+// spreadKey orders an overfull bin's cells for eviction: farthest from the
+// bin center first, ties by cell ID.
+type spreadKey struct {
+	dist int64
+	id   netlist.CellID
+}
+
+func newScratch(d *netlist.Design, bins int) *scratch {
+	return &scratch{
+		centers:  make([]geom.Point, len(d.Cells)),
+		cx:       make([]int64, len(d.Nets)),
+		cy:       make([]int64, len(d.Nets)),
+		cn:       make([]int64, len(d.Nets)),
+		binCells: make([][]netlist.CellID, bins),
+	}
+}
+
 // solve runs Gauss–Seidel sweeps of the star net model: each pass computes
 // per-net centroids, then moves every movable cell toward the mean of its
 // nets' centroids, retaining a `keep` fraction of its current position.
 // Fixed cells (macros, ports) keep the system anchored.
-func solve(pl *placement.Placement, movable []netlist.CellID, sweeps int, keep float64) {
+func solve(pl *placement.Placement, movable []netlist.CellID, sweeps int, keep float64, s *scratch) {
 	d := pl.D
-	cx := make([]int64, len(d.Nets))
-	cy := make([]int64, len(d.Nets))
-	cn := make([]int64, len(d.Nets))
-	for s := 0; s < sweeps; s++ {
+	cx, cy, cn, centers := s.cx, s.cy, s.cn, s.centers
+	for sweep := 0; sweep < sweeps; sweep++ {
 		for i := range d.Nets {
 			cx[i], cy[i], cn[i] = 0, 0, 0
+		}
+		// A sweep reads the positions from before its first move, so one
+		// snapshot of the centers serves every pin.
+		for i := range d.Cells {
+			if pl.Placed[i] {
+				centers[i] = pl.Center(netlist.CellID(i))
+			}
 		}
 		for i := range d.Pins {
 			pin := &d.Pins[i]
 			if !pl.Placed[pin.Cell] {
 				continue
 			}
-			c := pl.Center(pin.Cell)
+			c := centers[pin.Cell]
 			cx[pin.Net] += c.X
 			cy[pin.Net] += c.Y
 			cn[pin.Net]++
@@ -164,7 +197,7 @@ func solve(pl *placement.Placement, movable []netlist.CellID, sweeps int, keep f
 				continue
 			}
 			target := geom.Pt(sx/n, sy/n)
-			cur := pl.Center(id)
+			cur := centers[id]
 			nx := int64(keep*float64(cur.X) + (1-keep)*float64(target.X))
 			ny := int64(keep*float64(cur.Y) + (1-keep)*float64(target.Y))
 			pl.Place(id, geom.Pt(nx-cell.Width/2, ny-cell.Height/2))
@@ -178,7 +211,8 @@ type grid struct {
 	die        geom.Rect
 	nx, ny     int
 	binW, binH int64
-	cap        []float64 // usable area per bin × target utilization
+	macros     []geom.Rect // placed macro outlines, fixed for the whole Run
+	cap        []float64   // usable area per bin × target utilization
 	load       []float64
 }
 
@@ -186,14 +220,17 @@ func newGrid(d *netlist.Design, pl *placement.Placement, opt Options) *grid {
 	g := &grid{die: d.Die, nx: opt.GridBins, ny: opt.GridBins}
 	g.binW = (d.Die.W + int64(g.nx) - 1) / int64(g.nx)
 	g.binH = (d.Die.H + int64(g.ny) - 1) / int64(g.ny)
+	for _, m := range d.Macros() {
+		g.macros = append(g.macros, pl.Rect(m))
+	}
 	g.cap = make([]float64, g.nx*g.ny)
 	g.load = make([]float64, g.nx*g.ny)
 	for by := 0; by < g.ny; by++ {
 		for bx := 0; bx < g.nx; bx++ {
 			r := g.binRect(bx, by)
 			usable := r.Area()
-			for _, m := range d.Macros() {
-				usable -= r.Intersect(pl.Rect(m)).Area()
+			for _, mr := range g.macros {
+				usable -= r.Intersect(mr).Area()
 			}
 			g.cap[by*g.nx+bx] = float64(usable) * opt.TargetUtil
 		}
@@ -227,20 +264,21 @@ func (g *grid) binOf(p geom.Point) (int, int) {
 // spread relieves overfull bins by relocating their outermost cells to the
 // least-loaded neighboring bin, repeating a few rounds. Deterministic: bins
 // scan in row order, cells ordered by distance from the bin center.
-func (g *grid) spread(pl *placement.Placement, movable []netlist.CellID) {
+func (g *grid) spread(pl *placement.Placement, movable []netlist.CellID, s *scratch) {
 	d := pl.D
 	const rounds = 3
-	binCells := make([][]netlist.CellID, len(g.cap))
-	for r := 0; r < rounds; r++ {
+	for round := 0; round < rounds; round++ {
 		for i := range g.load {
 			g.load[i] = 0
-			binCells[i] = binCells[i][:0]
+			s.binCells[i] = s.binCells[i][:0]
 		}
 		for _, id := range movable {
-			bx, by := g.binOf(pl.Center(id))
+			c := pl.Center(id)
+			s.centers[id] = c
+			bx, by := g.binOf(c)
 			bi := by*g.nx + bx
 			g.load[bi] += float64(d.Cell(id).Area())
-			binCells[bi] = append(binCells[bi], id)
+			s.binCells[bi] = append(s.binCells[bi], id)
 		}
 		moved := false
 		for by := 0; by < g.ny; by++ {
@@ -249,28 +287,35 @@ func (g *grid) spread(pl *placement.Placement, movable []netlist.CellID) {
 				if g.load[bi] <= g.cap[bi] {
 					continue
 				}
-				cells := binCells[bi]
+				// A bin's cells move only when the bin itself is relieved,
+				// so their centers are still the ones snapshotted above.
 				c := g.binRect(bx, by).Center()
-				sort.Slice(cells, func(a, b int) bool {
-					da := pl.Center(cells[a]).ManhattanDist(c)
-					db := pl.Center(cells[b]).ManhattanDist(c)
-					if da != db {
-						return da > db
+				keys := s.keys[:0]
+				for _, id := range s.binCells[bi] {
+					keys = append(keys, spreadKey{s.centers[id].ManhattanDist(c), id})
+				}
+				slices.SortFunc(keys, func(a, b spreadKey) int {
+					if a.dist != b.dist {
+						return cmp.Compare(b.dist, a.dist)
 					}
-					return cells[a] < cells[b]
+					return cmp.Compare(a.id, b.id)
 				})
-				for _, id := range cells {
+				s.keys = keys
+				ring := 1
+				for _, k := range keys {
 					if g.load[bi] <= g.cap[bi] {
 						break
 					}
-					tx, ty, ok := g.bestNeighbor(bx, by)
+					tx, ty, r, ok := g.bestNeighbor(bx, by, ring)
 					if !ok {
 						break
 					}
+					ring = r
 					ti := ty*g.nx + tx
 					target := g.binRect(tx, ty).Center()
-					area := float64(d.Cell(id).Area())
-					pl.Place(id, geom.Pt(target.X-d.Cell(id).Width/2, target.Y-d.Cell(id).Height/2))
+					cell := d.Cell(k.id)
+					area := float64(cell.Area())
+					pl.Place(k.id, geom.Pt(target.X-cell.Width/2, target.Y-cell.Height/2))
 					g.load[bi] -= area
 					g.load[ti] += area
 					moved = true
@@ -284,14 +329,17 @@ func (g *grid) spread(pl *placement.Placement, movable []netlist.CellID) {
 }
 
 // bestNeighbor finds the nearest bin with spare capacity, scanning rings of
-// growing Chebyshev radius (macro blockages can zero out whole
-// neighborhoods, so adjacent-only relief deadlocks next to big macros).
-func (g *grid) bestNeighbor(bx, by int) (int, int, bool) {
-	maxR := g.nx
-	if g.ny > maxR {
-		maxR = g.ny
-	}
-	for r := 1; r <= maxR; r++ {
+// growing Chebyshev radius from r0 (macro blockages can zero out whole
+// neighborhoods, so adjacent-only relief deadlocks next to big macros). It
+// returns the target bin and the radius r it was found at.
+//
+// While one bin is relieved, a search may resume at the radius where the
+// previous one succeeded: every ring inside it had no spare capacity then,
+// and since only the source bin (radius 0) lost load and the target gained
+// some, none has now.
+func (g *grid) bestNeighbor(bx, by, r0 int) (int, int, int, bool) {
+	maxR := max(g.nx, g.ny)
+	for r := r0; r <= maxR; r++ {
 		bestSpare := 0.0
 		bestX, bestY := -1, -1
 		visit := func(nx, ny int) {
@@ -313,23 +361,19 @@ func (g *grid) bestNeighbor(bx, by int) (int, int, bool) {
 			visit(bx+r, by+dy)
 		}
 		if bestX >= 0 {
-			return bestX, bestY, true
+			return bestX, bestY, r, true
 		}
 	}
-	return -1, -1, false
+	return -1, -1, maxR, false
 }
 
 // evictFromMacros pushes any cell sitting on a macro to the nearest macro
 // edge.
 func (g *grid) evictFromMacros(pl *placement.Placement, movable []netlist.CellID) {
 	d := pl.D
-	macroRects := make([]geom.Rect, 0, 8)
-	for _, m := range d.Macros() {
-		macroRects = append(macroRects, pl.Rect(m))
-	}
 	for _, id := range movable {
 		c := pl.Center(id)
-		for _, mr := range macroRects {
+		for _, mr := range g.macros {
 			if !mr.Contains(c) {
 				continue
 			}
@@ -366,18 +410,4 @@ func clampAll(pl *placement.Placement, movable []netlist.CellID) {
 		r := pl.Rect(id).ClampInside(pl.D.Die)
 		pl.Place(id, geom.Pt(r.X, r.Y))
 	}
-}
-
-func min4(a, b, c, d int64) int64 {
-	m := a
-	if b < m {
-		m = b
-	}
-	if c < m {
-		m = c
-	}
-	if d < m {
-		m = d
-	}
-	return m
 }
