@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/dataflow"
 	"repro/internal/geom"
@@ -188,43 +189,107 @@ type flowState struct {
 	opt   Options
 	res   *Result
 	sched *sched.Pool
+	// labelers holds *graph.Labeler scratch for targetAreas, one per
+	// concurrently running subtree task.
+	labelers sync.Pool
+}
+
+// cellEstimates holds the position estimates of the non-macro cells, which
+// every task shares: such a cell is written only by the task that owns its
+// subtree, and read only by that task and, after the last join, by
+// flipMacros. It also maps each macro cell to its slot in a view's
+// per-macro arrays.
+type cellEstimates struct {
+	macroSlot []int32 // cell -> macro slot, or -1
+	approx    []geom.Point
+	hasApx    []bool
 }
 
 // view is one task's sight of the evolving position estimates: per-cell
 // approximations (block centers, refined to exact centers once a macro is
-// fixed) and whether a cell's macro has actually been placed. Parallel
-// sibling subtrees each work on a frozen clone taken at fork time — a
-// sibling's deeper refinements are invisible until the join, which is what
-// makes the result independent of scheduling (the paper's recursion treats
-// sibling subtrees as independent subproblems; cross-subtree attraction
-// comes from the parent level's block centers, which the clone carries).
+// fixed) and whether a macro has actually been placed. A task reads
+// outside its own subtree only the estimates of external macros (Gdf
+// terminals), so the macro estimates are per task and the rest is shared.
+// Parallel sibling subtrees each work on a frozen fork of the macro
+// estimates taken at fork time — a sibling's deeper refinements are
+// invisible until the join, which is what makes the result independent of
+// scheduling (the paper's recursion treats sibling subtrees as independent
+// subproblems; cross-subtree attraction comes from the parent level's
+// block centers, which the fork carries).
 type view struct {
-	approx []geom.Point
+	cells  *cellEstimates
+	approx []geom.Point // per macro slot
 	hasApx []bool
-	placed []bool // mirrors placement.Placed for cells this view has seen fixed
+	placed []bool // mirrors placement.Placed for macros this view has seen fixed
 }
 
-func newView(n int) *view {
-	return &view{approx: make([]geom.Point, n), hasApx: make([]bool, n), placed: make([]bool, n)}
+func newView(d *netlist.Design) *view {
+	cells := &cellEstimates{
+		macroSlot: make([]int32, len(d.Cells)),
+		approx:    make([]geom.Point, len(d.Cells)),
+		hasApx:    make([]bool, len(d.Cells)),
+	}
+	n := 0
+	for i := range d.Cells {
+		cells.macroSlot[i] = -1
+		if d.Cells[i].Kind == netlist.KindMacro {
+			cells.macroSlot[i] = int32(n)
+			n++
+		}
+	}
+	return &view{cells: cells, approx: make([]geom.Point, n), hasApx: make([]bool, n), placed: make([]bool, n)}
 }
 
-func (v *view) clone() *view {
+// get returns the estimate of cell cid and whether it has one.
+func (v *view) get(cid netlist.CellID) (geom.Point, bool) {
+	if m := v.cells.macroSlot[cid]; m >= 0 {
+		return v.approx[m], v.hasApx[m]
+	}
+	return v.cells.approx[cid], v.cells.hasApx[cid]
+}
+
+// set records the estimate of cell cid.
+func (v *view) set(cid netlist.CellID, p geom.Point) {
+	if m := v.cells.macroSlot[cid]; m >= 0 {
+		v.approx[m], v.hasApx[m] = p, true
+		return
+	}
+	v.cells.approx[cid], v.cells.hasApx[cid] = p, true
+}
+
+// fork copies the per-macro estimates for a child task: O(#macros).
+func (v *view) fork() *view {
 	return &view{
+		cells:  v.cells,
 		approx: append([]geom.Point(nil), v.approx...),
 		hasApx: append([]bool(nil), v.hasApx...),
 		placed: append([]bool(nil), v.placed...),
 	}
 }
 
-// absorb copies a child task's estimates back for the cells the child owned
-// (its block's subtree cells). Sibling cell sets are disjoint, so absorbing
-// the children in block order is conflict-free and order-canonical.
-func (v *view) absorb(sub *view, cells []netlist.CellID) {
-	for _, cid := range cells {
-		v.approx[cid] = sub.approx[cid]
-		v.hasApx[cid] = sub.hasApx[cid]
-		v.placed[cid] = sub.placed[cid]
+// absorb copies a child task's macro estimates back for the macros the
+// child owned (its block's macros); the child wrote its other cells'
+// estimates into the shared arrays directly. Sibling macro sets are
+// disjoint, so absorbing the children in block order is conflict-free and
+// order-canonical.
+func (v *view) absorb(sub *view, macros []netlist.CellID) {
+	for _, cid := range macros {
+		m := v.cells.macroSlot[cid]
+		v.approx[m] = sub.approx[m]
+		v.hasApx[m] = sub.hasApx[m]
+		v.placed[m] = sub.placed[m]
 	}
+}
+
+// merged writes the macro estimates into the shared per-cell arrays and
+// returns them: the whole design's estimates, once every task has joined.
+func (v *view) merged() ([]geom.Point, []bool) {
+	for cid, m := range v.cells.macroSlot {
+		if m >= 0 {
+			v.cells.approx[cid], v.cells.hasApx[cid] = v.approx[m], v.hasApx[m]
+		}
+	}
+	return v.cells.approx, v.cells.hasApx
 }
 
 // subRun buffers everything one subtree task produces — its view of the
@@ -305,7 +370,7 @@ func Place(ctx context.Context, d *netlist.Design, opt Options) (*Result, error)
 	st.sc = generateShapeCurves(ctx, st.tree, opt.Seed, opt.Pool)
 	st.res.SeqStats = st.sg.Stats()
 
-	root := &subRun{view: newView(len(d.Cells)), live: true}
+	root := &subRun{view: newView(d), live: true}
 	var err error
 	if opt.Flat {
 		err = st.flatPlace(ctx, d.Die, root)
@@ -324,7 +389,8 @@ func Place(ctx context.Context, d *netlist.Design, opt Options) (*Result, error)
 		return nil, fmt.Errorf("core: flow left macros unplaced")
 	}
 	legalize.Macros(st.pl, d.Die)
-	st.res.Flips = flipMacros(st.pl, root.view.approx, root.view.hasApx)
+	approx, hasApx := root.view.merged()
+	st.res.Flips = flipMacros(st.pl, approx, hasApx)
 	st.res.Placement = st.pl
 	// Replay the buffered level events (the root spine already streamed
 	// live) in canonical depth-first order, then close with the flips
@@ -385,14 +451,12 @@ func (st *flowState) recurse(ctx context.Context, nh netlist.HierID, region geom
 	for i := range decl.Blocks {
 		c := sol.Rects[i].Center()
 		for _, cid := range decl.Blocks[i].Cells {
-			v.approx[cid] = c
-			v.hasApx[cid] = true
+			v.set(cid, c)
 		}
 	}
-	for ci := range decl.CellBlock {
-		if decl.CellBlock[ci] == hier.Glue && !v.hasApx[ci] {
-			v.approx[ci] = region.Center()
-			v.hasApx[ci] = true
+	for _, cid := range decl.Glue {
+		if _, ok := v.get(cid); !ok {
+			v.set(cid, region.Center())
 		}
 	}
 
@@ -412,8 +476,8 @@ func (st *flowState) recurse(ctx context.Context, nh netlist.HierID, region geom
 	// not depend on scheduling: first every single-macro block is fixed
 	// serially in block order (these are cheap corner placements), then the
 	// multi-macro blocks — the expensive recursive subproblems — run as
-	// sibling tasks, each on a clone of the view as it stands right here.
-	// Cloning even in the serial case keeps the semantics identical at any
+	// sibling tasks, each on a fork of the view as it stands right here.
+	// Forking even in the serial case keeps the semantics identical at any
 	// Parallelism: a sibling never sees another sibling's deeper
 	// refinements, only the block centers this level just computed.
 	var children []int
@@ -433,14 +497,14 @@ func (st *flowState) recurse(ctx context.Context, nh netlist.HierID, region geom
 		return nil
 	}
 	if len(children) == 1 {
-		// One child sees exactly the view a clone would carry; recurse in
+		// One child sees exactly the view a fork would carry; recurse in
 		// place and let it extend this task's buffers directly.
 		i := children[0]
 		return st.recurse(ctx, decl.Blocks[i].Node, sol.Rects[i], depth+1, run)
 	}
 	subs := make([]*subRun, len(children))
 	for k := range children {
-		subs[k] = &subRun{view: v.clone()}
+		subs[k] = &subRun{view: v.fork()}
 	}
 	if st.sched == nil {
 		for k, i := range children {
@@ -459,8 +523,8 @@ func (st *flowState) recurse(ctx context.Context, nh netlist.HierID, region geom
 	}
 	// Merge the children in block order: level numbers shift by the levels
 	// accumulated so far, traces and events concatenate, and each child's
-	// view writes back over exactly its block's subtree cells (disjoint
-	// across siblings). Errors surface in block order too, so the reported
+	// view writes back over exactly its block's macros (disjoint across
+	// siblings). Errors surface in block order too, so the reported
 	// error does not depend on scheduling.
 	for k, i := range children {
 		sub := subs[k]
@@ -473,7 +537,7 @@ func (st *flowState) recurse(ctx context.Context, nh netlist.HierID, region geom
 		run.events = append(run.events, sub.events...)
 		run.trace = append(run.trace, sub.trace...)
 		run.levels += sub.levels
-		v.absorb(sub.view, decl.Blocks[i].Cells)
+		v.absorb(sub.view, decl.Blocks[i].MacroCells)
 	}
 	return ctx.Err()
 }
@@ -502,6 +566,7 @@ func (st *flowState) flatPlace(ctx context.Context, region geom.Rect, run *subRu
 		if d.Cells[i].Kind == netlist.KindPort {
 			decl.CellBlock[i] = hier.Outside
 		} else if decl.CellBlock[i] == hier.Glue {
+			decl.Glue = append(decl.Glue, netlist.CellID(i))
 			decl.GlueArea += d.Cells[i].Area()
 		}
 	}
@@ -571,7 +636,16 @@ func (st *flowState) targetAreas(decl *hier.Result) []int64 {
 			seedLabels = append(seedLabels, int32(i))
 		}
 	}
-	labels, _ := st.bp.MultiSourceLabel(seeds, seedLabels)
+	targets := make([]int32, len(decl.Glue))
+	for i, cid := range decl.Glue {
+		targets[i] = int32(cid)
+	}
+	lab, _ := st.labelers.Get().(*graph.Labeler)
+	if lab == nil {
+		lab = st.bp.NewLabeler()
+	}
+	defer st.labelers.Put(lab)
+	labels := lab.Label(seeds, seedLabels, targets)
 
 	at := make([]int64, len(decl.Blocks))
 	var blockArea int64
@@ -580,12 +654,9 @@ func (st *flowState) targetAreas(decl *hier.Result) []int64 {
 		blockArea += decl.Blocks[i].Area
 	}
 	var orphan int64
-	for ci, m := range decl.CellBlock {
-		if m != hier.Glue {
-			continue
-		}
-		area := d.Cell(netlist.CellID(ci)).Area()
-		if l := labels[ci]; l >= 0 {
+	for i, cid := range decl.Glue {
+		area := d.Cell(cid).Area()
+		if l := labels[i]; l >= 0 {
 			at[l] += area
 		} else {
 			orphan += area
@@ -609,13 +680,11 @@ func (st *flowState) terminalPos(gdf *dataflow.Graph, node int, v *view) geom.Po
 	var sx, sy, cnt int64
 	for _, si := range n.Seq {
 		for _, cid := range st.sg.Nodes[si].Cells {
-			var p geom.Point
+			p, ok := v.get(cid)
 			switch {
 			case st.d.Cell(cid).Kind == netlist.KindPort:
 				p = st.d.PortPos(cid)
-			case v.hasApx[cid]:
-				p = v.approx[cid]
-			default:
+			case !ok:
 				p = st.d.Die.Center()
 			}
 			sx += p.X
@@ -672,9 +741,8 @@ func (st *flowState) fixSingleMacro(m netlist.CellID, r geom.Rect, gdf *dataflow
 	st.pl.PlaceOriented(m, geom.Pt(best.X, best.Y), bestOrient)
 	// The view approximation must equal the placed center exactly — the
 	// view stands in for placement reads everywhere in this flow.
-	v.approx[m] = best.Center()
-	v.hasApx[m] = true
-	v.placed[m] = true
+	v.set(m, best.Center())
+	v.placed[v.cells.macroSlot[m]] = true
 }
 
 // macroAttraction scores a candidate macro position against the affinity
@@ -708,9 +776,9 @@ func (st *flowState) counterpartPos(gdf *dataflow.Graph, j int, sol *layout.Resu
 		if st.sg.Nodes[si].Kind != seqgraph.KindMacro {
 			continue
 		}
-		cid := st.sg.Nodes[si].Cells[0]
-		if v.placed[cid] {
-			p := v.approx[cid] // == the placed center, set by fixSingleMacro
+		m := v.cells.macroSlot[st.sg.Nodes[si].Cells[0]]
+		if v.placed[m] {
+			p := v.approx[m] // == the placed center, set by fixSingleMacro
 			sx += p.X
 			sy += p.Y
 			cnt++

@@ -189,7 +189,7 @@ func Build(sg *seqgraph.Graph, decl *hier.Result) *Graph {
 	}
 
 	g.buildBlockFlow(sg)
-	g.buildMacroFlow(sg, decl)
+	g.buildMacroFlow(sg)
 	return g
 }
 
@@ -213,25 +213,34 @@ func isOutside(sg *seqgraph.Graph, decl *hier.Result, si int32) bool {
 // from terminals as well makes input-port → block flow visible; edges in
 // Gseq are directed, so a search seeded only at blocks would never see it.
 func (g *Graph) buildBlockFlow(sg *seqgraph.Graph) {
-	n := len(sg.Nodes)
-	dist := make([]int32, n)
+	dist := make([]int32, len(sg.Nodes))
+	for i := range dist {
+		dist[i] = -1
+	}
+	var q queue
+	var seen []int32 // nodes whose dist the previous search set
 	for from := range g.Nodes {
-		for i := range dist {
-			dist[i] = -1
+		// Undo only what the previous search touched, so a search costs
+		// what it visits rather than the size of Gseq.
+		for _, v := range seen {
+			dist[v] = -1
 		}
-		queue := queue{}
+		seen = seen[:0]
+		q.reset()
 		for _, si := range g.Nodes[from].Seq {
 			dist[si] = 0
-			queue.push(si)
+			seen = append(seen, si)
+			q.push(si)
 		}
-		for !queue.empty() {
-			u := queue.pop()
+		for !q.empty() {
+			u := q.pop()
 			for _, e := range sg.Out[u] {
 				v := e.To
 				if dist[v] >= 0 {
 					continue
 				}
 				dist[v] = dist[u] + 1
+				seen = append(seen, v)
 				target := g.SeqToNode[v]
 				if target >= 0 && target != int32(from) {
 					// Arrival: bits of the final hop at the path latency.
@@ -239,7 +248,7 @@ func (g *Graph) buildBlockFlow(sg *seqgraph.Graph) {
 					continue // do not traverse through blocks/terminals
 				}
 				if target < 0 {
-					queue.push(v) // glue: keep going
+					q.push(v) // glue: keep going
 				}
 				// target == from: re-entered own block; stop.
 			}
@@ -247,43 +256,16 @@ func (g *Graph) buildBlockFlow(sg *seqgraph.Graph) {
 	}
 }
 
-// buildMacroFlow finds, for every macro, shortest paths to other macros
-// crossing any Gseq node except macros (paper: red paths of Fig. 7a), and
-// aggregates them onto the Gdf edge of the owning blocks/terminals.
-func (g *Graph) buildMacroFlow(sg *seqgraph.Graph, decl *hier.Result) {
-	n := len(sg.Nodes)
-	dist := make([]int32, n)
-	for si := range sg.Nodes {
-		if sg.Nodes[si].Kind != seqgraph.KindMacro {
-			continue
-		}
-		fromNode := g.SeqToNode[si]
-		if fromNode < 0 {
-			continue
-		}
-		for i := range dist {
-			dist[i] = -1
-		}
-		queue := queue{}
-		dist[si] = 0
-		queue.push(int32(si))
-		for !queue.empty() {
-			u := queue.pop()
-			for _, e := range sg.Out[u] {
-				v := e.To
-				if dist[v] >= 0 {
-					continue
-				}
-				dist[v] = dist[u] + 1
-				if sg.Nodes[v].Kind == seqgraph.KindMacro {
-					toNode := g.SeqToNode[v]
-					if toNode >= 0 && toNode != fromNode {
-						g.addBits(g.MacroFlow, fromNode, toNode, dist[v], int64(e.Bits))
-					}
-					continue // never traverse through macros
-				}
-				queue.push(v)
-			}
+// buildMacroFlow aggregates, onto the Gdf edge of the owning blocks and
+// terminals, every shortest path from a macro to another macro that crosses
+// any Gseq node except macros (paper: red paths of Fig. 7a). The searches
+// do not depend on the level, so Gseq runs them once (MacroPaths); a level
+// only maps their endpoints onto its nodes and drops paths inside one node.
+func (g *Graph) buildMacroFlow(sg *seqgraph.Graph) {
+	for _, p := range sg.MacroPaths() {
+		fromNode, toNode := g.SeqToNode[p.From], g.SeqToNode[p.To]
+		if fromNode >= 0 && toNode >= 0 && toNode != fromNode {
+			g.addBits(g.MacroFlow, fromNode, toNode, p.Latency, int64(p.Bits))
 		}
 	}
 }
@@ -304,6 +286,7 @@ type queue struct {
 	head  int
 }
 
+func (q *queue) reset()       { q.items, q.head = q.items[:0], 0 }
 func (q *queue) push(v int32) { q.items = append(q.items, v) }
 func (q *queue) empty() bool  { return q.head >= len(q.items) }
 func (q *queue) pop() int32   { v := q.items[q.head]; q.head++; return v }

@@ -1,8 +1,9 @@
 // Package graph provides the compact connectivity structures used to
 // traverse Gnet: directed cell-level fanout/fanin adjacency and a bipartite
 // cell–net incidence, both in CSR (compressed sparse row) form, plus the
-// multi-source BFS used for glue-logic area assignment (paper §IV-C, which
-// cites Then et al., "The more the merrier", for the traversal pattern).
+// reusable multi-source BFS used for glue-logic area assignment (paper
+// §IV-C, which cites Then et al., "The more the merrier", for the traversal
+// pattern).
 //
 // High-fanout nets make a materialized cell-to-cell clique quadratic; the
 // bipartite form keeps every traversal linear in the number of pins.
@@ -137,48 +138,111 @@ func BipartiteFromDesign(d *netlist.Design) *Bipartite {
 	}
 }
 
-// Unlabeled marks vertices not reached by MultiSourceLabel.
+// Unlabeled marks target cells a Labeler did not reach.
 const Unlabeled int32 = -1
 
-// MultiSourceLabel runs a multi-source BFS over cells (stepping cell → net
-// → cell) from the given seed cells. Every reachable cell receives the
-// label of its nearest seed; ties resolve to the seed dequeued first, which
-// is deterministic given the seed order. It returns the per-cell labels and
-// BFS distances (in cell hops; Unlabeled / -1 where unreached).
-func (bp *Bipartite) MultiSourceLabel(seeds []int32, seedLabels []int32) (labels, dist []int32) {
+// Labeler runs repeated multi-source BFS labelings over one Bipartite,
+// reusing its buffers across calls. Generation stamps mark what the current
+// call has seen, so a call costs what its search visits, not the design
+// size. A Labeler is not safe for concurrent use.
+type Labeler struct {
+	bp *Bipartite
+	// gen numbers the current call. A cell is labeled (labelGen), a net
+	// visited (netGen) or a cell a target (targetGen) in this call exactly
+	// when its stamp equals gen; older stamps are stale.
+	gen       uint32
+	labelGen  []uint32
+	labels    []int32
+	netGen    []uint32
+	targetGen []uint32
+	remaining int // distinct targets not yet labeled
+	queue     []int32
+	out       []int32
+}
+
+// NewLabeler returns a Labeler over bp.
+func (bp *Bipartite) NewLabeler() *Labeler {
 	nCells := bp.CellNets.NumVertices()
-	labels = make([]int32, nCells)
-	dist = make([]int32, nCells)
-	for i := range labels {
-		labels[i] = Unlabeled
-		dist[i] = -1
+	return &Labeler{
+		bp:        bp,
+		labelGen:  make([]uint32, nCells),
+		labels:    make([]int32, nCells),
+		netGen:    make([]uint32, bp.NetCells.NumVertices()),
+		targetGen: make([]uint32, nCells),
 	}
-	netSeen := make([]bool, bp.NetCells.NumVertices())
-	queue := make([]int32, 0, len(seeds))
-	for i, s := range seeds {
-		if labels[s] != Unlabeled {
-			continue
+}
+
+// Label runs a multi-source BFS over cells (stepping cell → net → cell)
+// from the given seed cells and returns the label of each target cell:
+// out[i] is the label of the seed nearest to targets[i], or Unlabeled where
+// no seed reaches it. Ties resolve to the seed dequeued first, which is
+// deterministic given the seed order; a duplicate seed keeps its first
+// label. A BFS label is final the moment a cell is first reached, so the
+// search stops as soon as every target has one. The returned slice is
+// reused by the next call.
+func (l *Labeler) Label(seeds, seedLabels, targets []int32) []int32 {
+	l.gen++
+	if l.gen == 0 {
+		// The stamps wrapped around: clear them so no stale stamp can
+		// equal a new generation.
+		clear(l.labelGen)
+		clear(l.netGen)
+		clear(l.targetGen)
+		l.gen = 1
+	}
+	l.remaining = 0
+	for _, c := range targets {
+		if l.targetGen[c] != l.gen {
+			l.targetGen[c] = l.gen
+			l.remaining++
 		}
-		labels[s] = seedLabels[i]
-		dist[s] = 0
-		queue = append(queue, s)
 	}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, nid := range bp.CellNets.Row(v) {
-			if netSeen[nid] {
+	l.queue = l.queue[:0]
+	if l.remaining > 0 {
+		l.search(seeds, seedLabels)
+	}
+	l.out = l.out[:0]
+	for _, c := range targets {
+		label := Unlabeled
+		if l.labelGen[c] == l.gen {
+			label = l.labels[c]
+		}
+		l.out = append(l.out, label)
+	}
+	return l.out
+}
+
+// search runs the BFS until it is exhausted or every target is labeled.
+func (l *Labeler) search(seeds, seedLabels []int32) {
+	for i, s := range seeds {
+		if l.labelGen[s] != l.gen && l.reach(s, seedLabels[i]) {
+			return
+		}
+	}
+	for head := 0; head < len(l.queue); head++ {
+		v := l.queue[head]
+		for _, nid := range l.bp.CellNets.Row(v) {
+			if l.netGen[nid] == l.gen {
 				continue
 			}
-			netSeen[nid] = true
-			for _, c := range bp.NetCells.Row(nid) {
-				if labels[c] != Unlabeled {
-					continue
+			l.netGen[nid] = l.gen
+			for _, c := range l.bp.NetCells.Row(nid) {
+				if l.labelGen[c] != l.gen && l.reach(c, l.labels[v]) {
+					return
 				}
-				labels[c] = labels[v]
-				dist[c] = dist[v] + 1
-				queue = append(queue, c)
 			}
 		}
 	}
-	return labels, dist
+}
+
+// reach labels cell c, queues it, and reports whether every target now has
+// a label.
+func (l *Labeler) reach(c, label int32) bool {
+	l.labelGen[c] = l.gen
+	l.labels[c] = label
+	l.queue = append(l.queue, c)
+	if l.targetGen[c] == l.gen {
+		l.remaining--
+	}
+	return l.remaining == 0
 }

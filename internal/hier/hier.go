@@ -102,6 +102,9 @@ type Result struct {
 	// CellBlock maps every cell of the design to the index of its block,
 	// or Glue / Outside.
 	CellBlock []int32
+	// Glue lists the glue cells under nh (those whose CellBlock is Glue),
+	// so a level can visit its glue without scanning the whole design.
+	Glue []netlist.CellID
 	// GlueArea is the total area of glue cells under nh.
 	GlueArea int64
 }
@@ -118,12 +121,12 @@ func DefaultParams() Params { return Params{OpenAreaFrac: 0.01, MinAreaFrac: 0.4
 
 // Decluster computes the blocks for floorplanning the subtree of nh.
 //
-// Interpretation notes (see DESIGN.md): the BFS queue is seeded with the
-// children of nh (seeding with nh itself would degenerate at the top call
-// because the root contains macros); macro cells sitting directly at an
-// expanded level become bare-macro blocks; and if the sweep produces fewer
-// than two blocks, the single surviving block is transparently expanded
-// again so that wrapper modules do not stall the recursion.
+// Interpretation notes: the BFS queue is seeded with the children of nh
+// (seeding with nh itself would degenerate at the top call because the root
+// contains macros); macro cells sitting directly at an expanded level
+// become bare-macro blocks; and if the sweep produces fewer than two
+// blocks, the single surviving block is transparently expanded again so
+// that wrapper modules do not stall the recursion.
 func (t *Tree) Decluster(nh netlist.HierID, p Params) *Result {
 	d := t.D
 	openArea := int64(p.OpenAreaFrac * float64(t.SubArea[nh]))
@@ -218,6 +221,7 @@ func (t *Tree) Decluster(nh netlist.HierID, p Params) *Result {
 			continue
 		}
 		res.CellBlock[cid] = Glue
+		res.Glue = append(res.Glue, cid)
 		res.GlueArea += d.Cell(cid).Area()
 	}
 	return res

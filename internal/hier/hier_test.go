@@ -190,6 +190,22 @@ func TestDeclusterPartition(t *testing.T) {
 	if glueArea != res.GlueArea {
 		t.Errorf("GlueArea = %d, computed %d", res.GlueArea, glueArea)
 	}
+	// Glue lists exactly the Glue-marked cells, each once.
+	listed := map[netlist.CellID]bool{}
+	for _, cid := range res.Glue {
+		if res.CellBlock[cid] != Glue || listed[cid] {
+			t.Fatalf("Glue lists %s (CellBlock %d, repeated %v)", d.Cell(cid).Name, res.CellBlock[cid], listed[cid])
+		}
+		listed[cid] = true
+	}
+	for i, m := range res.CellBlock {
+		if m == Glue && !listed[netlist.CellID(i)] {
+			t.Fatalf("glue cell %s missing from Glue", d.Cells[i].Name)
+		}
+	}
+	if len(res.Glue) == 0 {
+		t.Error("fixture has no glue; the Glue checks are vacuous")
+	}
 }
 
 // TestDeclusterBlockAreas: block Area equals the sum of member cell areas.

@@ -20,6 +20,7 @@ package seqgraph
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/netlist"
 )
@@ -76,6 +77,9 @@ type Graph struct {
 	// CellNode maps every design cell to its Gseq node, or -1 (combinational
 	// cells and discarded narrow arrays).
 	CellNode []int32
+
+	macroOnce  sync.Once
+	macroPaths []MacroPath
 }
 
 // Params controls Gseq construction.
@@ -259,6 +263,61 @@ func (g *Graph) EdgeBits(u, v int32) (int32, bool) {
 		return es[i].Bits, true
 	}
 	return 0, false
+}
+
+// MacroPath is one macro-to-macro arrival of the macro-flow search: the
+// shortest path from macro From to macro To that crosses no other macro.
+type MacroPath struct {
+	From, To int32 // Gseq macro nodes
+	// Latency counts the path's sequential hops.
+	Latency int32
+	// Bits is the width of the edge the search first reached To over.
+	Bits int32
+}
+
+// MacroPaths returns, for every macro in node order, the arrivals of a BFS
+// from that macro that never traverses through another macro, in BFS
+// order. The searches depend on the graph alone, so they run once, on
+// first use, and every later call shares the result; concurrent first
+// calls are safe. The caller must not modify the returned slice.
+func (g *Graph) MacroPaths() []MacroPath {
+	g.macroOnce.Do(func() {
+		dist := make([]int32, len(g.Nodes))
+		for i := range dist {
+			dist[i] = -1
+		}
+		var queue, seen []int32
+		for si := range g.Nodes {
+			if g.Nodes[si].Kind != KindMacro {
+				continue
+			}
+			for _, v := range seen {
+				dist[v] = -1
+			}
+			queue = append(queue[:0], int32(si))
+			seen = append(seen[:0], int32(si))
+			dist[si] = 0
+			for head := 0; head < len(queue); head++ {
+				u := queue[head]
+				for _, e := range g.Out[u] {
+					v := e.To
+					if dist[v] >= 0 {
+						continue
+					}
+					dist[v] = dist[u] + 1
+					seen = append(seen, v)
+					if g.Nodes[v].Kind == KindMacro {
+						g.macroPaths = append(g.macroPaths, MacroPath{
+							From: int32(si), To: v, Latency: dist[v], Bits: e.Bits,
+						})
+						continue // never traverse through macros
+					}
+					queue = append(queue, v)
+				}
+			}
+		}
+	})
+	return g.macroPaths
 }
 
 // Stats is the Gseq row of Table I.

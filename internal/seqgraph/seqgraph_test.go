@@ -234,3 +234,36 @@ func TestDeterministicBuild(t *testing.T) {
 		}
 	}
 }
+
+func TestMacroPaths(t *testing.T) {
+	// m1 -> q[0..3] -> m2 -> m3: m1 reaches m2 over two hops, m2 reaches
+	// m3 directly, and m1 never reaches m3 because the search stops at m2.
+	b := netlist.NewBuilder("mp")
+	m1 := b.AddMacro("m1", 1000, 1000, "")
+	m2 := b.AddMacro("m2", 1000, 1000, "")
+	m3 := b.AddMacro("m3", 1000, 1000, "")
+	for i := 0; i < 4; i++ {
+		r := b.AddFlop(fmt.Sprintf("q[%d]", i), "")
+		b.Wire(fmt.Sprintf("a%d", i), m1, r)
+		b.Wire(fmt.Sprintf("b%d", i), r, m2)
+	}
+	b.Wire("c0", m2, m3)
+	b.Wire("c1", m2, m3)
+	g := Build(b.MustBuild(), DefaultParams())
+	n1, n2, n3 := g.NodeByName("m1"), g.NodeByName("m2"), g.NodeByName("m3")
+	want := []MacroPath{
+		{From: n1, To: n2, Latency: 2, Bits: 4},
+		{From: n2, To: n3, Latency: 1, Bits: 2},
+	}
+	got := g.MacroPaths()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("MacroPaths = %v, want %v", got, want)
+	}
+	if again := g.MacroPaths(); &again[0] != &got[0] {
+		t.Error("second call recomputed the paths instead of sharing them")
+	}
+	var zero Graph
+	if p := zero.MacroPaths(); len(p) != 0 {
+		t.Errorf("zero Graph MacroPaths = %v, want none", p)
+	}
+}
