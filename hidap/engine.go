@@ -4,9 +4,11 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -657,12 +659,7 @@ func (e *Engine) prepare(ctx context.Context, job Job) (*Ticket, error) {
 		t.placer = p
 		key := job.Key
 		if key == "" {
-			var err error
-			key, err = hashDesign(job.Design)
-			if err != nil {
-				// An unhashable design is served uncached under a unique key.
-				key = fmt.Sprintf("unhashed:%d", t.id)
-			}
+			key = hashDesign(job.Design)
 		}
 		d := job.Design
 		t.cd = e.designs.getOrCreate("design:"+key, func() *cachedDesign {
@@ -979,13 +976,110 @@ func (c *cachedCircuit) gen() *circuits.Generated {
 	return c.g
 }
 
-// hashDesign content-addresses a design via its canonical JSON form.
-func hashDesign(d *Design) (string, error) {
-	h := sha256.New()
-	if err := netlist.WriteJSON(h, d); err != nil {
-		return "", err
+// hashDesign content-addresses a design: a truncated SHA-256 over every
+// field netlist.WriteJSON emits, streamed without building the document.
+// Integers are fixed-width little-endian, every string carries its length
+// and every list its count, so the encoding is injective: two designs with
+// different interchange forms never share an input to the hash. That is
+// what lets the engine dedup untrusted designs by content (hidap-serve
+// hides Job.Key for this reason), so the encoding must stay injective.
+func hashDesign(d *Design) string {
+	w := designHasher{h: sha256.New(), buf: make([]byte, 0, 4096)}
+	w.str(d.Name)
+	w.i64(d.Die.X)
+	w.i64(d.Die.Y)
+	w.i64(d.Die.W)
+	w.i64(d.Die.H)
+	w.i64(d.RowHeight)
+	w.i64(int64(len(d.Cells)))
+	ports := 0
+	for i := range d.Cells {
+		c := &d.Cells[i]
+		w.str(c.Name)
+		w.u8(byte(c.Kind))
+		w.i64(c.Width)
+		w.i64(c.Height)
+		w.str(d.Node(c.Hier).Path)
+		if c.Kind == netlist.KindPort && d.HasPortPos(netlist.CellID(i)) {
+			ports++
+		}
 	}
-	return hex.EncodeToString(h.Sum(nil)[:12]), nil
+	w.i64(int64(len(d.Nets)))
+	for i := range d.Nets {
+		w.str(d.Nets[i].Name)
+	}
+	w.i64(int64(len(d.Pins)))
+	for i := range d.Pins {
+		p := &d.Pins[i]
+		w.i32(int32(p.Cell))
+		w.i32(int32(p.Net))
+		// WriteJSON spells every direction but DirIn "out".
+		if p.Dir == netlist.DirIn {
+			w.u8(0)
+		} else {
+			w.u8(1)
+		}
+		w.i64(p.Offset.X)
+		w.i64(p.Offset.Y)
+	}
+	w.i64(int64(ports))
+	for i := range d.Cells {
+		id := netlist.CellID(i)
+		if d.Cells[i].Kind == netlist.KindPort && d.HasPortPos(id) {
+			pp := d.PortPos(id)
+			w.i64(int64(id))
+			w.i64(pp.X)
+			w.i64(pp.Y)
+		}
+	}
+	w.flush()
+	var key [24]byte
+	hex.Encode(key[:], w.h.Sum(w.buf)[:12])
+	return string(key[:])
+}
+
+// designHasher batches hashDesign's fields into one buffer per call.
+type designHasher struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func (w *designHasher) flush() {
+	w.h.Write(w.buf)
+	w.buf = w.buf[:0]
+}
+
+func (w *designHasher) i64(v int64) {
+	if len(w.buf)+8 > cap(w.buf) {
+		w.flush()
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v))
+}
+
+func (w *designHasher) i32(v int32) {
+	if len(w.buf)+4 > cap(w.buf) {
+		w.flush()
+	}
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(v))
+}
+
+func (w *designHasher) u8(v byte) {
+	if len(w.buf) == cap(w.buf) {
+		w.flush()
+	}
+	w.buf = append(w.buf, v)
+}
+
+func (w *designHasher) str(s string) {
+	w.i64(int64(len(s)))
+	for len(s) > 0 {
+		if len(w.buf) == cap(w.buf) {
+			w.flush()
+		}
+		n := copy(w.buf[len(w.buf):cap(w.buf)], s)
+		w.buf = w.buf[:len(w.buf)+n]
+		s = s[n:]
+	}
 }
 
 // lruCache is a small mutex-guarded LRU of cache entries. Creation inserts

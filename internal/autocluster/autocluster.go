@@ -19,9 +19,10 @@
 package autocluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/netlist"
 	"repro/internal/seqgraph"
@@ -235,6 +236,7 @@ func ClusterUsing(d *netlist.Design, p Params, sg *seqgraph.Graph) (*Result, err
 		sg:       sg,
 		maxInst:  tolInt(q.MaxNumInst, q.Tolerance),
 		maxMacro: tolInt(q.MaxNumMacro, q.Tolerance),
+		adj:      adjBuilder{d: d},
 	}
 	c.seed()
 	st.SeedClusters = c.alive
@@ -269,6 +271,8 @@ type clusterer struct {
 	levels  int
 
 	scratch []netlist.CellID
+	repIdx  []int32 // per cluster root: dense index into the current reps
+	adj     adjBuilder
 }
 
 func (c *clusterer) newCluster() int32 {
@@ -421,7 +425,7 @@ func (c *clusterer) splitOversized() {
 	for ci := range members {
 		order = append(order, ci)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	slices.Sort(order)
 	for _, ci := range order {
 		cells := members[ci]
 		c.insts[ci], c.macros[ci], c.minCell[ci] = 0, 0, math.MaxInt32
@@ -491,16 +495,16 @@ func (c *clusterer) aliveReps() []int32 {
 			reps = append(reps, int32(i))
 		}
 	}
-	sort.Slice(reps, func(i, j int) bool { return c.minCell[reps[i]] < c.minCell[reps[j]] })
+	slices.SortFunc(reps, func(a, b int32) int { return cmp.Compare(c.minCell[a], c.minCell[b]) })
 	return reps
 }
 
 // cellDense fills dst with each cell's dense index into reps (or -1) and
 // returns it.
 func (c *clusterer) cellDense(reps []int32, dst []int32) []int32 {
-	repIdx := make(map[int32]int32, len(reps))
+	c.repIdx = grow(c.repIdx, len(c.parent))
 	for i, r := range reps {
-		repIdx[r] = int32(i)
+		c.repIdx[r] = int32(i)
 	}
 	if cap(dst) < len(c.cellCl) {
 		dst = make([]int32, len(c.cellCl))
@@ -510,80 +514,149 @@ func (c *clusterer) cellDense(reps []int32, dst []int32) []int32 {
 		if ci < 0 {
 			dst[i] = -1
 		} else {
-			dst[i] = repIdx[c.find(ci)]
+			dst[i] = c.repIdx[c.find(ci)]
 		}
 	}
 	return dst
 }
 
-// buildAdj constructs the weighted cluster adjacency of the current
-// grouping: every net with at most largeNetThreshold pins touching
+// adjBuilder builds the weighted cluster adjacency of a grouping of the
+// design's cells: every net with at most largeNetThreshold pins touching
 // 2..cliqueCap groups contributes a clique with weight 1/(k-1) per pair.
 // Neighbor lists are sorted by weight (descending) then dense index, so
 // greedy consumption is deterministic.
-func buildAdj(d *netlist.Design, cellTop []int32, n int) [][]nb {
-	pair := make(map[int64]float64)
-	seen := make([]int32, n)
-	for i := range seen {
-		seen[i] = -1
+//
+// The qualifying nets are recorded as a CSR of their distinct groups, and
+// each group then sums its incident nets' weights into a dense accumulator
+// in ascending net order: the order a per-pair running sum over the nets
+// would use, so every weight is the same float64 whatever the grouping's
+// shape. The buffers are reused across the rounds of one pass.
+type adjBuilder struct {
+	d *netlist.Design
+
+	seen   []int32   // per group: the last net that listed it
+	netOff []int32   // per qualifying net: offset of its groups in netGrp
+	netGrp []int32   // distinct groups of each qualifying net
+	netW   []float64 // per qualifying net: its pair weight 1/(k-1)
+	grpOff []int32   // per group: offset of its nets in grpNet
+	grpNet []int32   // qualifying nets incident to each group, ascending
+	next   []int32   // per group: fill cursor into grpNet, then list offset
+	acc    []float64 // per group: weight summed so far, 0 when untouched
+	touch  []int32   // groups with a nonzero acc entry
+	list   []nb      // every neighbor list, back to back
+	adj    [][]nb    // per group: its span of list
+}
+
+// build returns the adjacency of the grouping cellTop (cell -> group in
+// [0, n), or -1 for cells outside every group). The lists stay valid until
+// the next build call.
+func (a *adjBuilder) build(cellTop []int32, n int) [][]nb {
+	d := a.d
+	a.seen = grow(a.seen, n)
+	for i := range a.seen {
+		a.seen[i] = -1
 	}
-	var mem [cliqueCap]int32
+	// Size the buffers to their bounds once, so the first (largest) call
+	// of a pass does not grow them step by step.
+	a.netOff = append(slices.Grow(a.netOff[:0], len(d.Nets)+1), 0)
+	a.netGrp = slices.Grow(a.netGrp[:0], len(d.Pins))
+	a.netW = slices.Grow(a.netW[:0], len(d.Nets))
+	pairs := 0
 	for ni := range d.Nets {
 		pins := d.Nets[ni].Pins
 		if len(pins) < 2 || len(pins) > largeNetThreshold {
 			continue
 		}
 		epoch := int32(ni)
+		start := len(a.netGrp)
 		k := 0
-		ok := true
 		for _, pid := range pins {
 			t := cellTop[d.Pin(pid).Cell]
-			if t < 0 || seen[t] == epoch {
+			if t < 0 || a.seen[t] == epoch {
 				continue
 			}
 			if k == cliqueCap {
-				ok = false
+				k = 0 // a global wire: no affinity
 				break
 			}
-			seen[t] = epoch
-			mem[k] = t
+			a.seen[t] = epoch
+			a.netGrp = append(a.netGrp, t)
 			k++
 		}
-		if !ok || k < 2 {
+		if k < 2 {
+			a.netGrp = a.netGrp[:start]
 			continue
 		}
-		w := 1.0 / float64(k-1)
-		for a := 0; a < k; a++ {
-			for b := a + 1; b < k; b++ {
-				x, y := mem[a], mem[b]
-				if x > y {
-					x, y = y, x
-				}
-				pair[int64(x)<<32|int64(y)] += w
-			}
+		a.netOff = append(a.netOff, int32(len(a.netGrp)))
+		a.netW = append(a.netW, 1.0/float64(k-1))
+		pairs += k * (k - 1)
+	}
+
+	// Invert to group -> incident nets; filling in net order keeps every
+	// group's nets ascending.
+	a.grpOff = grow(a.grpOff, n+1)
+	clear(a.grpOff)
+	for _, g := range a.netGrp {
+		a.grpOff[g+1]++
+	}
+	for g := 0; g < n; g++ {
+		a.grpOff[g+1] += a.grpOff[g]
+	}
+	a.next = append(a.next[:0], a.grpOff[:n]...)
+	a.grpNet = grow(a.grpNet, len(a.netGrp))
+	for q := range a.netW {
+		for _, g := range a.netGrp[a.netOff[q]:a.netOff[q+1]] {
+			a.grpNet[a.next[g]] = int32(q)
+			a.next[g]++
 		}
 	}
-	keys := make([]int64, 0, len(pair))
-	for k := range pair {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	adj := make([][]nb, n)
-	for _, k := range keys {
-		a, b, w := int32(k>>32), int32(k&0xffffffff), pair[k]
-		adj[a] = append(adj[a], nb{to: b, w: w})
-		adj[b] = append(adj[b], nb{to: a, w: w})
-	}
-	for i := range adj {
-		l := adj[i]
-		sort.Slice(l, func(x, y int) bool {
-			if l[x].w != l[y].w {
-				return l[x].w > l[y].w
+
+	a.acc = grow(a.acc, n)
+	clear(a.acc)
+	a.list = slices.Grow(a.list[:0], pairs)
+	a.adj = grow(a.adj, n)
+	for g := 0; g < n; g++ {
+		a.touch = a.touch[:0]
+		for _, q := range a.grpNet[a.grpOff[g]:a.grpOff[g+1]] {
+			w := a.netW[q]
+			for _, h := range a.netGrp[a.netOff[q]:a.netOff[q+1]] {
+				if h == int32(g) {
+					continue
+				}
+				if a.acc[h] == 0 {
+					a.touch = append(a.touch, h)
+				}
+				a.acc[h] += w
 			}
-			return l[x].to < l[y].to
-		})
+		}
+		start := len(a.list)
+		for _, h := range a.touch {
+			a.list = append(a.list, nb{to: h, w: a.acc[h]})
+			a.acc[h] = 0
+		}
+		slices.SortFunc(a.list[start:], byWeight)
+		a.next[g] = int32(start) // reused as the list offsets
 	}
-	return adj
+	a.next = append(a.next[:n], int32(len(a.list)))
+	for g := 0; g < n; g++ {
+		a.adj[g] = a.list[a.next[g]:a.next[g+1]:a.next[g+1]]
+	}
+	return a.adj
+}
+
+// grow returns s resized to n elements, reusing its backing array when it
+// is large enough. The contents are unspecified.
+func grow[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// byWeight orders neighbors by weight, heaviest first, then by index.
+func byWeight(x, y nb) int {
+	switch {
+	case x.w > y.w:
+		return -1
+	case x.w < y.w:
+		return 1
+	}
+	return cmp.Compare(x.to, y.to)
 }
 
 // coarsen runs greedy heavy-edge match rounds until no merge fits the leaf
@@ -596,7 +669,7 @@ func (c *clusterer) coarsen() {
 			break
 		}
 		dense = c.cellDense(reps, dense)
-		adj := buildAdj(c.d, dense, len(reps))
+		adj := c.adj.build(dense, len(reps))
 		merges := 0
 		for i := range reps {
 			cur := c.find(reps[i])
@@ -636,7 +709,7 @@ func (c *clusterer) mergeSmall() {
 			return
 		}
 		dense = c.cellDense(reps, dense)
-		adj := buildAdj(c.d, dense, len(reps))
+		adj := c.adj.build(dense, len(reps))
 		changed := false
 		for i := range reps {
 			cur := c.find(reps[i])
@@ -722,7 +795,7 @@ func (c *clusterer) build(st *Stats) (*netlist.Design, error) {
 	L := len(reps)
 
 	tn := make([]tnode, 0, 2*L)
-	leafIdx := make(map[int32]int32, L) // root cluster -> leaf tnode index
+	leafIdx := make([]int32, len(c.parent)) // root cluster -> leaf tnode index
 	for i, r := range reps {
 		tn = append(tn, tnode{
 			parent: -1, minCell: c.minCell[r],
@@ -764,7 +837,7 @@ func (c *clusterer) build(st *Stats) (*netlist.Design, error) {
 				cellTop[i] = leafTop[leafIdx[c.find(ci)]]
 			}
 		}
-		adj := buildAdj(d, cellTop, len(level))
+		adj := c.adj.build(cellTop, len(level))
 
 		assigned := make([]int32, len(level))
 		for i := range assigned {

@@ -2,7 +2,9 @@ package autocluster_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/autocluster"
 	"repro/internal/hier"
 	"repro/internal/netlist"
+	"repro/internal/seqgraph"
 )
 
 func flatSpec() circuits.Spec {
@@ -313,5 +316,94 @@ func BenchmarkClusterFlat(b *testing.B) {
 		if _, err := autocluster.Cluster(g.Design, p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// flatGoldenSpec is a cold_flat-shaped flat netlist of about n instances.
+func flatGoldenSpec(n int, seed int64) circuits.Spec {
+	return circuits.Spec{Name: fmt.Sprintf("gf%d_%d", n, seed), Cells: n, Macros: 24,
+		Subsystems: 4, BusWidth: 32, PipelineDepth: 2, Scale: 1, Seed: seed, Flat: true}
+}
+
+// clusterDigest renders a clustering result as its Stats plus a SHA-256 of
+// every cell's leaf path, in CellID order.
+func clusterDigest(r *autocluster.Result) string {
+	h := sha256.New()
+	for i := range r.Design.Cells {
+		io.WriteString(h, r.Design.Node(r.Design.Cells[i].Hier).Path)
+		h.Write([]byte{0})
+	}
+	return fmt.Sprintf("%+v %x", r.Stats, h.Sum(nil)[:12])
+}
+
+// TestClusterFlatGolden pins the synthesized trees of flat designs at the
+// workload sizes the engine's miss path sees, under three knob sets: the
+// defaults, a tight multi-level set and a loose set.
+func TestClusterFlatGolden(t *testing.T) {
+	params := []struct {
+		name string
+		p    autocluster.Params
+	}{
+		{"default", autocluster.DefaultParams()},
+		{"tight", autocluster.Params{MaxNumInst: 60, MinNumInst: 20, MaxNumMacro: 2,
+			MinNumMacro: 1, CoarseningRatio: 4, MaxLevels: 3, Tolerance: 0}},
+		{"loose", autocluster.Params{MaxNumInst: 6000, MinNumInst: 1500, MaxNumMacro: 24,
+			MinNumMacro: 0, CoarseningRatio: 16, MaxLevels: 1, Tolerance: 0.5}},
+	}
+	// Constants computed with the original map-based cluster adjacency.
+	golden := map[string]string{
+		"10000/1/default": `{NoOp:false Instances:9946 SeedClusters:4004 Clusters:3 Levels:0 Rounds:2 TreeNodes:4 MaxLeafInsts:4172} 3036b73b7fd37977b26af2e4`,
+		"10000/1/tight":   `{NoOp:false Instances:9946 SeedClusters:4004 Clusters:211 Levels:3 Rounds:3 TreeNodes:292 MaxLeafInsts:60} 3f5874f7a6a56f691bb3df28`,
+		"10000/1/loose":   `{NoOp:false Instances:9946 SeedClusters:4004 Clusters:2 Levels:0 Rounds:2 TreeNodes:3 MaxLeafInsts:9000} 26aa6448ac03e8d7b1b54d14`,
+		"10000/2/default": `{NoOp:false Instances:9946 SeedClusters:4772 Clusters:7 Levels:0 Rounds:2 TreeNodes:8 MaxLeafInsts:4400} 1e5024867dc7599bc613c913`,
+		"10000/2/tight":   `{NoOp:false Instances:9946 SeedClusters:4772 Clusters:210 Levels:3 Rounds:3 TreeNodes:282 MaxLeafInsts:60} eb10bf81394a096649385a2c`,
+		"10000/2/loose":   `{NoOp:false Instances:9946 SeedClusters:4772 Clusters:2 Levels:0 Rounds:2 TreeNodes:3 MaxLeafInsts:9000} 2843623b5d02feb9d7a6658c`,
+		"10000/3/default": `{NoOp:false Instances:9946 SeedClusters:4772 Clusters:10 Levels:1 Rounds:2 TreeNodes:12 MaxLeafInsts:4400} 1e8d4f27eb1cbafcc5c93c65`,
+		"10000/3/tight":   `{NoOp:false Instances:9946 SeedClusters:4772 Clusters:216 Levels:3 Rounds:3 TreeNodes:290 MaxLeafInsts:60} d3872b3353ce0d33e4f38992`,
+		"10000/3/loose":   `{NoOp:false Instances:9946 SeedClusters:4772 Clusters:2 Levels:0 Rounds:2 TreeNodes:3 MaxLeafInsts:9000} 2843623b5d02feb9d7a6658c`,
+		"50000/1/default": `{NoOp:false Instances:49936 SeedClusters:27998 Clusters:134 Levels:2 Rounds:3 TreeNodes:141 MaxLeafInsts:4400} 335579fe3292488db16a1e87`,
+		"50000/1/tight":   `{NoOp:false Instances:49936 SeedClusters:27998 Clusters:1153 Levels:3 Rounds:3 TreeNodes:1441 MaxLeafInsts:60} 348bc002dd50075ed0063900`,
+		"50000/1/loose":   `{NoOp:false Instances:49936 SeedClusters:27998 Clusters:7 Levels:0 Rounds:2 TreeNodes:8 MaxLeafInsts:9000} e3715d44ea4cf2f0fb7190da`,
+		"50000/2/default": `{NoOp:false Instances:49936 SeedClusters:28766 Clusters:130 Levels:2 Rounds:3 TreeNodes:142 MaxLeafInsts:4400} 42f6bc1b61384281143c4390`,
+		"50000/2/tight":   `{NoOp:false Instances:49936 SeedClusters:28766 Clusters:1373 Levels:3 Rounds:3 TreeNodes:1705 MaxLeafInsts:60} a767ef9f85b6c67299f1507e`,
+		"50000/2/loose":   `{NoOp:false Instances:49936 SeedClusters:28766 Clusters:9 Levels:0 Rounds:2 TreeNodes:10 MaxLeafInsts:9000} 942fec08549de35060c58e32`,
+		"50000/3/default": `{NoOp:false Instances:49936 SeedClusters:28766 Clusters:123 Levels:2 Rounds:2 TreeNodes:127 MaxLeafInsts:4400} 76af6dc8218637ea5b99356a`,
+		"50000/3/tight":   `{NoOp:false Instances:49936 SeedClusters:28766 Clusters:1378 Levels:3 Rounds:3 TreeNodes:1676 MaxLeafInsts:60} f62319f5a7642ab68a09bf43`,
+		"50000/3/loose":   `{NoOp:false Instances:49936 SeedClusters:28766 Clusters:9 Levels:0 Rounds:2 TreeNodes:10 MaxLeafInsts:9000} 783db8e364b69e0d785a3506`,
+	}
+	for _, n := range []int{10_000, 50_000} {
+		for _, seed := range []int64{1, 2, 3} {
+			d := circuits.Generate(flatGoldenSpec(n, seed)).Design
+			for _, ps := range params {
+				key := fmt.Sprintf("%d/%d/%s", n, seed, ps.name)
+				r := mustCluster(t, d, ps.p)
+				if err := autocluster.CheckTree(r.Design, ps.p); err != nil {
+					t.Errorf("%s: CheckTree: %v", key, err)
+				}
+				got := clusterDigest(r)
+				if want, ok := golden[key]; !ok || got != want {
+					t.Errorf("%s:\n got %s\nwant %s", key, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestClusterAllocs bounds the allocations of one clustering pass per
+// instance of a cold_flat-sized design, so a per-cluster or per-round
+// allocation in the coarsening loop cannot creep back in.
+func TestClusterAllocs(t *testing.T) {
+	d := circuits.Generate(flatGoldenSpec(50_000, 1)).Design
+	sg := seqgraph.Build(d, seqgraph.DefaultParams())
+	p := autocluster.DefaultParams()
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := autocluster.ClusterUsing(d, p, sg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perInst := allocs / float64(len(d.Cells))
+	t.Logf("%.0f allocs per call, %.3f per cell", allocs, perInst)
+	if perInst > 0.5 {
+		t.Fatalf("ClusterUsing made %.2f allocs per cell, want <= 0.5", perInst)
 	}
 }
