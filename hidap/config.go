@@ -14,7 +14,7 @@ type AutoclusterParams = autocluster.Params
 // DefaultAutocluster returns the default autoclustering knobs.
 func DefaultAutocluster() AutoclusterParams { return autocluster.DefaultParams() }
 
-// Progress aliases: the per-level / per-candidate events delivered to a
+// Progress aliases: the per-level and flipping events delivered to a
 // WithProgress callback while a placer runs.
 type (
 	// Progress is one event of a running placement.
@@ -30,9 +30,6 @@ const (
 	StageLevel = core.StageLevel
 	// StageFlips reports the macro-flipping post-process.
 	StageFlips = core.StageFlips
-	// StageCandidate reports one evaluated candidate of a multi-candidate
-	// run.
-	StageCandidate = core.StageCandidate
 )
 
 // Knobs are the HiDaP parameters — λ, k, effort, restarts, parallelism,

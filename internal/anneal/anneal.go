@@ -1,10 +1,9 @@
 // Package anneal provides the deterministic simulated-annealing engine
-// shared by shape-curve generation and layout generation. The engine is
-// state-agnostic: the caller owns the state and exposes it either through
-// the delta-aware Model interface (propose → cost → accept/undo, the hot
-// path of incremental evaluators) or through the legacy closure triple of
-// Run. All randomness comes from a caller-seeded source, so every run is
-// reproducible.
+// shared by shape-curve generation, layout generation and the baseline
+// floorplanners' refinement. The engine is state-agnostic: the caller owns
+// the state and exposes it through the Model interface (propose → cost →
+// accept or undo), and RunModel sequences the moves. All randomness comes
+// from a caller-seeded source, so every run is reproducible.
 package anneal
 
 import (
@@ -160,47 +159,6 @@ func RunModel(ctx context.Context, opt Options, m Model) Result {
 	res.BestCost = best
 	res.FinalTemp = temp
 	return res
-}
-
-// Run is the legacy closure entry point, kept for callers whose state does
-// not warrant a Model implementation:
-//
-//   - cost returns the objective for the current state;
-//   - perturb applies one random move and returns a closure undoing it;
-//   - onBest (optional) is invoked whenever the current state improves on
-//     the best seen so far, so the caller can snapshot it.
-//
-// It wraps the triple in a Model and defers to RunModel, drawing from the
-// random source exactly as RunModel does, so the two entry points produce
-// identical runs for the same schedule and equivalent state. The move
-// discipline documented on Model holds here too: each undo closure is
-// invoked at most once, always before the next perturb call, or not at all;
-// perturb implementations may therefore return the same closure every call.
-func Run(ctx context.Context, opt Options, cost func() float64, perturb func(rng *rand.Rand) func(), onBest func()) Result {
-	return RunModel(ctx, opt, &closureModel{cost: cost, perturb: perturb, onBest: onBest})
-}
-
-// closureModel adapts the legacy closure triple to the Model interface.
-type closureModel struct {
-	cost    func() float64
-	perturb func(rng *rand.Rand) func()
-	onBest  func()
-	undo    func()
-}
-
-func (c *closureModel) Cost() float64 { return c.cost() }
-
-func (c *closureModel) Propose(rng *rand.Rand) float64 {
-	c.undo = c.perturb(rng)
-	return c.cost()
-}
-
-func (c *closureModel) Undo() { c.undo() }
-
-func (c *closureModel) Snapshot() {
-	if c.onBest != nil {
-		c.onBest()
-	}
 }
 
 // calibrate estimates an initial temperature from the uphill deltas of a

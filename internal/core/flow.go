@@ -24,9 +24,6 @@ const (
 	StageLevel = "level"
 	// StageFlips reports the macro-flipping post-process.
 	StageFlips = "flips"
-	// StageCandidate reports one evaluated candidate of a multi-candidate
-	// run (emitted by the flows harness, not by Place itself).
-	StageCandidate = "candidate"
 )
 
 // Progress is one event of a running placement, delivered to the
@@ -40,10 +37,7 @@ type Progress struct {
 	Blocks int
 	// Level counts floorplanned levels so far.
 	Level int
-	// Candidate / Candidates index a multi-candidate run (StageCandidate).
-	Candidate  int
-	Candidates int
-	// Lambda is the dataflow blend of the run or candidate.
+	// Lambda is the dataflow blend of the run.
 	Lambda float64
 	// Flips counts orientation changes (StageFlips).
 	Flips int

@@ -121,27 +121,41 @@ func composeParts(ctx context.Context, parts []shape.Curve, seed int64, pool *sl
 	} else {
 		inc = slicing.NewEvaluator(&expr, blocks, slicing.EvalParams{CompactPoints: composeCompact})
 	}
-	acc := shape.Curve{}
-	var us shape.Scratch
-	var ubuf []shape.Point
-	cost := func() float64 {
-		c := inc.RootCurve()
-		// The scratch form copies the corners into ubuf (so accumulating
-		// the evaluator-owned curve stays safe across later moves) and
-		// reuses the buffer every step instead of allocating a fresh
-		// candidate slice per move; acc aliases ubuf between calls, which
-		// Scratch.Union's in-place prune tolerates.
-		acc, ubuf = us.Union(ubuf, acc, c)
-		return float64(c.MinArea())
-	}
-	anneal.Run(ctx,
-		anneal.Options{Seed: seed, MovesPerRound: 24, MaxRounds: 30, Alpha: 0.88, StallRounds: 8},
-		cost,
-		func(rng *rand.Rand) func() {
-			undo, _ := inc.Perturb(rng)
-			return undo
-		},
-		nil,
-	)
-	return acc
+	c := composer{inc: inc}
+	anneal.RunModel(ctx, anneal.Options{Seed: seed, MovesPerRound: 24, MaxRounds: 30, Alpha: 0.88, StallRounds: 8}, &c)
+	return c.acc
 }
+
+// composer is the area-minimizing composition anneal as an anneal.Model
+// over the incremental evaluator. Every state the walk evaluates folds its
+// root curve into acc, so acc ends as the Pareto union of every slicing
+// structure visited, rejected proposals included.
+type composer struct {
+	inc  *slicing.Evaluator
+	acc  shape.Curve
+	us   shape.Scratch
+	ubuf []shape.Point
+}
+
+func (c *composer) Cost() float64 {
+	root := c.inc.RootCurve()
+	// The scratch form copies the corners into ubuf (so accumulating the
+	// evaluator-owned curve stays safe across later moves) and reuses the
+	// buffer every step instead of allocating a fresh candidate slice per
+	// move; acc aliases ubuf between calls, which Scratch.Union's in-place
+	// prune tolerates.
+	c.acc, c.ubuf = c.us.Union(c.ubuf, c.acc, root)
+	return float64(root.MinArea())
+}
+
+func (c *composer) Propose(rng *rand.Rand) float64 {
+	//hidapvet:commit anneal.RunModel pairs every rejected Propose with composer.Undo, which undoes the evaluator
+	c.inc.Perturb(rng)
+	return c.Cost()
+}
+
+func (c *composer) Undo() { c.inc.Undo() }
+
+// Snapshot records nothing: the result is the accumulated union, not the
+// best single structure.
+func (c *composer) Snapshot() {}

@@ -11,7 +11,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/circuits"
@@ -73,13 +72,6 @@ type Options struct {
 	// runtime.GOMAXPROCS(0). Results never depend on it: tasks are
 	// indexed, seeded by stable task paths, and reduced in index order.
 	Parallelism int
-	// Progress, when set, receives one core.StageCandidate event per
-	// evaluated HiDaP candidate, so callers can stream status for long
-	// suite runs. Events are delivered in candidate-index order (a
-	// completed candidate's event is held until its predecessors have
-	// reported), so the stream is identical at any Parallelism; they may
-	// arrive from worker goroutines.
-	Progress core.ProgressFunc
 	// Pool, when set, shares annealing scratch (incremental slicing
 	// evaluators) across candidates and runs; a serving engine passes its
 	// per-engine pool here so back-to-back jobs run allocation-warm.
@@ -206,36 +198,8 @@ func runHiDaP(ctx context.Context, g *circuits.Generated, opt Options) (*placeme
 	pool := sched.NewPool(opt.Parallelism)
 	defer pool.Close()
 
-	// Candidate progress events are emitted in index order behind a
-	// watermark: a finished candidate marks itself done, and the lowest
-	// unreported prefix of done candidates reports. Streaming survives,
-	// and the event order is a pure function of the candidate set.
-	var emitMu sync.Mutex
-	emitted := make([]int8, len(cands)) // 0 pending, 1 done+event, -1 done silently (error)
-	next := 0
-	reportDone := func(i int, ok bool) {
-		if opt.Progress == nil {
-			return
-		}
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		if ok {
-			emitted[i] = 1
-		} else {
-			emitted[i] = -1
-		}
-		for next < len(cands) && emitted[next] != 0 {
-			if emitted[next] > 0 {
-				opt.Progress(core.Progress{
-					Stage: core.StageCandidate, Candidate: next + 1, Candidates: len(cands), Lambda: cands[next].lambda,
-				})
-			}
-			next++
-		}
-	}
 	evalOne := func(ctx context.Context, i int) {
 		c := &cands[i]
-		defer func() { reportDone(i, c.err == nil) }()
 		if c.err = ctx.Err(); c.err != nil {
 			return
 		}

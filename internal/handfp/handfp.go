@@ -73,61 +73,95 @@ func refine(ctx context.Context, pl *placement.Placement, macros []netlist.CellI
 		rounds = 80
 	}
 
-	bonds := mbonds.Extract(d, mbonds.DefaultParams())
-	overlapW := float64(die.W+die.H) / 32
-	cost := func() float64 {
-		sum := mbonds.WL(pl, bonds)
-		for i, m := range macros {
-			rm := pl.Rect(m)
-			for _, o := range macros[i+1:] {
-				if ov := rm.Intersect(pl.Rect(o)).Area(); ov > 0 {
-					sum += overlapW * float64(ov) / float64(die.W)
-				}
-			}
-		}
-		return sum
+	r := refiner{
+		pl: pl, macros: macros, die: die,
+		bonds:    mbonds.Extract(d, mbonds.DefaultParams()),
+		overlapW: float64(die.W+die.H) / 32,
+		step:     die.W / 16, // experts move things around freely
+		best:     make([]geom.Point, len(macros)),
 	}
-
-	step := die.W / 16 // experts move things around freely
-	perturb := func(rng *rand.Rand) func() {
-		switch rng.Intn(4) {
-		case 0: // swap two macros (positions exchanged, clamped)
-			mi := macros[rng.Intn(len(macros))]
-			mj := macros[rng.Intn(len(macros))]
-			oi, oj := pl.Orient[mi], pl.Orient[mj]
-			pi, pj := pl.Pos[mi], pl.Pos[mj]
-			ri := geom.RectXYWH(pj.X, pj.Y, pl.Rect(mi).W, pl.Rect(mi).H).ClampInside(die)
-			rj := geom.RectXYWH(pi.X, pi.Y, pl.Rect(mj).W, pl.Rect(mj).H).ClampInside(die)
-			pl.PlaceOriented(mi, geom.Pt(ri.X, ri.Y), oi)
-			pl.PlaceOriented(mj, geom.Pt(rj.X, rj.Y), oj)
-			return func() {
-				pl.PlaceOriented(mi, pi, oi)
-				pl.PlaceOriented(mj, pj, oj)
-			}
-		default: // slide one macro
-			m := macros[rng.Intn(len(macros))]
-			old := pl.Pos[m]
-			o := pl.Orient[m] // slides never change orientation
-			dx := rng.Int63n(2*step+1) - step
-			dy := rng.Int63n(2*step+1) - step
-			r := pl.Rect(m).Translate(dx, dy).ClampInside(die)
-			pl.PlaceOriented(m, geom.Pt(r.X, r.Y), o)
-			return func() { pl.PlaceOriented(m, old, o) }
-		}
-	}
-
-	bestPos := make([]geom.Point, len(macros))
-	bestOri := make([]geom.Orient, len(macros))
-	snapshot := func() {
-		for i, m := range macros {
-			bestPos[i] = pl.Pos[m]
-			bestOri[i] = pl.Orient[m]
-		}
-	}
-	anneal.Run(ctx, anneal.Options{
+	anneal.RunModel(ctx, anneal.Options{
 		Seed: opt.Seed, MovesPerRound: 48, MaxRounds: rounds, Alpha: 0.95, StallRounds: 40,
-	}, cost, perturb, snapshot)
+	}, &r)
+	// Refinement never changes an orientation, so the current one is the
+	// best state's.
 	for i, m := range macros {
-		pl.PlaceOriented(m, bestPos[i], bestOri[i])
+		pl.PlaceOriented(m, r.best[i], pl.Orient[m])
+	}
+}
+
+// refiner is the refine anneal as an anneal.Model over the placement.
+// Propose journals the (macro, old position) pairs its move overwrote, so
+// Undo restores them in reverse. Moves keep every orientation.
+type refiner struct {
+	pl       *placement.Placement
+	macros   []netlist.CellID
+	bonds    []mbonds.Bond
+	die      geom.Rect
+	overlapW float64
+	step     int64
+
+	moved [2]movedMacro
+	n     int
+	best  []geom.Point
+}
+
+// movedMacro is one journaled position overwrite.
+type movedMacro struct {
+	m   netlist.CellID
+	old geom.Point
+}
+
+func (rf *refiner) Cost() float64 {
+	pl := rf.pl
+	sum := mbonds.WL(pl, rf.bonds)
+	for i, m := range rf.macros {
+		r := pl.Rect(m)
+		for _, o := range rf.macros[i+1:] {
+			if ov := r.Intersect(pl.Rect(o)).Area(); ov > 0 {
+				sum += rf.overlapW * float64(ov) / float64(rf.die.W)
+			}
+		}
+	}
+	return sum
+}
+
+func (rf *refiner) Propose(rng *rand.Rand) float64 {
+	pl, die, macros := rf.pl, rf.die, rf.macros
+	switch rng.Intn(4) {
+	case 0: // swap two macros (positions exchanged, clamped)
+		mi := macros[rng.Intn(len(macros))]
+		mj := macros[rng.Intn(len(macros))]
+		oi, oj := pl.Orient[mi], pl.Orient[mj]
+		pi, pj := pl.Pos[mi], pl.Pos[mj]
+		ri := geom.RectXYWH(pj.X, pj.Y, pl.Rect(mi).W, pl.Rect(mi).H).ClampInside(die)
+		rj := geom.RectXYWH(pi.X, pi.Y, pl.Rect(mj).W, pl.Rect(mj).H).ClampInside(die)
+		pl.PlaceOriented(mi, geom.Pt(ri.X, ri.Y), oi)
+		pl.PlaceOriented(mj, geom.Pt(rj.X, rj.Y), oj)
+		rf.moved, rf.n = [2]movedMacro{{mi, pi}, {mj, pj}}, 2
+	default: // slide one macro
+		m := macros[rng.Intn(len(macros))]
+		old := pl.Pos[m]
+		o := pl.Orient[m] // slides never change orientation
+		dx := rng.Int63n(2*rf.step+1) - rf.step
+		dy := rng.Int63n(2*rf.step+1) - rf.step
+		r := pl.Rect(m).Translate(dx, dy).ClampInside(die)
+		pl.PlaceOriented(m, geom.Pt(r.X, r.Y), o)
+		rf.moved[0], rf.n = movedMacro{m, old}, 1
+	}
+	return rf.Cost()
+}
+
+func (rf *refiner) Undo() {
+	for k := rf.n - 1; k >= 0; k-- {
+		mv := rf.moved[k]
+		rf.pl.PlaceOriented(mv.m, mv.old, rf.pl.Orient[mv.m])
+	}
+	rf.n = 0
+}
+
+func (rf *refiner) Snapshot() {
+	for i, m := range rf.macros {
+		rf.best[i] = rf.pl.Pos[m]
 	}
 }

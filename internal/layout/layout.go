@@ -261,7 +261,6 @@ type mover struct {
 	region geom.Rect
 	expr   *slicing.Expr
 	best   *slicing.Expr
-	undoEv func()
 }
 
 func (m *mover) Cost() float64 {
@@ -274,7 +273,8 @@ func (m *mover) Cost() float64 {
 //
 //hidapvet:hotpath
 func (m *mover) Propose(rng *rand.Rand) float64 {
-	m.undoEv, _ = m.inc.Perturb(rng)
+	//hidapvet:commit anneal.RunModel pairs every rejected Propose with mover.Undo, which undoes the evaluator
+	m.inc.Perturb(rng)
 	ev := m.inc.Eval(m.region)
 	return ev.Penalty * (1 + m.cs.update(ev.Rects, m.inc.Changed()))
 }
@@ -284,7 +284,7 @@ func (m *mover) Propose(rng *rand.Rand) float64 {
 //hidapvet:hotpath
 func (m *mover) Undo() {
 	m.cs.undo()
-	m.undoEv()
+	m.inc.Undo()
 }
 
 func (m *mover) Snapshot() { m.best.CopyFrom(m.expr) }

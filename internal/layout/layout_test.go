@@ -291,7 +291,7 @@ func TestDeltaCostMatchesFullRecompute(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(42))
 	for step := 0; step < 10_000; step++ {
-		undo, _ := inc.Perturb(rng)
+		inc.Perturb(rng)
 		ev := inc.Eval(p.Region)
 		sum = cs.update(ev.Rects, inc.Changed())
 		ref.init(p, nil)
@@ -306,7 +306,7 @@ func TestDeltaCostMatchesFullRecompute(t *testing.T) {
 		}
 		if rng.Intn(2) == 0 {
 			cs.undo()
-			undo()
+			inc.Undo()
 			ev2 := inc.Eval(p.Region)
 			ref.init(p, nil)
 			if got, want := cs.sum(), ref.rebuild(ev2.Rects); got != want {

@@ -1,12 +1,17 @@
 // Package moves exercises undopair. The analyzer applies everywhere (the
 // Propose/Undo discipline is package-independent), matching structurally on
-// the PerturbMove/UndoMove and Propose/Undo method-name pairs.
+// the PerturbMove/UndoMove, Perturb/Undo and Propose/Undo method-name pairs.
 package moves
 
 type ev struct{}
 
 func (ev) PerturbMove() float64 { return 0 }
 func (ev) UndoMove()            {}
+
+type evaluator struct{}
+
+func (evaluator) Perturb() int { return 0 }
+func (evaluator) Undo()        {}
 
 type model struct{}
 
@@ -69,4 +74,25 @@ func perturbWith(e ev) func() {
 func accept(e ev) {
 	//hidapvet:commit greedy descent keeps every improving move; caller re-snapshots
 	_ = e.PerturbMove()
+}
+
+// Flagged: an evaluator move with no Undo in the function.
+func evalUnpaired(e evaluator) int {
+	return e.Perturb() // want `Perturb without a matching Undo`
+}
+
+// OK: an evaluator move undone on reject.
+func evalReject(e evaluator, reject bool) {
+	e.Perturb()
+	if reject {
+		e.Undo()
+	}
+}
+
+// OK: a Model.Propose that leaves the evaluator move applied for the
+// annealer to accept or undo, documented.
+func evalPropose(e evaluator) float64 {
+	//hidapvet:commit the annealer pairs this proposal with the model's Undo
+	e.Perturb()
+	return 0
 }

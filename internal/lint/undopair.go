@@ -8,17 +8,17 @@ import (
 )
 
 // UndoPair enforces the delta-cost move discipline from the annealing core:
-// a speculative mutation (Evaluator.PerturbMove / Model.Propose) must be
-// matched by its inverse (UndoMove / Undo) — or deliberately committed — in
-// the same function. The incremental evaluators keep double-buffered state
+// a speculative mutation (Expr.PerturbMove, Evaluator.Perturb or
+// Model.Propose) must be matched by its inverse (UndoMove / Undo) — or
+// deliberately committed — in the same function. The incremental evaluators keep double-buffered state
 // whose validity depends on this strict pairing; a Propose that escapes on an
 // early return leaves the buffers desynchronized and every later cost is
 // silently wrong.
 //
 // The check is intraprocedural and conservative in two steps:
 //
-//  1. A function that calls PerturbMove/Propose but never calls the matching
-//     UndoMove/Undo is flagged, unless the call carries //hidapvet:commit
+//  1. A function that calls PerturbMove/Perturb/Propose but never calls the
+//     matching UndoMove/Undo is flagged, unless the call carries //hidapvet:commit
 //     <reason> (the accept path: the mutation is deliberately kept and the
 //     caller's contract says so).
 //  2. Within the statement list enclosing the speculative call, a `return`
@@ -31,7 +31,7 @@ import (
 // annealing round is naturally in scope.
 var UndoPair = &analysis.Analyzer{
 	Name: "undopair",
-	Doc: "every Evaluator.PerturbMove/Model.Propose must reach a matching " +
+	Doc: "every Expr.PerturbMove/Evaluator.Perturb/Model.Propose must reach a matching " +
 		"UndoMove/Undo or carry //hidapvet:commit <reason> before return",
 	Run: runUndoPair,
 }
@@ -39,6 +39,7 @@ var UndoPair = &analysis.Analyzer{
 // movePairs lists each speculative-mutation method and its inverse.
 var movePairs = []struct{ propose, undo string }{
 	{"PerturbMove", "UndoMove"},
+	{"Perturb", "Undo"},
 	{"Propose", "Undo"},
 }
 
@@ -91,9 +92,9 @@ func methodCallNamed(pass *analysis.Pass, n ast.Node, name string) (*ast.CallExp
 
 // containsCall reports whether the subtree rooted at n contains a method call
 // with the given name. Nested function literals ARE searched: an undo
-// captured in a returned or deferred closure is a legitimate pairing handoff
-// (the Expr.Perturb wrapper pattern), and propose calls inside literals are
-// excluded separately when gathering (each literal is its own function).
+// captured in a returned or deferred closure is a legitimate pairing
+// handoff, and propose calls inside literals are excluded separately when
+// gathering (each literal is its own function).
 func containsCall(pass *analysis.Pass, n ast.Node, name string) bool {
 	found := false
 	ast.Inspect(n, func(m ast.Node) bool {

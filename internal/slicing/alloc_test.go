@@ -6,7 +6,7 @@ import (
 )
 
 // TestPerturbCycleAllocs pins the steady-state allocation budget of the
-// annealing proposal cycle — Perturb, Eval, undo — at exactly zero, the
+// annealing proposal cycle — Perturb, Eval, Undo — at exactly zero, the
 // invariant allocfree enforces statically on these //hidapvet:hotpath
 // functions. The warm-up rounds grow journals, indexes, and arenas to their
 // high-water marks; after that any allocation is a regression.
@@ -15,23 +15,23 @@ func TestPerturbCycleAllocs(t *testing.T) {
 	inc := NewEvaluator(&expr, blocks, p)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 128; i++ {
-		undo, _ := inc.Perturb(rng)
+		inc.Perturb(rng)
 		inc.Eval(budget)
 		if i%2 == 0 {
-			undo()
+			inc.Undo()
 		}
 	}
 	i := 0
 	avg := testing.AllocsPerRun(400, func() {
-		undo, _ := inc.Perturb(rng)
+		inc.Perturb(rng)
 		inc.Eval(budget)
 		if i%2 == 0 {
-			undo()
+			inc.Undo()
 		}
 		i++
 	})
 	if avg != 0 {
-		t.Fatalf("Perturb/Eval/undo cycle allocates %.2f objects/run, want 0", avg)
+		t.Fatalf("Perturb/Eval/Undo cycle allocates %.2f objects/run, want 0", avg)
 	}
 }
 

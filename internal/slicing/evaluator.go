@@ -28,11 +28,12 @@ import (
 // repair and penalty code paths, and a differential test enforces equality
 // across randomized move sequences.
 //
-// The undo closure returned by Perturb restores both the expression and the
-// cached tree. It is valid only until the next Perturb call and may be
-// called at most once — exactly the discipline of the anneal engine (and of
-// its calibration walk), which either undoes a move immediately or commits
-// to it. An Evaluator must not be shared between goroutines.
+// Undo restores both the expression and the cached tree to their state
+// before the last Perturb. It is valid only until the next Perturb call and
+// may be called at most once — exactly the move discipline of
+// anneal.RunModel (and of its calibration walk), which either undoes a move
+// immediately or commits to it. An Evaluator must not be shared between
+// goroutines.
 type Evaluator struct {
 	expr   *Expr
 	blocks []Block
@@ -60,7 +61,7 @@ type Evaluator struct {
 	dirty   []bool // all false between moves
 	journal []undoRecord
 	// pjIdx/pjPar journal parent-link edits of the current move (only
-	// operand–operator swaps make any), so applyUndo restores the parent
+	// operand–operator swaps make any), so Undo restores the parent
 	// index exactly instead of rebuilding it O(n). reparsed marks the
 	// defensive full-reparse fallback, whose parent edits are unjournaled.
 	pjIdx    []int32
@@ -79,7 +80,7 @@ type Evaluator struct {
 	ajIdx   []int32
 	// lastBudget is the budget of the most recent Eval; moveBudget pins it
 	// at Perturb time and budgetMoved records whether any Eval since the
-	// move used a different budget (see applyUndo).
+	// move used a different budget (see Undo).
 	lastBudget  geom.Rect
 	moveBudget  geom.Rect
 	budgetMoved bool
@@ -88,8 +89,7 @@ type Evaluator struct {
 	// empty-budget Evals, differing-budget undos).
 	aCur uint32
 
-	move   Move
-	undoFn func()
+	move Move
 }
 
 // enode is one cached slicing-tree node, pinned to its expression position.
@@ -149,7 +149,6 @@ type undoRecord struct {
 // Evaluator.Perturb from then on, so the cache tracks it.
 func NewEvaluator(e *Expr, blocks []Block, p EvalParams) *Evaluator {
 	ev := &Evaluator{}
-	ev.undoFn = func() { ev.applyUndo() }
 	ev.Reset(e, blocks, p)
 	return ev
 }
@@ -238,17 +237,17 @@ func resizeSlice[T any](s []T, n int) []T {
 // and chain inversions, two thirds of the mix) invalidate exactly the
 // touched positions and their ancestor paths; operand–operator swaps
 // relink exactly three nodes (resyncSwap) before the same path-local
-// recomposition. The returned undo restores expression and cache; see
-// the type comment for its validity rules.
+// recomposition. It returns the kind of move applied; Undo reverts it (see
+// the type comment for the validity rules).
 //
 //hidapvet:hotpath
-func (ev *Evaluator) Perturb(rng *rand.Rand) (undo func(), kind MoveKind) {
+func (ev *Evaluator) Perturb(rng *rand.Rand) MoveKind {
 	ev.rjBlock, ev.rjRect = ev.rjBlock[:0], ev.rjRect[:0]
 	ev.ajIdx = ev.ajIdx[:0]
 	ev.pjIdx, ev.pjPar = ev.pjIdx[:0], ev.pjPar[:0]
 	ev.reparsed = false
 	ev.moveBudget, ev.budgetMoved = ev.lastBudget, false
-	//hidapvet:commit pairing handed to the caller through the returned ev.undoFn closure; the annealer invokes it on reject
+	//hidapvet:commit the move is recorded in ev.move; the caller pairs this Perturb with Evaluator.Undo
 	ev.expr.PerturbMove(rng, &ev.move)
 	switch {
 	case ev.move.I == ev.move.J:
@@ -263,7 +262,7 @@ func (ev *Evaluator) Perturb(rng *rand.Rand) (undo func(), kind MoveKind) {
 		ev.markPath(ev.move.J)
 		ev.sweep(ev.move.I)
 	}
-	return ev.undoFn, ev.move.Kind
+	return ev.move.Kind
 }
 
 // resyncFrom re-parses the expression, diffs every position from lo onward
@@ -498,12 +497,12 @@ func (ev *Evaluator) recompute(i int32, nd *enode) {
 	nd.side = side
 }
 
-// applyUndo reverts the last Perturb: the expression first, then every
+// Undo reverts the last Perturb: the expression first, then every
 // journaled node, restoring cached sums and curve buffers without any
 // recomposition; parent-link edits replay from their own journal.
 //
 //hidapvet:hotpath
-func (ev *Evaluator) applyUndo() {
+func (ev *Evaluator) Undo() {
 	ev.expr.UndoMove(&ev.move)
 	// Flip every rewritten assign slot back and replay the rectangle
 	// journal: Rects and the buffered assignments describing it return to

@@ -71,11 +71,11 @@ func TestEvaluatorMatchesEvaluate(t *testing.T) {
 			steps = 10
 		}
 		for step := 0; step < steps; step++ {
-			undo, _ := inc.Perturb(rng)
+			inc.Perturb(rng)
 			budget := budgets[step%len(budgets)]
 			evalsEqual(t, "after move", inc.Eval(budget), Evaluate(&expr, blocks, budget, p))
 			if rng.Intn(2) == 0 {
-				undo()
+				inc.Undo()
 				evalsEqual(t, "after undo", inc.Eval(budget), Evaluate(&expr, blocks, budget, p))
 			}
 		}
@@ -96,8 +96,8 @@ func TestEvaluatorUndoRestoresCache(t *testing.T) {
 	before := expr.String()
 	ref := Evaluate(&expr, blocks, budget, p)
 	for i := 0; i < 200; i++ {
-		undo, _ := inc.Perturb(rng)
-		undo()
+		inc.Perturb(rng)
+		inc.Undo()
 		if expr.String() != before {
 			t.Fatalf("step %d: undo did not restore expression", i)
 		}
@@ -143,7 +143,7 @@ func TestEvaluatorRootCurveMatchesComposition(t *testing.T) {
 		return stack[0]
 	}
 	for step := 0; step < 120; step++ {
-		undo, _ := inc.Perturb(rng)
+		inc.Perturb(rng)
 		want := compose(&expr)
 		got := inc.RootCurve()
 		if got.Len() != want.Len() {
@@ -156,7 +156,7 @@ func TestEvaluatorRootCurveMatchesComposition(t *testing.T) {
 			}
 		}
 		if step%3 == 0 {
-			undo()
+			inc.Undo()
 		}
 	}
 }
@@ -173,11 +173,12 @@ func BenchmarkSlicingEvaluate(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
+	var mv Move
 	for i := 0; i < b.N; i++ {
-		undo, _ := expr.Perturb(rng)
+		expr.PerturbMove(rng, &mv)
 		ev := Evaluate(&expr, blocks, budget, p)
 		if i%2 == 0 {
-			undo()
+			expr.UndoMove(&mv)
 		}
 		_ = ev
 	}
@@ -192,10 +193,10 @@ func BenchmarkSlicingEvaluator(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		undo, _ := inc.Perturb(rng)
+		inc.Perturb(rng)
 		ev := inc.Eval(budget)
 		if i%2 == 0 {
-			undo()
+			inc.Undo()
 		}
 		_ = ev
 	}
@@ -233,10 +234,10 @@ func TestEvaluatorResetMatchesEvaluate(t *testing.T) {
 		evalsEqual(t, "pooled initial", pooled.Eval(budget), Evaluate(&expr, blocks, budget, p))
 		pool.Put(pooled)
 		for step := 0; step < 60 && n > 1; step++ {
-			undo, _ := reused.Perturb(rng)
+			reused.Perturb(rng)
 			evalsEqual(t, "reset after move", reused.Eval(budget), Evaluate(&expr, blocks, budget, p))
 			if step%3 == 0 {
-				undo()
+				reused.Undo()
 				evalsEqual(t, "reset after undo", reused.Eval(budget), Evaluate(&expr, blocks, budget, p))
 			}
 		}
@@ -263,7 +264,7 @@ func TestEvaluatorLongRunDifferential(t *testing.T) {
 	copy(shadow, inc.Eval(budget).Rects)
 
 	for step := 0; step < 10_000; step++ {
-		undo, _ := inc.Perturb(rng)
+		inc.Perturb(rng)
 		ev := inc.Eval(budget)
 		evalsEqual(t, "long-run", ev, Evaluate(&expr, blocks, budget, p))
 
@@ -282,7 +283,7 @@ func TestEvaluatorLongRunDifferential(t *testing.T) {
 		}
 
 		if rng.Intn(2) == 0 {
-			undo()
+			inc.Undo()
 			ev2 := inc.Eval(budget)
 			for i := range shadow {
 				if ev2.Rects[i] != shadow[i] {
@@ -329,7 +330,7 @@ func TestResyncSwapDifferential(t *testing.T) {
 		inc.Eval(budget)
 
 		for step := 0; swaps < 10_000 && step < 6_000; step++ {
-			undo, kind := inc.Perturb(rng)
+			kind := inc.Perturb(rng)
 			isSwap := kind == MoveOperandOperatorSwap && inc.move.I != inc.move.J
 			if isSwap {
 				swaps++
@@ -345,7 +346,7 @@ func TestResyncSwapDifferential(t *testing.T) {
 				}
 			}
 			if rng.Intn(2) == 0 {
-				undo()
+				inc.Undo()
 				if isSwap {
 					evalsEqual(t, "after swap undo", inc.Eval(budget), Evaluate(&expr, blocks, budget, p))
 					checkParents(inc, "after swap undo")

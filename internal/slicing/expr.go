@@ -201,19 +201,9 @@ type Move struct {
 // blocks or flip cut directions in place.
 func (mv *Move) TopologyChanged() bool { return mv.Kind == MoveOperandOperatorSwap }
 
-// Perturb applies one random valid move chosen uniformly among the three
-// kinds (retrying internally if the sampled M3 site is invalid) and returns
-// an undo closure together with the kind applied. Hot loops that cannot
-// afford the closure use PerturbMove directly.
-func (e *Expr) Perturb(rng *rand.Rand) (undo func(), kind MoveKind) {
-	mv := new(Move)
-	e.PerturbMove(rng, mv)
-	return func() { e.UndoMove(mv) }, mv.Kind
-}
-
-// PerturbMove is the allocation-free form of Perturb: it applies one random
-// valid move and records it in mv for UndoMove. It draws from rng exactly
-// as Perturb does.
+// PerturbMove applies one random valid move chosen uniformly among the
+// three kinds (retrying internally if the sampled M3 site is invalid) and
+// records it in mv for UndoMove, without allocating.
 //
 //hidapvet:hotpath
 func (e *Expr) PerturbMove(rng *rand.Rand, mv *Move) {

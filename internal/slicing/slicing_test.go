@@ -39,14 +39,15 @@ func TestPerturbPreservesValidity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{2, 3, 5, 9, 16} {
 		e := NewBalanced(n)
+		var mv Move
 		for step := 0; step < 2000; step++ {
 			before := e.String()
-			undo, _ := e.Perturb(rng)
+			e.PerturbMove(rng, &mv)
 			if !e.Valid() {
 				t.Fatalf("n=%d step=%d: invalid after move: %s (from %s)", n, step, e.String(), before)
 			}
 			if rng.Intn(2) == 0 {
-				undo()
+				e.UndoMove(&mv)
 				if e.String() != before {
 					t.Fatalf("n=%d step=%d: undo mismatch: %s vs %s", n, step, e.String(), before)
 				}
@@ -59,9 +60,10 @@ func TestAllMoveKindsOccur(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	e := NewBalanced(8)
 	seen := map[MoveKind]int{}
+	var mv Move
 	for i := 0; i < 500; i++ {
-		_, kind := e.Perturb(rng)
-		seen[kind]++
+		e.PerturbMove(rng, &mv)
+		seen[mv.Kind]++
 	}
 	for _, k := range []MoveKind{MoveOperandSwap, MoveChainInvert, MoveOperandOperatorSwap} {
 		if seen[k] == 0 {
@@ -74,7 +76,7 @@ func TestCloneIndependence(t *testing.T) {
 	e := NewBalanced(5)
 	c := e.Clone()
 	rng := rand.New(rand.NewSource(1))
-	e.Perturb(rng)
+	e.PerturbMove(rng, new(Move))
 	if !c.Valid() {
 		t.Error("clone corrupted by original's move")
 	}
@@ -127,8 +129,9 @@ func TestEvaluateExactTiling(t *testing.T) {
 			blocks[i] = Block{TargetArea: at, MinArea: at / 2}
 		}
 		e := NewBalanced(n)
+		var mv Move
 		for i := 0; i < 30; i++ {
-			e.Perturb(rng)
+			e.PerturbMove(rng, &mv)
 		}
 		budget := geom.RectXYWH(0, 0, int64(500+rng.Intn(500)), int64(500+rng.Intn(500)))
 		ev := Evaluate(&e, blocks, budget, DefaultEvalParams())
@@ -253,8 +256,9 @@ func TestEvaluateDeterministic(t *testing.T) {
 		blocks[i] = Block{TargetArea: int64(100 + i*37), MinArea: int64(50 + i*11)}
 	}
 	e := NewBalanced(6)
+	var mv Move
 	for i := 0; i < 10; i++ {
-		e.Perturb(rng)
+		e.PerturbMove(rng, &mv)
 	}
 	budget := geom.RectXYWH(0, 0, 333, 444)
 	a := Evaluate(&e, blocks, budget, DefaultEvalParams())
