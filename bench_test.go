@@ -226,7 +226,7 @@ func BenchmarkFig8(b *testing.B) {
 	budget := geom.RectXYWH(0, 0, 300, 300)
 	var tiled int64
 	for i := 0; i < b.N; i++ {
-		ev := slicing.Evaluate(&e, blocks, budget, slicing.DefaultEvalParams())
+		ev := slicing.NewEvaluator(&e, blocks, slicing.DefaultEvalParams()).Eval(budget)
 		tiled = 0
 		for _, r := range ev.Rects {
 			tiled += r.Area()
@@ -339,7 +339,7 @@ func BenchmarkAblationMinBits(b *testing.B) {
 			var nodes int
 			for i := 0; i < b.N; i++ {
 				opt := core.DefaultOptions()
-				opt.Seq = seqgraph.Params{MinBits: mb}
+				opt.SeqGraph = seqgraph.Build(g.Design, seqgraph.Params{MinBits: mb})
 				opt.Effort = layout.EffortLow
 				res, err := core.Place(context.Background(), g.Design, opt)
 				if err != nil {

@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -22,6 +23,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/geom"
 	"repro/internal/hier"
+	"repro/internal/outfile"
 	"repro/internal/render"
 	"repro/internal/seqgraph"
 )
@@ -90,12 +92,12 @@ func main() {
 		}
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
+	if err := outfile.Write(*out, func(w io.Writer) error {
+		render.Dataflow(w, region, gdf, aff, rects, nil, 800)
+		return nil
+	}); err != nil {
 		fatal(err)
 	}
-	defer f.Close()
-	render.Dataflow(f, region, gdf, aff, rects, nil, 800)
 
 	st := gdf.Stats()
 	fmt.Printf("dfviz: %s level %q: %d blocks, %d ports, %d ext macros, %d block-flow + %d macro-flow edges -> %s\n",

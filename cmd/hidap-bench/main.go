@@ -13,7 +13,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -26,14 +25,15 @@ import (
 	"strings"
 
 	"repro/circuits"
+	"repro/hidap"
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/flows"
 	"repro/internal/geom"
 	"repro/internal/hier"
-	"repro/internal/layout"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
+	"repro/internal/outfile"
 	"repro/internal/render"
 	"repro/internal/seqgraph"
 )
@@ -62,7 +62,7 @@ func main() {
 	if !*table1 && !*table2 && !*table3 && !*fig9 {
 		*table2, *table3 = true, true
 	}
-	eff, err := parseEffort(*effort)
+	eff, err := hidap.ParseEffort(*effort)
 	if err != nil {
 		fatal(err)
 	}
@@ -86,7 +86,7 @@ func main() {
 	if *memProfile != "" {
 		defer func() {
 			runtime.GC() // settle the heap so the profile shows retained objects
-			if err := writeFile(*memProfile, pprof.WriteHeapProfile); err != nil {
+			if err := outfile.Write(*memProfile, pprof.WriteHeapProfile); err != nil {
 				fatal(err)
 			}
 		}()
@@ -121,7 +121,7 @@ func main() {
 			printTable2(rows)
 		}
 		if *csvOut != "" {
-			if err := writeFile(*csvOut, func(w io.Writer) error { return flows.WriteCSV(w, rows) }); err != nil {
+			if err := outfile.Write(*csvOut, func(w io.Writer) error { return flows.WriteCSV(w, rows) }); err != nil {
 				fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "# wrote %s\n", *csvOut)
@@ -133,41 +133,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-// parseEffort maps the -effort flag to a layout effort, rejecting anything
-// but low, medium and high.
-func parseEffort(s string) (layout.Effort, error) {
-	switch s {
-	case "low":
-		return layout.EffortLow, nil
-	case "medium":
-		return layout.EffortMedium, nil
-	case "high":
-		return layout.EffortHigh, nil
-	}
-	return 0, fmt.Errorf("unknown effort %q (want low, medium or high)", s)
-}
-
-// writeFile creates path, fills it with write through a buffer, and closes
-// it, returning the first write, flush or close error. The buffer keeps the
-// first write error for the flush, so writers that drop their errors (the
-// SVG renderers) are covered too, and close errors surface buffered-writeback
-// failures (disk full): a truncated file is never reported as written.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	err = write(bw)
-	if ferr := bw.Flush(); err == nil {
-		err = ferr
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 func fatal(err error) {
@@ -282,14 +247,18 @@ func emitFig9(ctx context.Context, name string, scale int, opt flows.Options, ou
 		return err
 	}
 
+	var lambda float64 // the HiDaP row's chosen λ
 	for _, f := range []flows.Flow{flows.FlowIndEDA, flows.FlowHiDaP, flows.FlowHandFP} {
 		m, pl, err := flows.Run(ctx, g, f, opt)
 		if err != nil {
 			return err
 		}
+		if f == flows.FlowHiDaP {
+			lambda = m.Lambda
+		}
 		dm := metrics.Density(pl, 32)
 		path := filepath.Join(outdir, fmt.Sprintf("fig9_%s_%s_density.svg", name, f))
-		if err := writeFile(path, func(w io.Writer) error {
+		if err := outfile.Write(path, func(w io.Writer) error {
 			render.DensityMap(w, pl, dm, 640)
 			return nil
 		}); err != nil {
@@ -299,20 +268,18 @@ func emitFig9(ctx context.Context, name string, scale int, opt flows.Options, ou
 		fmt.Println(render.DensityASCII(metrics.Density(pl, 24)))
 	}
 
-	// Fig 9d: top-level Gdf floorplan from the HiDaP trace.
-	coreOpt := core.DefaultOptions()
-	coreOpt.Seed = opt.Seed
-	coreOpt.Trace = true
-	res, err := core.Place(ctx, g.Design, coreOpt)
+	// Fig 9d: top-level Gdf floorplan of the HiDaP row above, with the
+	// affinity at the row's λ.
+	res, err := traceHiDaP(ctx, g, opt, lambda)
 	if err != nil {
 		return err
 	}
 	d := g.Design
-	tr := hier.New(d)
-	decl := tr.Decluster(d.Root(), hier.DefaultParams())
-	sg := seqgraph.Build(d, seqgraph.DefaultParams())
-	gdf := dataflow.Build(sg, decl)
-	aff := gdf.Affinity(dataflow.DefaultParams())
+	decl := hier.New(d).Decluster(d.Root(), hier.DefaultParams())
+	gdf := dataflow.Build(g.SeqGraph(), decl)
+	ap := dataflow.DefaultParams()
+	ap.Lambda = lambda
+	aff := gdf.Affinity(ap)
 	if len(res.Trace) > 0 {
 		top := res.Trace[0]
 		rs := make([]geom.Rect, 0, len(top.Blocks))
@@ -320,7 +287,7 @@ func emitFig9(ctx context.Context, name string, scale int, opt flows.Options, ou
 			rs = append(rs, b.Rect)
 		}
 		path := filepath.Join(outdir, fmt.Sprintf("fig9d_%s_gdf.svg", name))
-		if err := writeFile(path, func(w io.Writer) error {
+		if err := outfile.Write(path, func(w io.Writer) error {
 			render.Dataflow(w, d.Die, gdf, aff, rs, nil, 640)
 			return nil
 		}); err != nil {
@@ -329,6 +296,20 @@ func emitFig9(ctx context.Context, name string, scale int, opt flows.Options, ou
 		fmt.Printf("Fig9d dataflow floorplan -> %s\n", path)
 	}
 	return nil
+}
+
+// traceHiDaP re-runs the HiDaP placement flows.Run kept for the row — the
+// candidate at lambda, with the run's seed, effort and restarts — with the
+// level trace on, so the traced floorplan is the row's placement.
+func traceHiDaP(ctx context.Context, g *circuits.Generated, opt flows.Options, lambda float64) (*core.Result, error) {
+	coreOpt := core.DefaultOptions()
+	coreOpt.Lambda = lambda
+	coreOpt.Seed = opt.Seed
+	coreOpt.Effort = opt.Effort
+	coreOpt.Restarts = opt.Restarts
+	coreOpt.SeqGraph = g.SeqGraph()
+	coreOpt.Trace = true
+	return core.Place(ctx, g.Design, coreOpt)
 }
 
 // emitFlat writes a synthetic flat netlist of insts instances in the design
@@ -340,7 +321,7 @@ func emitFlat(path string, insts int) error {
 		Subsystems: 3, BusWidth: 32, PipelineDepth: 2, Scale: 1, Seed: 7,
 		Flat: true,
 	})
-	if err := writeFile(path, func(w io.Writer) error { return netlist.WriteJSON(w, g.Design) }); err != nil {
+	if err := outfile.Write(path, func(w io.Writer) error { return netlist.WriteJSON(w, g.Design) }); err != nil {
 		return err
 	}
 	st := g.Design.Stats()

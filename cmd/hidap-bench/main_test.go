@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"io"
 	"os"
@@ -8,33 +9,11 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/layout"
+	"repro/circuits"
+	"repro/hidap"
+	"repro/internal/flows"
+	"repro/internal/outfile"
 )
-
-func TestParseEffort(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want layout.Effort
-		bad  bool
-	}{
-		{in: "low", want: layout.EffortLow},
-		{in: "medium", want: layout.EffortMedium},
-		{in: "high", want: layout.EffortHigh},
-		{in: "hgih", bad: true},
-		{in: "", bad: true},
-		{in: "HIGH", bad: true},
-	} {
-		got, err := parseEffort(tc.in)
-		switch {
-		case tc.bad && err == nil:
-			t.Errorf("parseEffort(%q) = %v, want an error", tc.in, got)
-		case tc.bad && !strings.Contains(err.Error(), `"`+tc.in+`"`):
-			t.Errorf("parseEffort(%q) error %q does not name the value", tc.in, err)
-		case !tc.bad && (err != nil || got != tc.want):
-			t.Errorf("parseEffort(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-}
 
 func TestSelectSpecs(t *testing.T) {
 	for _, tc := range []struct {
@@ -71,24 +50,25 @@ func TestSelectSpecs(t *testing.T) {
 	}
 }
 
-// TestWriteFileErrors checks that writeFile reports the writer's error and a
-// write that fails only at flush time, so a truncated file is never
-// reported as written.
+// TestWriteFileErrors checks that outfile.Write, which every artifact of
+// this command (and of cmd/hidap and cmd/dfviz) goes through, reports the
+// writer's error and a write that fails only at flush time, so a truncated
+// file is never reported as written.
 func TestWriteFileErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.txt")
-	if err := writeFile(path, func(w io.Writer) error {
+	if err := outfile.Write(path, func(w io.Writer) error {
 		_, err := w.Write([]byte("ok\n"))
 		return err
 	}); err != nil {
-		t.Fatalf("writeFile: %v", err)
+		t.Fatalf("outfile.Write: %v", err)
 	}
 	if b, err := os.ReadFile(path); err != nil || string(b) != "ok\n" {
 		t.Fatalf("read back %q, %v", b, err)
 	}
 
 	boom := errors.New("boom")
-	if err := writeFile(path, func(w io.Writer) error { return boom }); !errors.Is(err, boom) {
-		t.Errorf("writeFile returned %v, want the writer's error", err)
+	if err := outfile.Write(path, func(w io.Writer) error { return boom }); !errors.Is(err, boom) {
+		t.Errorf("outfile.Write returned %v, want the writer's error", err)
 	}
 
 	// /dev/full accepts the open and fails every write with ENOSPC; the
@@ -96,10 +76,47 @@ func TestWriteFileErrors(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this system")
 	}
-	if err := writeFile("/dev/full", func(w io.Writer) error {
+	if err := outfile.Write("/dev/full", func(w io.Writer) error {
 		w.Write([]byte("lost\n"))
 		return nil
 	}); err == nil {
-		t.Error("writeFile to /dev/full returned nil, want the deferred write error")
+		t.Error("outfile.Write to /dev/full returned nil, want the deferred write error")
+	}
+}
+
+// TestFig9TraceMatchesRow: the Fig. 9d floorplan is traced from the HiDaP
+// row's own placement — its λ, seed, effort and restarts — so the traced
+// macros sit exactly where the row's macros do. The λ list leaves out the
+// default 0.5 and the effort, seed and restarts are not the defaults; on c2
+// a trace that ignored any one of them places differently.
+func TestFig9TraceMatchesRow(t *testing.T) {
+	ctx := context.Background()
+	spec, err := circuits.SuiteSpec("c2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Scale = 2000
+	g := circuits.Generate(spec)
+	opt := flows.DefaultOptions()
+	opt.Seed = 3
+	opt.Effort = hidap.EffortLow
+	opt.Restarts = 2
+	opt.Lambdas = []float64{0.2, 0.8}
+	m, pl, err := flows.Run(ctx, g, flows.FlowHiDaP, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := traceHiDaP(ctx, g, opt, m.Lambda)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Trace) == 0 {
+		t.Fatal("trace is empty")
+	}
+	for _, mc := range g.Design.Macros() {
+		if res.Placement.Pos[mc] != pl.Pos[mc] || res.Placement.Orient[mc] != pl.Orient[mc] {
+			t.Fatalf("macro %s traced at %v %v, row has %v %v", g.Design.Cell(mc).Name,
+				res.Placement.Pos[mc], res.Placement.Orient[mc], pl.Pos[mc], pl.Orient[mc])
+		}
 	}
 }

@@ -204,15 +204,15 @@ func (req *jobRequest) toJob() (hidap.Job, error) {
 	if req.Parallelism > 0 {
 		opts = append(opts, hidap.WithParallelism(req.Parallelism))
 	}
-	switch strings.ToLower(req.Effort) {
-	case "", "medium":
-	case "low":
-		opts = append(opts, hidap.WithEffort(hidap.EffortLow))
-	case "high":
-		opts = append(opts, hidap.WithEffort(hidap.EffortHigh))
-	default:
-		return hidap.Job{}, fmt.Errorf("unknown effort %q", req.Effort)
+	effort := strings.ToLower(req.Effort)
+	if effort == "" {
+		effort = "medium"
 	}
+	eff, err := hidap.ParseEffort(effort)
+	if err != nil {
+		return hidap.Job{}, err
+	}
+	opts = append(opts, hidap.WithEffort(eff))
 	if req.Autocluster != nil {
 		opts = append(opts, hidap.WithAutocluster(*req.Autocluster))
 	}

@@ -19,12 +19,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
 
 	"repro/hidap"
+	"repro/internal/outfile"
 )
 
 type macroFlags []string
@@ -62,6 +64,10 @@ func main() {
 	if *in == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+	eff, err := hidap.ParseEffort(*effort)
+	if err != nil {
+		fatal(err)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -106,12 +112,7 @@ func main() {
 		hidap.WithSeed(*seed),
 		hidap.WithRestarts(*restarts),
 		hidap.WithParallelism(*par),
-	}
-	switch *effort {
-	case "low":
-		opts = append(opts, hidap.WithEffort(hidap.EffortLow))
-	case "high":
-		opts = append(opts, hidap.WithEffort(hidap.EffortHigh))
+		hidap.WithEffort(eff),
 	}
 	if *progress {
 		opts = append(opts, hidap.WithProgress(func(ev hidap.Progress) {
@@ -141,64 +142,66 @@ func main() {
 		fatal(err)
 	}
 
-	// With -json, stdout is reserved for the machine-readable report; the
-	// placement listing moves to -out (or stderr) so `hidap ... -json | jq`
-	// always reads a pure JSON stream.
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	} else if *jsonOut && *cells {
-		w = os.Stderr
-	}
-	fmt.Fprintf(w, "# design %s: die %dx%d DBU, %d macros, flow %s, %d levels\n",
-		d.Name, d.Die.W, d.Die.H, len(d.Macros()), placer.Name(), stats.Levels)
-	for _, m := range d.Macros() {
-		r := pl.Rect(m)
-		fmt.Fprintf(w, "macro %s %d %d %s\n", d.Cell(m).Name, r.X, r.Y, pl.Orient[m])
-	}
-
+	// Cell placement moves only standard cells, so the macro listing below
+	// is the same before and after it.
+	var rep *hidap.Report
 	if *cells {
 		if err := hidap.PlaceStdCells(ctx, pl); err != nil {
 			fatal(err)
 		}
-		rep, err := hidap.Evaluate(ctx, d, pl)
-		if err != nil {
+		if rep, err = hidap.Evaluate(ctx, d, pl); err != nil {
 			fatal(err)
 		}
 		stats.Annotate(rep)
-		if *jsonOut {
-			if err := rep.WriteJSON(os.Stdout); err != nil {
-				fatal(err)
-			}
-		} else {
-			fmt.Fprintf(w, "# WL %.6f m, GRC %.2f%%, WNS %.1f%%, TNS %.1f ns\n",
-				rep.WirelengthM, rep.CongestionPct, rep.WNSPct, rep.TNSns)
+	}
+
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "# design %s: die %dx%d DBU, %d macros, flow %s, %d levels\n",
+		d.Name, d.Die.W, d.Die.H, len(d.Macros()), placer.Name(), stats.Levels)
+	for _, m := range d.Macros() {
+		r := pl.Rect(m)
+		fmt.Fprintf(&sb, "macro %s %d %d %s\n", d.Cell(m).Name, r.X, r.Y, pl.Orient[m])
+	}
+	if rep != nil && !*jsonOut {
+		fmt.Fprintf(&sb, "# WL %.6f m, GRC %.2f%%, WNS %.1f%%, TNS %.1f ns\n",
+			rep.WirelengthM, rep.CongestionPct, rep.WNSPct, rep.TNSns)
+	}
+	listing := func(w io.Writer) error {
+		_, err := io.WriteString(w, sb.String())
+		return err
+	}
+	// With -json, stdout is reserved for the machine-readable report; the
+	// placement listing moves to -out (or stderr) so `hidap ... -json | jq`
+	// always reads a pure JSON stream.
+	switch {
+	case *out != "":
+		err = outfile.Write(*out, listing)
+	case rep != nil && *jsonOut:
+		err = listing(os.Stderr)
+	default:
+		err = listing(os.Stdout)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	if rep != nil && *jsonOut {
+		if err := rep.WriteJSON(os.Stdout); err != nil {
+			fatal(err)
 		}
 	}
 
 	if *svg != "" {
-		f, err := os.Create(*svg)
-		if err != nil {
+		if err := outfile.Write(*svg, func(w io.Writer) error {
+			hidap.WriteFloorplanSVG(w, pl)
+			return nil
+		}); err != nil {
 			fatal(err)
 		}
-		hidap.WriteFloorplanSVG(f, pl)
-		f.Close()
 	}
-
 	if *def_ != "" {
-		f, err := os.Create(*def_)
-		if err != nil {
+		if err := outfile.Write(*def_, func(w io.Writer) error { return hidap.WriteDEF(w, pl) }); err != nil {
 			fatal(err)
 		}
-		if err := hidap.WriteDEF(f, pl); err != nil {
-			fatal(err)
-		}
-		f.Close()
 	}
 }
 

@@ -1,6 +1,8 @@
 package hidap
 
 import (
+	"fmt"
+
 	"repro/internal/autocluster"
 	"repro/internal/core"
 )
@@ -81,6 +83,20 @@ func WithK(k float64) Option { return func(c *Config) { c.K = k } }
 
 // WithEffort selects the annealing budget.
 func WithEffort(e Effort) Option { return func(c *Config) { c.Effort = e } }
+
+// ParseEffort maps an effort name to its Effort. It accepts exactly "low",
+// "medium" and "high"; any other value is an error that names it.
+func ParseEffort(s string) (Effort, error) {
+	switch s {
+	case "low":
+		return EffortLow, nil
+	case "medium":
+		return EffortMedium, nil
+	case "high":
+		return EffortHigh, nil
+	}
+	return 0, fmt.Errorf("unknown effort %q (want low, medium or high)", s)
+}
 
 // WithSeed seeds every stochastic step of the run.
 func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }

@@ -840,7 +840,7 @@ func (e *Engine) runCircuitJob(ctx context.Context, t *Ticket, cfg *Config) (*Jo
 	fopt := flows.DefaultOptions()
 	fopt.Seed = cfg.Seed
 	fopt.Effort = cfg.Effort
-	fopt.LevelRestarts = cfg.Restarts
+	fopt.Restarts = cfg.Restarts
 	fopt.Parallelism = cfg.Parallelism
 	fopt.Pool = e.pool
 	if len(t.job.Lambdas) > 0 {

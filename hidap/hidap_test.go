@@ -167,3 +167,30 @@ func TestLEFLibraryFlow(t *testing.T) {
 		t.Error("macro lost through LEF round trip")
 	}
 }
+
+// TestParseEffort: the three effort names parse, and anything else —
+// typos, empty, wrong case — is an error that names the value.
+func TestParseEffort(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want hidap.Effort
+		bad  bool
+	}{
+		{in: "low", want: hidap.EffortLow},
+		{in: "medium", want: hidap.EffortMedium},
+		{in: "high", want: hidap.EffortHigh},
+		{in: "hgih", bad: true},
+		{in: "", bad: true},
+		{in: "HIGH", bad: true},
+	} {
+		got, err := hidap.ParseEffort(tc.in)
+		switch {
+		case tc.bad && err == nil:
+			t.Errorf("ParseEffort(%q) = %v, want an error", tc.in, got)
+		case tc.bad && !strings.Contains(err.Error(), `"`+tc.in+`"`):
+			t.Errorf("ParseEffort(%q) error %q does not name the value", tc.in, err)
+		case !tc.bad && (err != nil || got != tc.want):
+			t.Errorf("ParseEffort(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+}

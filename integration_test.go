@@ -55,13 +55,13 @@ func TestEndToEndSuiteCircuit(t *testing.T) {
 }
 
 // placeHiDaP runs the registered "hidap" placer with the default config.
-func placeHiDaP(t *testing.T, d *hidap.Design) (*hidap.Placement, error) {
+func placeHiDaP(t *testing.T, d *hidap.Design, opts ...hidap.Option) (*hidap.Placement, error) {
 	t.Helper()
 	p, err := hidap.Lookup("hidap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, _, err := p.Place(context.Background(), d, hidap.NewConfig())
+	pl, _, err := p.Place(context.Background(), d, hidap.NewConfig(opts...))
 	return pl, err
 }
 
@@ -135,7 +135,8 @@ func TestPlaceOverfullDie(t *testing.T) {
 }
 
 // TestPlaceMacroLargerThanDie: a single macro that cannot fit is clamped
-// to the die origin-side without crashing.
+// to the die origin-side without crashing, both hierarchically and flat
+// (where the macro is the one block of a layout level).
 func TestPlaceMacroLargerThanDie(t *testing.T) {
 	b := hidap.NewDesign("giant")
 	b.SetDie(hidap.RectXYWH(0, 0, 10_000, 10_000))
@@ -144,14 +145,19 @@ func TestPlaceMacroLargerThanDie(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := placeHiDaP(t, d)
-	if err != nil {
-		t.Fatalf("Place: %v", err)
-	}
-	m := d.Macros()[0]
-	r := pl.Rect(m)
-	if r.X != 0 && r.X2() != d.Die.X2() {
-		t.Errorf("oversized macro not anchored to die: %v", r)
+	for _, mode := range []struct {
+		name string
+		opts []hidap.Option
+	}{{"hierarchical", nil}, {"flat", []hidap.Option{hidap.WithFlat()}}} {
+		pl, err := placeHiDaP(t, d, mode.opts...)
+		if err != nil {
+			t.Fatalf("%s: Place: %v", mode.name, err)
+		}
+		m := d.Macros()[0]
+		r := pl.Rect(m)
+		if r.X != 0 && r.X2() != d.Die.X2() {
+			t.Errorf("%s: oversized macro not anchored to die: %v", mode.name, r)
+		}
 	}
 }
 
@@ -182,31 +188,6 @@ func TestPlaceMacroOnlyDesign(t *testing.T) {
 	// Cell placement over a macro-only design is a no-op but must succeed.
 	if err := hidap.PlaceStdCells(context.Background(), pl); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRestartsImproveOrKeep: more restarts never yield a worse WL (the
-// best is kept across all attempts).
-func TestRestartsImproveOrKeep(t *testing.T) {
-	spec, _ := circuits.SuiteSpec("c1")
-	spec.Scale = 2000
-	g := circuits.Generate(spec)
-	base := flows.DefaultOptions()
-	base.Effort = layout.EffortLow
-	base.Lambdas = []float64{0.5}
-
-	one, _, err := flows.Run(context.Background(), g, flows.FlowHiDaP, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi := base
-	multi.Restarts = 3
-	three, _, err := flows.Run(context.Background(), g, flows.FlowHiDaP, multi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if three.WirelengthM > one.WirelengthM+1e-12 {
-		t.Errorf("3 restarts WL %v worse than 1 restart %v", three.WirelengthM, one.WirelengthM)
 	}
 }
 

@@ -120,13 +120,11 @@ func TestPlaceDeterministic(t *testing.T) {
 
 func TestPlaceSeedMatters(t *testing.T) {
 	d := miniSoC(t)
-	a, err := Place(context.Background(), d, Options{Knobs: Knobs{Seed: 1, Lambda: 0.5, K: 2},
-		Decluster: hier.DefaultParams()})
+	a, err := Place(context.Background(), d, Options{Knobs: Knobs{Seed: 1, Lambda: 0.5, K: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Place(context.Background(), d, Options{Knobs: Knobs{Seed: 2, Lambda: 0.5, K: 2},
-		Decluster: hier.DefaultParams()})
+	b, err := Place(context.Background(), d, Options{Knobs: Knobs{Seed: 2, Lambda: 0.5, K: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,18 +98,18 @@ func DefaultKnobs() Knobs {
 }
 
 // Options configures the HiDaP flow: the caller-facing Knobs plus the
-// model parameters and prebuilt artifacts a harness or engine supplies.
+// prebuilt artifacts a harness or engine supplies. The model parameters are
+// the paper's: hier.DefaultParams for declustering, seqgraph.DefaultParams
+// for Gseq and slicing.DefaultEvalParams for the level layouts.
 type Options struct {
 	Knobs
-	// Decluster sets the open/min area fractions (paper: 1% / 40%).
-	Decluster hier.Params
-	// Seq sets Gseq construction parameters.
-	Seq seqgraph.Params
 	// SeqGraph optionally supplies a prebuilt sequential graph for the
 	// design; the flow then skips seqgraph.Build. The caller asserts the
-	// graph was built from the same design with the same Seq parameters
-	// (a serving engine caches one graph per design and reuses it across
-	// jobs; the graph is read-only during placement, so sharing is safe).
+	// graph was built from the same design, normally with
+	// seqgraph.DefaultParams (a serving engine caches one graph per design
+	// and reuses it across jobs; the graph is read-only during placement,
+	// so sharing is safe). An ablation may pass a graph built with other
+	// parameters.
 	SeqGraph *seqgraph.Graph
 	// Tree optionally supplies the prebuilt hierarchy tree of the design,
 	// skipping hier.New. Same contract as SeqGraph: built from this design,
@@ -126,18 +126,11 @@ type Options struct {
 	// creating one per Place call; a multi-candidate sweep passes its pool
 	// here so candidates, subtrees and chains share one set of lanes.
 	Sched *sched.Pool
-	// Eval sets the slicing evaluation penalties.
-	Eval slicing.EvalParams
 }
 
 // DefaultOptions mirrors the paper's defaults.
 func DefaultOptions() Options {
-	return Options{
-		Knobs:     DefaultKnobs(),
-		Decluster: hier.DefaultParams(),
-		Seq:       seqgraph.DefaultParams(),
-		Eval:      slicing.DefaultEvalParams(),
-	}
+	return Options{Knobs: DefaultKnobs()}
 }
 
 // TraceBlock is one block of a traced level.
@@ -328,16 +321,10 @@ func Place(ctx context.Context, d *netlist.Design, opt Options) (*Result, error)
 	if opt.K == 0 {
 		opt.K = 2
 	}
-	if opt.Decluster.MinAreaFrac == 0 {
-		opt.Decluster = hier.DefaultParams()
-	}
-	if opt.Eval.CompactPoints == 0 {
-		opt.Eval = slicing.DefaultEvalParams()
-	}
 
 	sg := opt.SeqGraph
 	if sg == nil {
-		sg = seqgraph.Build(d, opt.Seq)
+		sg = seqgraph.Build(d, seqgraph.DefaultParams())
 	}
 	tree := opt.Tree
 	if tree == nil {
@@ -414,7 +401,7 @@ func (st *flowState) recurse(ctx context.Context, nh netlist.HierID, region geom
 		return err
 	}
 	d := st.d
-	decl := st.tree.Decluster(nh, st.opt.Decluster)
+	decl := st.tree.Decluster(nh, hier.DefaultParams())
 	if len(decl.Blocks) == 0 {
 		return nil
 	}
@@ -613,7 +600,7 @@ func (st *flowState) solveLevel(ctx context.Context, decl *hier.Result, region g
 		})
 	}
 	sol := layout.Solve(ctx, prob, layout.Options{
-		Seed: seed, Effort: st.opt.Effort, Eval: st.opt.Eval, Pool: st.opt.Pool,
+		Seed: seed, Effort: st.opt.Effort, Pool: st.opt.Pool,
 		Restarts: st.opt.Restarts, Sched: st.sched,
 	})
 	return gdf, aff, sol, ctx.Err()

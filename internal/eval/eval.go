@@ -60,15 +60,10 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// Options configures the measurement models.
+// Options configures one measurement. The models themselves are fixed:
+// route.DefaultOptions for congestion, seqgraph.DefaultParams for Gseq and
+// the die-calibrated sta.DefaultOptions for timing.
 type Options struct {
-	// Route configures the congestion estimate.
-	Route route.Options
-	// STA configures timing; a zero WirePsPerDBU is calibrated to the die
-	// by CalibrateSTA.
-	STA sta.Options
-	// Seq sets Gseq construction parameters when Graph is nil.
-	Seq seqgraph.Params
 	// Graph optionally supplies a prebuilt sequential graph (the harness
 	// reuses one graph across the flows of a circuit).
 	Graph *seqgraph.Graph
@@ -99,25 +94,19 @@ func CalibrateSTA(d *netlist.Design, base sta.Options) sta.Options {
 // under the shared models, plus the sequential-graph size. The placement is
 // not modified. Cancellation is honored between the model stages.
 func Evaluate(ctx context.Context, d *netlist.Design, pl *placement.Placement, opt Options) (*Report, error) {
-	if opt.Route.GcellBins == 0 {
-		opt.Route = route.DefaultOptions()
-	}
 	r := &Report{Design: d.Name}
 
 	r.WirelengthM = metrics.WirelengthMeters(pl)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r.CongestionPct = route.Estimate(pl, opt.Route).OverflowPct
+	r.CongestionPct = route.Estimate(pl, route.DefaultOptions()).OverflowPct
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	sg := opt.Graph
 	if sg == nil {
-		if opt.Seq.MinBits == 0 {
-			opt.Seq = seqgraph.DefaultParams()
-		}
-		sg = seqgraph.Build(d, opt.Seq)
+		sg = seqgraph.Build(d, seqgraph.DefaultParams())
 	}
 	st := sg.Stats()
 	r.SeqNodes = st.Nodes
@@ -125,7 +114,7 @@ func Evaluate(ctx context.Context, d *netlist.Design, pl *placement.Placement, o
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	timing := sta.Analyze(sg, pl, CalibrateSTA(d, opt.STA))
+	timing := sta.Analyze(sg, pl, CalibrateSTA(d, sta.Options{}))
 	r.WNSPct = timing.WNSPct
 	r.TNSns = timing.TNSns
 	return r, nil

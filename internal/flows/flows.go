@@ -25,7 +25,6 @@ import (
 	"repro/internal/placement"
 	"repro/internal/sched"
 	"repro/internal/slicing"
-	"repro/internal/sta"
 )
 
 // Flow names a macro-placement flow.
@@ -49,24 +48,14 @@ type Options struct {
 	// Lambdas are the HiDaP blend values to try (paper: 0.2, 0.5, 0.8;
 	// the best post-placement wirelength wins).
 	Lambdas []float64
-	// Restarts runs HiDaP with this many seeds per λ, keeping the best
-	// wirelength (default 1). A cheap robustness extension beyond the
-	// paper's best-of-three-λ policy.
-	Restarts int
-	// LevelRestarts runs this many independent annealing chains per
+	// Restarts runs this many independent annealing chains per
 	// floorplanning level inside each HiDaP placement, keeping the best
-	// (core.Options.Restarts). Orthogonal to Restarts, which restarts whole
-	// placements.
-	LevelRestarts int
-	// SelectBy chooses among HiDaP candidates: "wl" (paper default) keeps
-	// the best wirelength; "timing" keeps the best WNS, breaking ties by
-	// wirelength — the timing-driven selection the paper's conclusions
-	// motivate.
-	SelectBy string
+	// (core.Knobs.Restarts).
+	Restarts int
 	// Parallelism sizes the one work-stealing scheduler the whole HiDaP
-	// solve DAG drains through: candidates (λ × restarts), sibling
-	// hierarchy subtrees inside each placement, and per-level restart
-	// chains are all tasks of the same pool, so the machine stays busy
+	// solve DAG drains through: candidates (one per λ), sibling hierarchy
+	// subtrees inside each placement, and per-level restart chains are all
+	// tasks of the same pool, so the machine stays busy
 	// without any layer multiplying goroutines into another. 1 runs
 	// everything on the calling goroutine; <= 0 means
 	// runtime.GOMAXPROCS(0). Results never depend on it: tasks are
@@ -158,10 +147,10 @@ func Run(ctx context.Context, g *circuits.Generated, flow Flow, opt Options) (*M
 	return m, pl, nil
 }
 
-// runHiDaP evaluates every (restart, λ) candidate on one shared
-// work-stealing pool — candidates, hierarchy subtrees and restart chains
-// are all tasks of the same scheduler — and selects the winner. Selection
-// scans candidates in a fixed order, so the result is identical at any
+// runHiDaP evaluates every λ candidate on one shared work-stealing pool —
+// candidates, hierarchy subtrees and restart chains are all tasks of the
+// same scheduler — and keeps the lowest post-placement wirelength.
+// Selection scans candidates in λ order, so the result is identical at any
 // Parallelism.
 func runHiDaP(ctx context.Context, g *circuits.Generated, opt Options) (*placement.Placement, float64, error) {
 	d := g.Design
@@ -175,22 +164,15 @@ func runHiDaP(ctx context.Context, g *circuits.Generated, opt Options) (*placeme
 		}
 		d = res.Design
 	}
-	restarts := opt.Restarts
-	if restarts < 1 {
-		restarts = 1
-	}
 	type candidate struct {
 		lambda float64
 		pl     *placement.Placement
 		wl     float64
-		wns    float64
 		err    error
 	}
-	cands := make([]candidate, 0, restarts*len(opt.Lambdas))
-	for r := 0; r < restarts; r++ {
-		for _, lambda := range opt.Lambdas {
-			cands = append(cands, candidate{lambda: lambda})
-		}
+	cands := make([]candidate, len(opt.Lambdas))
+	for i, lambda := range opt.Lambdas {
+		cands[i].lambda = lambda
 	}
 	// One pool for the whole run: candidate tasks fork subtree and chain
 	// tasks onto the same lanes, so an idle lane always finds work in some
@@ -205,12 +187,12 @@ func runHiDaP(ctx context.Context, g *circuits.Generated, opt Options) (*placeme
 		}
 		coreOpt := core.DefaultOptions()
 		coreOpt.Lambda = c.lambda
-		coreOpt.Seed = opt.Seed + int64(i/len(opt.Lambdas))*1_000_003
+		coreOpt.Seed = opt.Seed
 		coreOpt.Effort = opt.Effort
-		coreOpt.Restarts = opt.LevelRestarts
+		coreOpt.Restarts = opt.Restarts
 		coreOpt.Sched = pool
 		// Every candidate places the same design: reuse the circuit's cached
-		// Gseq (built under default params, matching coreOpt.Seq) and the
+		// Gseq (built under the default params core assumes) and the
 		// shared scratch pool instead of rebuilding per candidate.
 		coreOpt.SeqGraph = g.SeqGraph()
 		coreOpt.Pool = opt.Pool
@@ -225,9 +207,6 @@ func runHiDaP(ctx context.Context, g *circuits.Generated, opt Options) (*placeme
 			return
 		}
 		c.wl = metrics.WirelengthMeters(c.pl)
-		if opt.SelectBy == "timing" {
-			c.wns = sta.Analyze(g.SeqGraph(), c.pl, eval.CalibrateSTA(d, sta.Options{})).WNSPct
-		}
 	}
 	grp := pool.Group(ctx)
 	for i := range cands {
@@ -240,27 +219,17 @@ func runHiDaP(ctx context.Context, g *circuits.Generated, opt Options) (*placeme
 		if cands[i].err != nil {
 			return nil, 0, cands[i].err
 		}
-		switch {
-		case best < 0:
-			best = i
-		case opt.SelectBy == "timing":
-			if cands[i].wns > cands[best].wns ||
-				(cands[i].wns == cands[best].wns && cands[i].wl < cands[best].wl) {
-				best = i
-			}
-		case cands[i].wl < cands[best].wl:
+		if best < 0 || cands[i].wl < cands[best].wl {
 			best = i
 		}
 	}
 	return cands[best].pl, cands[best].lambda, nil
 }
 
+// cellPlace runs the shared standard-cell placer (place.Run defaults a zero
+// opt.Place).
 func cellPlace(ctx context.Context, pl *placement.Placement, opt Options) error {
-	p := opt.Place
-	if p.GridBins == 0 {
-		p = place.DefaultOptions()
-	}
-	return place.Run(ctx, pl, p)
+	return place.Run(ctx, pl, opt.Place)
 }
 
 // measure computes the Table III metric columns for a fully placed design

@@ -256,30 +256,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestSelectByTiming(t *testing.T) {
-	g := tinyCircuit()
-	opt := fastOpts()
-	opt.Lambdas = []float64{0.2, 0.8}
-	opt.SelectBy = "timing"
-	m, pl, err := Run(context.Background(), g, FlowHiDaP, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl == nil || m.WirelengthM <= 0 {
-		t.Fatal("timing selection produced no placement")
-	}
-	// Timing-selected WNS must be at least as good as WL-selected WNS.
-	optWL := fastOpts()
-	optWL.Lambdas = []float64{0.2, 0.8}
-	mWL, _, err := Run(context.Background(), g, FlowHiDaP, optWL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.WNSPct < mWL.WNSPct-1e-9 {
-		t.Errorf("timing selection WNS %v worse than WL selection %v", m.WNSPct, mWL.WNSPct)
-	}
-}
-
 func TestParallelMatchesSequential(t *testing.T) {
 	g := tinyCircuit()
 	par := fastOpts()

@@ -81,7 +81,6 @@ func (e Effort) schedule(seed int64) anneal.Options {
 type Options struct {
 	Seed   int64
 	Effort Effort
-	Eval   slicing.EvalParams
 	// Pool, when set, supplies the incremental evaluator from a shared
 	// arena pool and returns it after the solve, so repeated solves (the
 	// recursion levels of one placement, or back-to-back jobs on a serving
@@ -102,9 +101,10 @@ type Options struct {
 	Sched *sched.Pool
 }
 
-// DefaultOptions returns medium effort with the standard penalties.
+// DefaultOptions returns medium effort. Levels are always evaluated under
+// slicing.DefaultEvalParams.
 func DefaultOptions() Options {
-	return Options{Effort: EffortMedium, Eval: slicing.DefaultEvalParams()}
+	return Options{Effort: EffortMedium}
 }
 
 // Result is a solved level.
@@ -113,7 +113,11 @@ type Result struct {
 	Rects []geom.Rect
 	// Expr is the winning slicing expression.
 	Expr slicing.Expr
-	// Cost is penalty · Σ dist·affinity of the returned layout.
+	// Cost is penalty · (1 + Σ dist·affinity) of the returned layout. The
+	// additive base keeps the penalty multiplier effective when the
+	// distance sum vanishes: without it, a layout whose attraction points
+	// all coincide would score zero however illegal it is. A pure packing
+	// instance (no pairs) costs exactly its penalty.
 	Cost float64
 	// Penalty is the violation multiplier of the returned layout (1 = legal).
 	Penalty float64
@@ -123,34 +127,15 @@ type Result struct {
 
 // Solve floorplans one level. A cancelled ctx stops the annealing schedules
 // early and returns the best layout reached so far; the caller is expected
-// to check ctx.Err() and abandon the result.
+// to check ctx.Err() and abandon the result. A one-block level anneals
+// like any other: its expression admits only no-op moves, so the schedule
+// ends on the stall rule and the block takes the whole region.
 func Solve(ctx context.Context, p *Problem, opt Options) *Result {
-	nb := len(p.Blocks)
-	if nb == 0 {
+	if len(p.Blocks) == 0 {
 		return &Result{Penalty: 1, Legal: true}
 	}
-	if opt.Eval.CompactPoints == 0 {
-		opt.Eval = slicing.DefaultEvalParams()
-	}
 
-	if nb == 1 {
-		blocks := []slicing.Block{p.Blocks[0].Block}
-		e := slicing.NewBalanced(1)
-		ev := slicing.Evaluate(&e, blocks, p.Region, opt.Eval)
-		return &Result{
-			Rects:   ev.Rects,
-			Expr:    e,
-			Cost:    wirecost(ev, p, affinityPairs(p)),
-			Penalty: ev.Penalty,
-			Legal:   ev.Legal(),
-		}
-	}
-
-	restarts := opt.Restarts
-	if restarts < 1 {
-		restarts = 1
-	}
-	if restarts == 1 {
+	if opt.Restarts <= 1 {
 		return solveChain(ctx, p, opt, opt.Seed, nil)
 	}
 
@@ -162,7 +147,7 @@ func Solve(ctx context.Context, p *Problem, opt Options) *Result {
 	// not depend on which worker ran which chain.
 	var shared pairIndex
 	shared.build(p)
-	results := make([]*Result, restarts)
+	results := make([]*Result, opt.Restarts)
 	if opt.Sched == nil {
 		for i := range results {
 			results[i] = solveChain(ctx, p, opt, chainSeed(opt.Seed, i), &shared)
@@ -226,21 +211,22 @@ func solveChain(ctx context.Context, p *Problem, opt Options, seed int64, idx *p
 	s.cost.init(p, idx)
 	s.expr.SetBalanced(nb)
 
+	params := slicing.DefaultEvalParams()
 	var inc *slicing.Evaluator
 	if opt.Pool != nil {
-		inc = opt.Pool.Get(&s.expr, s.blocks, opt.Eval)
+		inc = opt.Pool.Get(&s.expr, s.blocks, params)
 		defer opt.Pool.Put(inc)
 	} else {
-		inc = slicing.NewEvaluator(&s.expr, s.blocks, opt.Eval)
+		inc = slicing.NewEvaluator(&s.expr, s.blocks, params)
 	}
 	m := mover{inc: inc, cs: &s.cost, region: p.Region, expr: &s.expr, best: &s.best}
 	anneal.RunModel(ctx, opt.Effort.schedule(seed), &m)
 
 	// Final evaluation of the winner reuses the incremental evaluator's
-	// arena (Reset + Eval is bit-identical to a from-scratch Evaluate, per
+	// arena (Reset + Eval is bit-identical to a from-scratch evaluation, per
 	// the differential tests), so the tail of the solve is warm too. Rects
 	// are copied out because the evaluator owns its record.
-	inc.Reset(&s.best, s.blocks, opt.Eval)
+	inc.Reset(&s.best, s.blocks, params)
 	ev := inc.Eval(p.Region)
 	return &Result{
 		Rects:   append([]geom.Rect(nil), ev.Rects...),
@@ -305,8 +291,10 @@ type pairIndex struct {
 	cursor  []int32 // CSR fill scratch
 }
 
-// build extracts the pairs (matching affinityPairs) and the adjacency,
-// reusing the receiver's buffers.
+// build extracts the nonzero upper-triangle affinity entries and their
+// adjacency, reusing the receiver's buffers. Terminal–terminal pairs are
+// dropped: they contribute a layout-independent constant that would only
+// dilute the penalty gradient.
 func (px *pairIndex) build(p *Problem) {
 	nb := len(p.Blocks)
 	n := nb + len(p.Terminals)
@@ -503,53 +491,4 @@ func resizeSlice[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// affinityPairs extracts the nonzero upper-triangle affinity entries,
-// dropping terminal–terminal pairs (they contribute a layout-independent
-// constant that would only dilute the penalty gradient). It is the
-// allocating reference form of costState.init's pair extraction, kept for
-// the single-block path and the differential tests.
-func affinityPairs(p *Problem) []pair {
-	nb := len(p.Blocks)
-	n := nb + len(p.Terminals)
-	var out []pair
-	for i := 0; i < n && i < len(p.Affinity); i++ {
-		row := p.Affinity[i]
-		for j := i + 1; j < n && j < len(row); j++ {
-			if i >= nb && j >= nb {
-				continue
-			}
-			if row[j] != 0 {
-				out = append(out, pair{i, j, row[j]})
-			}
-		}
-	}
-	return out
-}
-
-// wirecost evaluates penalty · (1 + Σ dist · affinity) for a placed level
-// with a plain left-to-right pair sweep. The additive base keeps the
-// penalty multiplier effective when the distance sum vanishes: without it,
-// a layout whose attraction points all coincide would score zero however
-// illegal it is, beating every legal layout exactly when the penalty
-// matters most. The annealing loop maintains the same sum under a
-// fixed-shape summation tree instead (costState); the two agree to within
-// summation-order rounding.
-func wirecost(ev *slicing.Eval, p *Problem, pairs []pair) float64 {
-	nb := len(p.Blocks)
-	pos := func(i int) geom.Point {
-		if i < nb {
-			return ev.Rects[i].Center()
-		}
-		return p.Terminals[i-nb].Pos
-	}
-	var sum float64
-	for _, pr := range pairs {
-		d := pos(pr.i).ManhattanDist(pos(pr.j))
-		sum += float64(d) * pr.w
-	}
-	// A pure packing instance (no pairs) degenerates to optimizing the
-	// penalty alone: sum is 0 and the cost is exactly ev.Penalty.
-	return ev.Penalty * (1 + sum)
 }

@@ -159,8 +159,8 @@ func TestSolveBeatsBadReference(t *testing.T) {
 		sl[i] = blocks[i].Block
 	}
 	e0 := slicing.NewBalanced(n)
-	ev0 := slicing.Evaluate(&e0, sl, p.Region, slicing.DefaultEvalParams())
-	ref := wirecost(ev0, p, affinityPairs(p))
+	ev0 := slicing.NewEvaluator(&e0, sl, slicing.DefaultEvalParams()).Eval(p.Region)
+	ref := wirecost(ev0, p)
 
 	opt := DefaultOptions()
 	opt.Seed = 13
@@ -186,8 +186,6 @@ func TestWirecostDegenerateLayoutLoses(t *testing.T) {
 		Terminals: []Terminal{{Name: "c", Pos: geom.Pt(50, 50)}},
 		Affinity:  aff,
 	}
-	pairs := affinityPairs(p)
-
 	// Illegal layout sitting exactly on the terminal: distance sum is zero.
 	illegal := &slicing.Eval{
 		Rects:          []geom.Rect{geom.RectXYWH(0, 0, 100, 100)},
@@ -199,7 +197,7 @@ func TestWirecostDegenerateLayoutLoses(t *testing.T) {
 		Rects:   []geom.Rect{geom.RectXYWH(2, 2, 100, 100)},
 		Penalty: 1,
 	}
-	ci, cl := wirecost(illegal, p, pairs), wirecost(legal, p, pairs)
+	ci, cl := wirecost(illegal, p), wirecost(legal, p)
 	if ci <= cl {
 		t.Errorf("illegal zero-distance layout costs %v, must exceed legal cost %v", ci, cl)
 	}
@@ -218,9 +216,10 @@ func TestAffinityPairsSkipTerminalTerminal(t *testing.T) {
 		Terminals: []Terminal{{Pos: geom.Pt(0, 0)}, {Pos: geom.Pt(9, 9)}},
 		Affinity:  aff,
 	}
-	pairs := affinityPairs(p)
-	if len(pairs) != 1 || pairs[0].i != 0 || pairs[0].j != 1 {
-		t.Errorf("pairs = %+v, want only block-terminal", pairs)
+	var px pairIndex
+	px.build(p)
+	if len(px.pairs) != 1 || px.pairs[0].i != 0 || px.pairs[0].j != 1 {
+		t.Errorf("pairs = %+v, want only block-terminal", px.pairs)
 	}
 }
 
@@ -281,7 +280,6 @@ func TestDeltaCostMatchesFullRecompute(t *testing.T) {
 	for i := range p.Blocks {
 		blocks[i] = p.Blocks[i].Block
 	}
-	pairs := affinityPairs(p)
 	expr := slicing.NewBalanced(nb)
 	inc := slicing.NewEvaluator(&expr, blocks, slicing.DefaultEvalParams())
 	var cs, ref costState
@@ -299,7 +297,7 @@ func TestDeltaCostMatchesFullRecompute(t *testing.T) {
 		if sum != want {
 			t.Fatalf("step %d: delta sum %v != full rebuild %v (bit mismatch)", step, sum, want)
 		}
-		plain := wirecost(ev, p, pairs) // penalty·(1+sum) with left-to-right fold
+		plain := wirecost(ev, p) // penalty·(1+sum) with left-to-right fold
 		got := ev.Penalty * (1 + sum)
 		if diff := math.Abs(got - plain); diff > 1e-9*math.Abs(plain) {
 			t.Fatalf("step %d: tree cost %v vs plain wirecost %v beyond rounding", step, got, plain)
@@ -365,4 +363,26 @@ func TestSolveRestartsNeverWorse(t *testing.T) {
 	if multi.Cost > single.Cost {
 		t.Fatalf("restarts=5 cost %v worse than single-chain %v", multi.Cost, single.Cost)
 	}
+}
+
+// wirecost is the reference form of Result.Cost: penalty · (1 + Σ dist ·
+// affinity) with a plain left-to-right pair sweep. costState maintains the
+// same sum under a fixed summation order instead; the two agree to within
+// summation-order rounding.
+func wirecost(ev *slicing.Eval, p *Problem) float64 {
+	var px pairIndex
+	px.build(p)
+	nb := len(p.Blocks)
+	pos := func(i int) geom.Point {
+		if i < nb {
+			return ev.Rects[i].Center()
+		}
+		return p.Terminals[i-nb].Pos
+	}
+	var sum float64
+	for _, pr := range px.pairs {
+		d := pos(pr.i).ManhattanDist(pos(pr.j))
+		sum += float64(d) * pr.w
+	}
+	return ev.Penalty * (1 + sum)
 }

@@ -33,10 +33,6 @@ type Options struct {
 	// clamped to [0.35, 0.8] — the uniform-density target a production
 	// global placer spreads toward.
 	TargetUtil float64
-	// Hints optionally seeds movable cells at estimated positions
-	// (indexed by cell; used with HasHint).
-	Hints   []geom.Point
-	HasHint []bool
 }
 
 // DefaultOptions returns the standard settings (TargetUtil auto-derived).
@@ -69,14 +65,9 @@ func Run(ctx context.Context, pl *placement.Placement, opt Options) error {
 		return nil
 	}
 
-	// Initial positions: hints if provided, else the die center.
 	center := d.Die.Center()
 	for _, id := range movable {
-		p := center
-		if opt.Hints != nil && opt.HasHint != nil && opt.HasHint[id] {
-			p = opt.Hints[id]
-		}
-		pl.Place(id, p)
+		pl.Place(id, center)
 	}
 
 	if opt.TargetUtil <= 0 {

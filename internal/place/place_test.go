@@ -143,23 +143,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestHintsRespected(t *testing.T) {
-	d, pl, ga, _ := anchored(t)
-	opt := DefaultOptions()
-	opt.Iterations = 0 // no refinement: initial positions survive
-	opt.Hints = make([]geom.Point, len(d.Cells))
-	opt.HasHint = make([]bool, len(d.Cells))
-	opt.Hints[ga[0]] = geom.Pt(12_345, 54_321)
-	opt.HasHint[ga[0]] = true
-	if err := Run(context.Background(), pl, opt); err != nil {
-		t.Fatal(err)
-	}
-	got := pl.Pos[ga[0]]
-	if got != (geom.Pt(12_345, 54_321)) {
-		t.Errorf("hint ignored: %v", got)
-	}
-}
-
 func TestSpreadRelievesDensity(t *testing.T) {
 	// All cells wired to one central macro: without spreading they would
 	// collapse onto it; spreading must pull bin peaks below ~3x target.

@@ -7,10 +7,15 @@ import (
 	"repro/internal/shape"
 )
 
-// Evaluator is the incremental counterpart of Evaluate for annealing hot
-// loops. Construction thins every leaf curve once and composes the full
-// tree; each Perturb then re-parses the expression with cheap integer work,
-// diffs it against the cached tree and recomposes only the dirty nodes —
+// Evaluator runs the paper's top-down area-budgeting layout generation
+// (§IV-E, Fig. 8) incrementally, for annealing hot loops: the budget
+// rectangle is recursively partitioned according to the target areas of
+// each subtree; cuts that would make a subtree's macros unplaceable shift
+// area from the sibling, charging graded penalties for the kind of area
+// yielded, and the layout always tiles the budget exactly. Construction
+// thins every leaf curve once and composes the full tree; each Perturb then
+// re-parses the expression with cheap integer work, diffs it against the
+// cached tree and recomposes only the dirty nodes —
 // the moved positions and their ancestors, O(depth) curve compositions per
 // move instead of O(n). The top-down assign pass of Eval is incremental
 // too: every node caches the rectangle it was last assigned and its
@@ -23,10 +28,9 @@ import (
 // the tree — so recomposition sweeps contiguous memory instead of chasing a
 // heap slice per node.
 //
-// Results are bit-identical to Evaluate on the same expression, blocks,
-// budget and params: the evaluator reuses the same composition, split,
-// repair and penalty code paths, and a differential test enforces equality
-// across randomized move sequences.
+// Results are bit-identical to a from-scratch evaluation of the same
+// expression, blocks, budget and params: the tests keep one (Evaluate in
+// oracle_test.go) and enforce equality across randomized move sequences.
 //
 // Undo restores both the expression and the cached tree to their state
 // before the last Perturb. It is valid only until the next Perturb call and
@@ -582,9 +586,11 @@ func (ev *Evaluator) RootCurve() shape.Curve {
 // whose composed state did not change since the previous Eval, and whose
 // budget rectangle is identical, is skipped — its leaves' rectangles are
 // already correct in Rects and its cached violation sums are reused. The
-// result is bit-identical to Evaluate on the same expression and budget
-// (both sum violations over the same tree association; differentially
-// tested).
+// result is bit-identical to a from-scratch pass on the same expression
+// and budget: violations are summed hierarchically — each subtree's totals
+// combine as own + left + right — rather than in leaf-visit order, and that
+// fixed association is what lets the cache skip clean subtrees
+// (floating-point addition is not associative; differentially tested).
 //
 //hidapvet:hotpath
 func (ev *Evaluator) Eval(budget geom.Rect) *Eval {
@@ -633,8 +639,8 @@ func (ev *Evaluator) setLeafRect(b int32, r geom.Rect, out *Eval) {
 	out.Rects[b] = r
 }
 
-// assign mirrors Evaluate's recursive rectangle assignment over the cached
-// arena, returning the subtree's hierarchical violation sums. Method
+// assign is the recursive rectangle assignment over the cached arena,
+// returning the subtree's hierarchical violation sums. Method
 // recursion keeps the hot path free of closure allocations. Each visited
 // node caches ⟨budget rect, subtree sums⟩; a revisit with an identical rect
 // on an untouched subtree returns the cached sums without descending —

@@ -48,21 +48,36 @@ func evalsEqual(t *testing.T, tag string, inc, full *Eval) {
 // TestEvaluatorMatchesEvaluate is the differential contract of the
 // incremental evaluator: across seeded random move sequences — including
 // rejected moves restored through undo and varying budgets — every Eval must
-// equal the from-scratch Evaluate of the same expression bit for bit.
+// equal the from-scratch Evaluate of the same expression bit for bit. A
+// one-block level goes through the same evaluator (its moves are no-ops),
+// so single soft, fitting and oversized macro blocks are checked too.
 func TestEvaluatorMatchesEvaluate(t *testing.T) {
+	p := DefaultEvalParams()
+	budgets := []geom.Rect{
+		geom.RectXYWH(0, 0, 1500, 1200),
+		geom.RectXYWH(10, 20, 700, 900),
+		geom.RectXYWH(0, 0, 350, 300), // tight: violations accrue
+		{},                            // empty: Rects must clear, not go stale
+	}
+	for _, b := range []Block{
+		{TargetArea: 300_000, MinArea: 150_000},
+		{Curve: shape.FromBoxRotatable(300, 200), MinArea: 60_000, TargetArea: 90_000},
+		{Curve: shape.FromBox(2_000, 300), MinArea: 600_000, TargetArea: 900_000},
+	} {
+		blocks := []Block{b}
+		expr := NewBalanced(1)
+		inc := NewEvaluator(&expr, blocks, p)
+		for _, budget := range budgets {
+			evalsEqual(t, "single block", inc.Eval(budget), Evaluate(&expr, blocks, budget, p))
+		}
+	}
+
 	rng := rand.New(rand.NewSource(1234))
 	for _, n := range []int{1, 2, 3, 5, 9, 16, 24} {
 		blocks := randomBlocks(rng, n)
 		expr := NewBalanced(n)
-		p := DefaultEvalParams()
 		inc := NewEvaluator(&expr, blocks, p)
 
-		budgets := []geom.Rect{
-			geom.RectXYWH(0, 0, 1500, 1200),
-			geom.RectXYWH(10, 20, 700, 900),
-			geom.RectXYWH(0, 0, 350, 300), // tight: violations accrue
-			{},                            // empty: Rects must clear, not go stale
-		}
 		// Initial state, before any move.
 		evalsEqual(t, "initial", inc.Eval(budgets[0]), Evaluate(&expr, blocks, budgets[0], p))
 
@@ -164,24 +179,6 @@ func TestEvaluatorRootCurveMatchesComposition(t *testing.T) {
 func benchAnnealState(n int) ([]Block, Expr, geom.Rect, EvalParams) {
 	rng := rand.New(rand.NewSource(4242))
 	return randomBlocks(rng, n), NewBalanced(n), geom.RectXYWH(0, 0, 1500, 1200), DefaultEvalParams()
-}
-
-// BenchmarkSlicingEvaluate measures the old hot path: one full from-scratch
-// Evaluate per proposed move.
-func BenchmarkSlicingEvaluate(b *testing.B) {
-	blocks, expr, budget, p := benchAnnealState(24)
-	rng := rand.New(rand.NewSource(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var mv Move
-	for i := 0; i < b.N; i++ {
-		expr.PerturbMove(rng, &mv)
-		ev := Evaluate(&expr, blocks, budget, p)
-		if i%2 == 0 {
-			expr.UndoMove(&mv)
-		}
-		_ = ev
-	}
 }
 
 // BenchmarkSlicingEvaluator measures the incremental path: Perturb + Eval

@@ -87,6 +87,12 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// evalOnce evaluates e against budget through a fresh Evaluator, the code
+// the annealer runs.
+func evalOnce(e *Expr, blocks []Block, budget geom.Rect) *Eval {
+	return NewEvaluator(e, blocks, DefaultEvalParams()).Eval(budget)
+}
+
 // fig8Style reproduces the paper's Fig. 8 mechanics: a 3-leaf tree with
 // target areas (3, 3, 3) on a 3x3 budget (scaled by 100 for integer DBUs).
 func TestEvaluateFig8Tiling(t *testing.T) {
@@ -100,7 +106,7 @@ func TestEvaluateFig8Tiling(t *testing.T) {
 		t.Fatal("test expression invalid")
 	}
 	budget := geom.RectXYWH(0, 0, 300, 300)
-	ev := Evaluate(&e, blocks, budget, DefaultEvalParams())
+	ev := evalOnce(&e, blocks, budget)
 
 	want := []geom.Rect{
 		geom.RectXYWH(0, 0, 150, 200),
@@ -134,7 +140,7 @@ func TestEvaluateExactTiling(t *testing.T) {
 			e.PerturbMove(rng, &mv)
 		}
 		budget := geom.RectXYWH(0, 0, int64(500+rng.Intn(500)), int64(500+rng.Intn(500)))
-		ev := Evaluate(&e, blocks, budget, DefaultEvalParams())
+		ev := evalOnce(&e, blocks, budget)
 
 		var sum int64
 		for i, r := range ev.Rects {
@@ -164,7 +170,7 @@ func TestEvaluateProportionalAreas(t *testing.T) {
 		{TargetArea: 300},
 	}
 	e := Expr{elems: []int32{0, 1, OpV}, n: 2}
-	ev := Evaluate(&e, blocks, geom.RectXYWH(0, 0, 400, 100), DefaultEvalParams())
+	ev := evalOnce(&e, blocks, geom.RectXYWH(0, 0, 400, 100))
 	if ev.Rects[0].W != 100 || ev.Rects[1].W != 300 {
 		t.Errorf("widths = %d, %d, want 100, 300", ev.Rects[0].W, ev.Rects[1].W)
 	}
@@ -178,7 +184,7 @@ func TestEvaluateRepairShiftsCut(t *testing.T) {
 		{TargetArea: 10000},
 	}
 	e := Expr{elems: []int32{0, 1, OpV}, n: 2}
-	ev := Evaluate(&e, blocks, geom.RectXYWH(0, 0, 400, 60), DefaultEvalParams())
+	ev := evalOnce(&e, blocks, geom.RectXYWH(0, 0, 400, 60))
 	if ev.Rects[0].W < 200 {
 		t.Errorf("macro leaf width = %d, want >= 200 after repair", ev.Rects[0].W)
 	}
@@ -194,7 +200,7 @@ func TestEvaluateInfeasibleChargesMacro(t *testing.T) {
 		{Curve: shape.FromBox(300, 50), TargetArea: 15000, MinArea: 15000},
 	}
 	e := Expr{elems: []int32{0, 1, OpV}, n: 2}
-	ev := Evaluate(&e, blocks, geom.RectXYWH(0, 0, 400, 60), DefaultEvalParams())
+	ev := evalOnce(&e, blocks, geom.RectXYWH(0, 0, 400, 60))
 	if ev.ViolationMacro == 0 {
 		t.Error("expected macro violation for infeasible cut")
 	}
@@ -206,7 +212,7 @@ func TestEvaluateInfeasibleChargesMacro(t *testing.T) {
 	}
 	// The horizontal stack of the same blocks is feasible in a tall budget.
 	e2 := Expr{elems: []int32{0, 1, OpH}, n: 2}
-	ev2 := Evaluate(&e2, blocks, geom.RectXYWH(0, 0, 400, 120), DefaultEvalParams())
+	ev2 := evalOnce(&e2, blocks, geom.RectXYWH(0, 0, 400, 120))
 	if ev2.ViolationMacro != 0 {
 		t.Errorf("stacked layout should be feasible, violation = %v", ev2.ViolationMacro)
 	}
@@ -220,7 +226,7 @@ func TestEvaluateAtUnderrunCharged(t *testing.T) {
 		{TargetArea: 100000, MinArea: 100},
 	}
 	e := Expr{elems: []int32{0, 1, OpV}, n: 2}
-	ev := Evaluate(&e, blocks, geom.RectXYWH(0, 0, 100, 100), DefaultEvalParams())
+	ev := evalOnce(&e, blocks, geom.RectXYWH(0, 0, 100, 100))
 	if ev.ViolationAt == 0 {
 		t.Error("expected at violations for tiny budget")
 	}
@@ -236,7 +242,7 @@ func TestEvaluateSingleBlock(t *testing.T) {
 	blocks := []Block{{TargetArea: 100}}
 	e := NewBalanced(1)
 	budget := geom.RectXYWH(10, 20, 30, 40)
-	ev := Evaluate(&e, blocks, budget, DefaultEvalParams())
+	ev := evalOnce(&e, blocks, budget)
 	if ev.Rects[0] != budget {
 		t.Errorf("single block rect = %v, want the whole budget", ev.Rects[0])
 	}
@@ -261,8 +267,8 @@ func TestEvaluateDeterministic(t *testing.T) {
 		e.PerturbMove(rng, &mv)
 	}
 	budget := geom.RectXYWH(0, 0, 333, 444)
-	a := Evaluate(&e, blocks, budget, DefaultEvalParams())
-	b := Evaluate(&e, blocks, budget, DefaultEvalParams())
+	a := evalOnce(&e, blocks, budget)
+	b := evalOnce(&e, blocks, budget)
 	for i := range a.Rects {
 		if a.Rects[i] != b.Rects[i] {
 			t.Fatal("evaluation nondeterministic")
