@@ -133,18 +133,17 @@ func composeParts(ctx context.Context, parts []shape.Curve, seed int64, pool *sl
 type composer struct {
 	inc  *slicing.Evaluator
 	acc  shape.Curve
-	us   shape.Scratch
 	ubuf []shape.Point
 }
 
 func (c *composer) Cost() float64 {
 	root := c.inc.RootCurve()
-	// The scratch form copies the corners into ubuf (so accumulating the
-	// evaluator-owned curve stays safe across later moves) and reuses the
+	// UnionInto copies the corners into ubuf (so accumulating the
+	// evaluator-owned view stays safe across later moves) and reuses the
 	// buffer every step instead of allocating a fresh candidate slice per
-	// move; acc aliases ubuf between calls, which Scratch.Union's in-place
+	// move; acc aliases ubuf between calls, which UnionInto's in-place
 	// prune tolerates.
-	c.acc, c.ubuf = c.us.Union(c.ubuf, c.acc, root)
+	c.acc, c.ubuf = shape.UnionInto(c.ubuf, c.acc, root)
 	return float64(root.MinArea())
 }
 

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/geom"
@@ -215,14 +216,14 @@ func (b *Builder) MustBuild() *Design {
 	return d
 }
 
+// isqrt returns floor(sqrt(v)), 0 for v <= 0. Newton's iteration starts
+// from a power of two at or above the root, at most 2^32 for any int64, so
+// no step overflows.
 func isqrt(v int64) int64 {
 	if v <= 0 {
 		return 0
 	}
-	x := int64(1)
-	for x*x < v {
-		x <<= 1
-	}
+	x := int64(1) << ((bits.Len64(uint64(v)) + 1) / 2)
 	for {
 		y := (x + v/x) / 2
 		if y >= x {

@@ -77,7 +77,14 @@ func WriteJSON(w io.Writer, d *Design) error {
 	return enc.Encode(&jd)
 }
 
+// maxCellDim bounds a cell's width and height in DBU on input, so that no
+// cell's area W*H can overflow int64.
+const maxCellDim = 1 << 31
+
 // ReadJSON parses the JSON interchange form back into a validated Design.
+// It is an untrusted edge (hidap-serve reads client designs through it), so
+// it rejects cell outlines outside [0, maxCellDim] and port positions that
+// name a cell out of range or a cell that is not a port.
 func ReadJSON(r io.Reader) (*Design, error) {
 	var jd jsonDesign
 	dec := json.NewDecoder(r)
@@ -93,6 +100,12 @@ func ReadJSON(r io.Reader) (*Design, error) {
 		kind, err := parseKind(jc.Kind)
 		if err != nil {
 			return nil, fmt.Errorf("netlist: json cell %d: %w", i, err)
+		}
+		if jc.W < 0 || jc.W > maxCellDim {
+			return nil, fmt.Errorf("netlist: json cell %d: w %d out of range [0, %d]", i, jc.W, maxCellDim)
+		}
+		if jc.H < 0 || jc.H > maxCellDim {
+			return nil, fmt.Errorf("netlist: json cell %d: h %d out of range [0, %d]", i, jc.H, maxCellDim)
 		}
 		b.AddCell(jc.Name, kind, jc.W, jc.H, jc.Hier)
 	}
@@ -110,7 +123,13 @@ func ReadJSON(r io.Reader) (*Design, error) {
 		}
 		b.ConnectAt(CellID(jp.Cell), netIDs[jp.Net], dir, geom.Pt(jp.OffX, jp.OffY))
 	}
-	for _, pp := range jd.PortPos {
+	for i, pp := range jd.PortPos {
+		if pp[0] < 0 || pp[0] >= int64(len(jd.Cells)) {
+			return nil, fmt.Errorf("netlist: json port_pos %d: cell %d out of range [0, %d)", i, pp[0], len(jd.Cells))
+		}
+		if kind := jd.Cells[pp[0]].Kind; kind != "port" {
+			return nil, fmt.Errorf("netlist: json port_pos %d: cell %d is a %s, not a port", i, pp[0], kind)
+		}
 		b.SetPortPos(CellID(pp[0]), geom.Pt(pp[1], pp[2]))
 	}
 	return b.Build()

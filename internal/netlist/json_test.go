@@ -67,18 +67,47 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadJSONErrors pins the decoder's input checks, one case per
+// rejection, each error naming the offending field; the design the outline
+// and port_pos cases vary still reads at the size bound.
 func TestReadJSONErrors(t *testing.T) {
+	design := func(macroW, macroH, portPos string) string {
+		return `{"name":"x","die":[0,0,100,100],"cells":[` +
+			`{"name":"m","kind":"macro","w":` + macroW + `,"h":` + macroH + `},` +
+			`{"name":"p","kind":"port"},{"name":"g","kind":"comb","w":2,"h":1}],` +
+			`"nets":["n"],"pins":[{"cell":1,"net":0,"dir":"out"},{"cell":0,"net":0,"dir":"in"}]` +
+			`,"port_pos":[` + portPos + `]}`
+	}
 	cases := []struct {
 		name, src, frag string
 	}{
 		{"garbage", "{not json", "json"},
 		{"bad kind", `{"name":"x","die":[0,0,10,10],"cells":[{"name":"c","kind":"gizmo"}],"nets":[],"pins":[]}`, "kind"},
 		{"bad net ref", `{"name":"x","die":[0,0,10,10],"cells":[{"name":"c","kind":"comb","w":1,"h":1}],"nets":[],"pins":[{"cell":0,"net":5,"dir":"in"}]}`, "range"},
+		{"negative w", design("-100", "10", ""), "w -100 out of range"},
+		{"negative h", design("10", "-1", ""), "h -1 out of range"},
+		{"w overflows area", design("9223372036854775807", "10", ""), "w 9223372036854775807 out of range"},
+		{"h past bound", design("10", "2147483649", ""), "h 2147483649 out of range"},
+		{"port index truncates", design("10", "10", "[4294967297,5,7]"), "port_pos 0: cell 4294967297 out of range"},
+		{"port index negative", design("10", "10", "[1,0,0],[-1,5,7]"), "port_pos 1: cell -1 out of range"},
+		{"port index past last cell", design("10", "10", "[9,2,2]"), "port_pos 0: cell 9 out of range"},
+		{"port pos on a macro", design("10", "10", "[0,1,1]"), "port_pos 0: cell 0 is a macro, not a port"},
+		{"port pos on a comb", design("10", "10", "[2,1,1]"), "port_pos 0: cell 2 is a comb, not a port"},
 	}
 	for _, c := range cases {
 		if _, err := ReadJSON(strings.NewReader(c.src)); err == nil || !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("%s: err = %v, want contains %q", c.name, err, c.frag)
 		}
+	}
+	d, err := ReadJSON(strings.NewReader(design("2147483648", "2147483648", "[1,0,50]")))
+	if err != nil {
+		t.Fatalf("valid design: %v", err)
+	}
+	if m := d.Cell(d.CellByName("m")); m.Width != 1<<31 || m.Height != 1<<31 {
+		t.Errorf("macro outline = %dx%d, want %dx%d", m.Width, m.Height, 1<<31, 1<<31)
+	}
+	if p := d.CellByName("p"); !d.HasPortPos(p) || d.PortPos(p) != geom.Pt(0, 50) {
+		t.Errorf("port position lost")
 	}
 }
 

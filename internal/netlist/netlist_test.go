@@ -2,6 +2,8 @@ package netlist
 
 import (
 	"fmt"
+	"math"
+	"math/big"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -294,5 +296,21 @@ func TestBuilderQuickCellCounts(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIsqrt pins isqrt to floor(sqrt(v)) across the int64 range, including
+// the values above 2^62 whose squares overflow.
+func TestIsqrt(t *testing.T) {
+	for _, v := range []int64{0, 1, 2, 3, 4, 15, 16, 17, 1 << 40, 1<<62 - 1, 1 << 62, 1<<62 + 1, math.MaxInt64} {
+		x := isqrt(v)
+		lo := new(big.Int).Mul(big.NewInt(x), big.NewInt(x))
+		hi := new(big.Int).Mul(big.NewInt(x+1), big.NewInt(x+1))
+		if lo.Cmp(big.NewInt(v)) > 0 || hi.Cmp(big.NewInt(v)) <= 0 {
+			t.Errorf("isqrt(%d) = %d, not the floor square root", v, x)
+		}
+	}
+	if isqrt(-5) != 0 {
+		t.Errorf("isqrt(-5) = %d, want 0", isqrt(-5))
 	}
 }

@@ -15,16 +15,20 @@ func randCurve(rng *rand.Rand, maxPts int) Curve {
 	return FromPoints(pts)
 }
 
-// TestArenaCombineDifferential pins the slab kernels corner for corner
-// against the Scratch/Curve composition and query paths across randomized
+// sentinel fills every slab corner no curve occupies; a combine that writes
+// outside its destination region shows up as a changed sentinel.
+var sentinel = Point{-7, -7}
+
+// TestArenaCombineDifferential pins the slab combines corner for corner
+// against the allocating CombineH/CombineV(l, r).Thin(k) across randomized
 // operand pairs, including empty operands and every thin budget the
-// evaluators use.
+// evaluators use. Operands and destination land at random non-overlapping
+// offsets of one slab with sentinels everywhere else; the combine must leave
+// the operands and every corner outside its l.N+r.N destination region
+// untouched.
 func TestArenaCombineDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var s Scratch
-	var dst []Point
 	var a Arena
-	a.Resize(4 * MaxPoints)
 	for iter := 0; iter < 2000; iter++ {
 		l, r := randCurve(rng, 20), randCurve(rng, 20)
 		if rng.Intn(10) == 0 {
@@ -34,44 +38,53 @@ func TestArenaCombineDifferential(t *testing.T) {
 			r = Curve{}
 		}
 		k := []int{2, 3, 12, 16, MaxPoints}[rng.Intn(5)]
-		ls := a.SetCurve(0, l)
-		rs := a.SetCurve(MaxPoints, r)
 		for _, beside := range []bool{true, false} {
+			// Lay out the three regions in a random order with random gaps.
+			a.Resize(4 * MaxPoints)
+			for i := range a.pts {
+				a.pts[i] = sentinel
+			}
+			var ls, rs Span
+			var dst, cur int32
+			for _, region := range rng.Perm(3) {
+				cur += int32(rng.Intn(4))
+				switch region {
+				case 0:
+					ls = a.SetCurve(cur, l)
+					cur += ls.N
+				case 1:
+					rs = a.SetCurve(cur, r)
+					cur += rs.N
+				default:
+					dst = cur
+					cur += int32(l.Len() + r.Len())
+				}
+			}
+			var got Span
 			var want Curve
-			want, dst = s.CombineH(dst, l, r, k)
-			got := a.CombineH(2*MaxPoints, ls, rs, k)
-			if !beside {
-				want, dst = s.CombineV(dst, l, r, k)
-				got = a.CombineV(2*MaxPoints, ls, rs, k)
+			if beside {
+				got = a.CombineH(dst, ls, rs, k)
+				want = CombineH(l, r).Thin(k)
+			} else {
+				got = a.CombineV(dst, ls, rs, k)
+				want = CombineV(l, r).Thin(k)
 			}
-			if int(got.N) != want.Len() {
-				t.Fatalf("iter %d beside=%v k=%d: span len %d, curve len %d", iter, beside, k, got.N, want.Len())
+			view := a.Curve(got)
+			if got.Off != dst || view.String() != want.String() {
+				t.Fatalf("iter %d beside=%v k=%d: span %+v %v, want offset %d %v", iter, beside, k, got, view, dst, want)
 			}
-			for i := 0; i < want.Len(); i++ {
-				if a.Corner(got, i) != want.Corner(i) {
-					t.Fatalf("iter %d beside=%v k=%d corner %d: %v != %v", iter, beside, k, i, a.Corner(got, i), want.Corner(i))
-				}
+			if cap(view.pts) != view.Len() {
+				t.Fatalf("iter %d: view capacity %d exceeds its %d corners", iter, cap(view.pts), view.Len())
 			}
-			// Query kernels must agree on the composed result.
-			for q := 0; q < 8; q++ {
-				w := rng.Int63n(1200)
-				h := rng.Int63n(1200)
-				gh, gok := a.MinHeightForWidth(got, w)
-				wh, wok := want.MinHeightForWidth(w)
-				if gh != wh || gok != wok {
-					t.Fatalf("MinHeightForWidth(%d): (%d,%v) != (%d,%v)", w, gh, gok, wh, wok)
-				}
-				gw, gok := a.MinWidthForHeight(got, h)
-				ww, wok := want.MinWidthForHeight(h)
-				if gw != ww || gok != wok {
-					t.Fatalf("MinWidthForHeight(%d): (%d,%v) != (%d,%v)", h, gw, gok, ww, wok)
-				}
-				if a.Fits(got, w, h) != want.Fits(w, h) {
-					t.Fatalf("Fits(%d,%d) disagrees", w, h)
-				}
+			if a.Curve(ls).String() != l.String() || a.Curve(rs).String() != r.String() {
+				t.Fatalf("iter %d beside=%v: combine overwrote an operand", iter, beside)
 			}
-			if a.MinWidth(got) != want.MinWidth() || a.MinHeight(got) != want.MinHeight() {
-				t.Fatalf("MinWidth/MinHeight disagree")
+			for i, p := range a.pts {
+				i := int32(i)
+				inside := func(off, n int32) bool { return i >= off && i < off+n }
+				if !inside(ls.Off, ls.N) && !inside(rs.Off, rs.N) && !inside(dst, int32(l.Len()+r.Len())) && p != sentinel {
+					t.Fatalf("iter %d beside=%v: corner %d outside the destination overwritten with %v", iter, beside, i, p)
+				}
 			}
 		}
 	}
@@ -85,52 +98,29 @@ func TestArenaSetCurveThinned(t *testing.T) {
 	for iter := 0; iter < 500; iter++ {
 		c := randCurve(rng, 40)
 		k := 2 + rng.Intn(20)
-		got := a.SetCurveThinned(0, c, k)
-		want := c.Thin(k)
-		if int(got.N) != want.Len() {
-			t.Fatalf("iter %d k=%d: span len %d, want %d", iter, k, got.N, want.Len())
-		}
-		for i := 0; i < want.Len(); i++ {
-			if a.Corner(got, i) != want.Corner(i) {
-				t.Fatalf("iter %d corner %d: %v != %v", iter, i, a.Corner(got, i), want.Corner(i))
-			}
+		got := a.Curve(a.SetCurveThinned(0, c, k))
+		if want := c.Thin(k); got.String() != want.String() {
+			t.Fatalf("iter %d k=%d: %v, want %v", iter, k, got, want)
 		}
 	}
 }
 
-// TestScratchThinUnionDifferential pins the new scratch variants against
-// their allocating counterparts.
-func TestScratchThinUnionDifferential(t *testing.T) {
+// TestUnionIntoDifferential pins UnionInto against Union, including the
+// accumulation form whose first operand aliases the destination buffer.
+func TestUnionIntoDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	var s Scratch
 	var dst []Point
+	var acc Curve
 	for iter := 0; iter < 500; iter++ {
 		a, b := randCurve(rng, 30), randCurve(rng, 30)
 		var got Curve
-		got, dst = s.Union(dst, a, b)
-		want := Union(a, b)
-		if got.String() != want.String() {
-			t.Fatalf("iter %d: scratch union %v != %v", iter, got, want)
+		got, dst = UnionInto(dst, a, b)
+		if want := Union(a, b); got.String() != want.String() {
+			t.Fatalf("iter %d: UnionInto %v != %v", iter, got, want)
 		}
-		k := 2 + rng.Intn(12)
-		got, dst = s.Thin(dst, a, k)
-		if want := a.Thin(k); got.String() != want.String() {
-			t.Fatalf("iter %d: scratch thin %v != %v", iter, got, want)
+		want := Union(acc, a)
+		if acc, dst = UnionInto(dst, acc, a); acc.String() != want.String() {
+			t.Fatalf("iter %d: aliased UnionInto %v != %v", iter, acc, want)
 		}
-	}
-}
-
-// TestArenaCombineAllocs pins the slab combine at zero allocations.
-func TestArenaCombineAllocs(t *testing.T) {
-	var a Arena
-	a.Resize(4 * MaxPoints)
-	l := a.SetCurve(0, FromBoxRotatable(120, 80))
-	r := a.SetCurve(MaxPoints, FromBoxRotatable(95, 60))
-	avg := testing.AllocsPerRun(400, func() {
-		a.CombineH(2*MaxPoints, l, r, 8)
-		a.CombineV(3*MaxPoints, l, r, 8)
-	})
-	if avg != 0 {
-		t.Fatalf("arena combine allocates %.2f objects/run, want 0", avg)
 	}
 }

@@ -60,13 +60,6 @@ func FromBoxRotatable(w, h int64) Curve {
 	return FromPoints([]Point{{w, h}, {h, w}})
 }
 
-// FromCanonical wraps an already-canonical corner list — sorted by strictly
-// increasing W, strictly decreasing H, Pareto-minimal — without copying or
-// validating. The curve aliases pts; callers own both. It exists so slab
-// evaluators (Arena) can materialize a curve into a reusable buffer without
-// re-pruning what is canonical by construction.
-func FromCanonical(pts []Point) Curve { return Curve{pts: pts} }
-
 // FromPoints builds a curve from arbitrary candidate boxes, pruning
 // dominated ones. The input slice is not modified.
 func FromPoints(pts []Point) Curve {
@@ -241,7 +234,7 @@ func (c Curve) MinArea() int64 { return c.MinAreaPoint().Area() }
 
 // Thin returns a copy of the curve with at most k corners, always keeping
 // the two extremes. Thinned curves stay conservative (see thinInPlace).
-// Hot paths that already own a buffer use Scratch.Thin or an Arena instead.
+// Hot paths that already own a buffer thin inside an Arena instead.
 func (c Curve) Thin(k int) Curve {
 	if len(c.pts) <= k {
 		return c
@@ -372,77 +365,15 @@ func mergeV(dst []Point, a, b []Point) []Point {
 	return dst
 }
 
-// Scratch holds reusable buffers for allocation-free curve composition in
-// annealing hot loops. The zero value is ready to use; a Scratch must not be
-// shared between goroutines. (The Stockmeyer merge writes straight into the
-// caller's destination buffer, so the type currently carries no state; it is
-// kept so the composition API has a place for future scratch again.)
-type Scratch struct{}
-
-// CombineH is CombineH(a, b).Thin(k) computed without allocating in steady
-// state: cross-product candidates go through the scratch buffer and the
-// final corners are written into dst (reusing its capacity, growing it only
-// when needed). The returned curve aliases the returned slice; both remain
-// valid until dst is reused in another call. Results are identical to the
-// allocating path corner for corner.
+// UnionInto is Union(a, b) written into dst without allocating in steady
+// state — the binary form covers the accumulation loops of shape-curve
+// generation. The corners are copied into dst (reusing its capacity, growing
+// it only when needed) and pruned in place, so a may alias dst. The returned
+// curve aliases the returned slice; both remain valid until dst is reused in
+// another call. Results are identical to Union corner for corner.
 //
 //hidapvet:hotpath
-func (s *Scratch) CombineH(dst []Point, a, b Curve, k int) (Curve, []Point) {
-	return s.combine(dst, a, b, k, true)
-}
-
-// CombineV is the CombineV(a, b).Thin(k) counterpart of Scratch.CombineH.
-//
-//hidapvet:hotpath
-func (s *Scratch) CombineV(dst []Point, a, b Curve, k int) (Curve, []Point) {
-	return s.combine(dst, a, b, k, false)
-}
-
-//hidapvet:hotpath
-func (s *Scratch) combine(dst []Point, a, b Curve, k int, beside bool) (Curve, []Point) {
-	// Empty operands mirror CombineH/CombineV: the other curve passes
-	// through untouched (then gets the caller's Thin budget), but is copied
-	// so the result never aliases an input.
-	if a.Empty() {
-		dst = thinInPlace(append(dst[:0], b.pts...), k)
-		return Curve{pts: dst}, dst
-	}
-	if b.Empty() {
-		dst = thinInPlace(append(dst[:0], a.pts...), k)
-		return Curve{pts: dst}, dst
-	}
-	// The merge emits the canonical frontier directly into dst; the
-	// two-stage reduction of the allocating path (thin to MaxPoints, then
-	// the caller's budget) applies on top, so results stay identical to
-	// CombineH/CombineV(a, b).Thin(k) corner for corner.
-	if beside {
-		dst = mergeH(dst[:0], a.pts, b.pts)
-	} else {
-		dst = mergeV(dst[:0], a.pts, b.pts)
-	}
-	dst = thinInPlace(dst, MaxPoints)
-	dst = thinInPlace(dst, k)
-	return Curve{pts: dst}, dst
-}
-
-// Thin is c.Thin(k) into dst without allocating in steady state: the corners
-// are copied into dst (reusing its capacity) and thinned in place. The
-// returned curve aliases the returned slice; both remain valid until dst is
-// reused in another call.
-//
-//hidapvet:hotpath
-func (s *Scratch) Thin(dst []Point, c Curve, k int) (Curve, []Point) {
-	dst = thinInPlace(append(dst[:0], c.pts...), k)
-	return Curve{pts: dst}, dst
-}
-
-// Union is Union(a, b) into dst without allocating in steady state — the
-// binary form covers the accumulation loops of shape-curve generation, which
-// previously paid a fresh candidate slice per step. Results are identical to
-// Union corner for corner.
-//
-//hidapvet:hotpath
-func (s *Scratch) Union(dst []Point, a, b Curve) (Curve, []Point) {
+func UnionInto(dst []Point, a, b Curve) (Curve, []Point) {
 	dst = append(append(dst[:0], a.pts...), b.pts...)
 	dst = prune(dst) //hidapvet:allow allocfree prune sorts with a non-capturing comparator (a static func value) and compacts in place
 	return Curve{pts: dst}, dst

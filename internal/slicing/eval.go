@@ -129,19 +129,20 @@ func repairSplitSpan(a *shape.Arena, s, extent, cross int64, spanL, spanR shape.
 //
 //hidapvet:hotpath
 func minExtentSpan(a *shape.Arena, sp shape.Span, cross int64, vertical bool) int64 {
-	if sp.Empty() {
+	c := a.Curve(sp)
+	if c.Empty() {
 		return 0
 	}
 	if vertical {
-		if w, ok := a.MinWidthForHeight(sp, cross); ok {
+		if w, ok := c.MinWidthForHeight(cross); ok {
 			return w
 		}
-		return a.MinWidth(sp)
+		return c.MinWidth()
 	}
-	if h, ok := a.MinHeightForWidth(sp, cross); ok {
+	if h, ok := c.MinHeightForWidth(cross); ok {
 		return h
 	}
-	return a.MinHeight(sp)
+	return c.MinHeight()
 }
 
 // leafViolations computes the graded violations of one placed leaf.

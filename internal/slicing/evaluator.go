@@ -21,12 +21,12 @@ import (
 // too: every node caches the rectangle it was last assigned and its
 // subtree's violation sums, so a subtree whose inputs did not change since
 // the previous Eval is skipped wholesale instead of being re-descended.
-// All buffers (node arena, curve slabs, Rects, the parse stack and the
+// All buffers (node arena, curve slab, Rects, the parse stack and the
 // undo journal) are owned by the evaluator and reused, so the steady-state
 // Perturb/Eval cycle does not allocate. Curve corners live in one shared
-// structure-of-arrays shape.Arena — two int64 slabs holding every curve of
-// the tree — so recomposition sweeps contiguous memory instead of chasing a
-// heap slice per node.
+// shape.Arena — a single corner slab holding every curve of the tree, read
+// through zero-copy Curve views — so recomposition sweeps contiguous memory
+// instead of chasing a heap slice per node.
 //
 // Results are bit-identical to a from-scratch evaluation of the same
 // expression, blocks, budget and params: the tests keep one (Evaluate in
@@ -43,15 +43,14 @@ type Evaluator struct {
 	blocks []Block
 	p      EvalParams
 
-	// arena holds every curve corner of the tree in two shared int64 slabs:
-	// first the leaf region (per-block curves, thinned once to CompactPoints
+	// arena holds every curve corner of the tree in one shared slab: first
+	// the leaf region (per-block curves, thinned once to CompactPoints
 	// at Reset), then two fixed-capacity slots per node for the
 	// double-buffered composed curves. leafSpan indexes the leaf region by
 	// operand id; node spans live in ev.spans.
 	arena    shape.Arena
 	leafSpan []shape.Span
 	slotCap  int32
-	rootPts  []shape.Point // RootCurve materialization buffer
 
 	nodes []enode      // one node per expression position
 	spans []shape.Span // active composed curve per node (leaf region or buf[side]);
@@ -568,16 +567,15 @@ func (ev *Evaluator) rebuildParents() {
 	}
 }
 
-// RootCurve returns the cached composed shape curve of the whole expression,
-// materialized out of the slabs into an evaluator-owned buffer. The curve
-// aliases that buffer: it is valid until the next RootCurve call and must be
-// copied (e.g. via Points or Union) to outlive it.
+// RootCurve returns the cached composed shape curve of the whole expression
+// as a view of the evaluator's slab. The curve is valid until the next
+// Perturb or Reset and must be copied (e.g. via Points or UnionInto) to
+// outlive it.
 func (ev *Evaluator) RootCurve() shape.Curve {
 	if len(ev.nodes) == 0 {
 		return shape.Curve{}
 	}
-	ev.rootPts = ev.arena.AppendCurve(ev.rootPts[:0], ev.spans[ev.root])
-	return shape.FromCanonical(ev.rootPts)
+	return ev.arena.Curve(ev.spans[ev.root])
 }
 
 // Eval runs the top-down area-budgeting pass against the cached tree and

@@ -2,8 +2,8 @@ package slicing
 
 import "sync"
 
-// EvaluatorPool recycles incremental Evaluators (node arenas, composed-curve
-// buffers, shape.Scratch workspaces, undo journals) across annealing runs.
+// EvaluatorPool recycles incremental Evaluators (node arenas, the curve
+// corner slab, undo journals) across annealing runs.
 // One level floorplan checks an Evaluator out, anneals, and returns it; the
 // next solve — possibly for a different expression size — Resets the same
 // arena instead of allocating a fresh one, so back-to-back placements on a
