@@ -59,7 +59,7 @@ func main() {
 	decl := tr.Decluster(nh, hier.DefaultParams())
 	sg := seqgraph.Build(d, seqgraph.DefaultParams())
 	gdf := dataflow.Build(sg, decl)
-	aff := gdf.Affinity(dataflow.Params{Lambda: *lambda, K: *k})
+	pairs := gdf.Pairs(dataflow.Params{Lambda: *lambda, K: *k})
 
 	// Block positions from a traced HiDaP run (the floorplan of Fig. 9d).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -93,7 +93,7 @@ func main() {
 	}
 
 	if err := outfile.Write(*out, func(w io.Writer) error {
-		render.Dataflow(w, region, gdf, aff, rects, nil, 800)
+		render.Dataflow(w, region, gdf, pairs, rects, nil, 800)
 		return nil
 	}); err != nil {
 		fatal(err)

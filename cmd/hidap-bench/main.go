@@ -279,7 +279,7 @@ func emitFig9(ctx context.Context, name string, scale int, opt flows.Options, ou
 	gdf := dataflow.Build(g.SeqGraph(), decl)
 	ap := dataflow.DefaultParams()
 	ap.Lambda = lambda
-	aff := gdf.Affinity(ap)
+	pairs := gdf.Pairs(ap)
 	if len(res.Trace) > 0 {
 		top := res.Trace[0]
 		rs := make([]geom.Rect, 0, len(top.Blocks))
@@ -288,7 +288,7 @@ func emitFig9(ctx context.Context, name string, scale int, opt flows.Options, ou
 		}
 		path := filepath.Join(outdir, fmt.Sprintf("fig9d_%s_gdf.svg", name))
 		if err := outfile.Write(path, func(w io.Writer) error {
-			render.Dataflow(w, d.Die, gdf, aff, rs, nil, 640)
+			render.Dataflow(w, d.Die, gdf, pairs, rs, nil, 640)
 			return nil
 		}); err != nil {
 			return err

@@ -15,9 +15,15 @@ import (
 // TestPlaceLevelAllocs bounds the bytes one core.Place allocates per design
 // cell per recursion level, with the design artifacts prebuilt the way the
 // Engine caches them. A level that did O(design) work would allocate a few
-// whole-design arrays per level and break the bound.
+// whole-design arrays per level and break the bound. Under the race
+// detector sync.Pool drops a quarter of its Puts at random, so pooled
+// buffers (CellBlock, layout solvers) are reallocated and the bound is
+// looser.
 func TestPlaceLevelAllocs(t *testing.T) {
-	const maxBytesPerCellLevel = 32
+	maxBytesPerCellLevel := 15.0
+	if raceEnabled {
+		maxBytesPerCellLevel = 32
+	}
 	c4, err := circuits.SuiteSpec("c4")
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +61,7 @@ func TestPlaceLevelAllocs(t *testing.T) {
 		t.Logf("%s: %d cells, %d levels, %d bytes: %.1f bytes per cell per level",
 			spec.Name, len(d.Cells), res.Levels, bytes, perCellLevel)
 		if perCellLevel > maxBytesPerCellLevel {
-			t.Errorf("%s: %.1f bytes per cell per level, want <= %d", spec.Name, perCellLevel, maxBytesPerCellLevel)
+			t.Errorf("%s: %.1f bytes per cell per level, want <= %.0f", spec.Name, perCellLevel, maxBytesPerCellLevel)
 		}
 	}
 }

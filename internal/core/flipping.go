@@ -17,13 +17,14 @@ func flipMacros(pl *placement.Placement, approx []geom.Point, hasApx []bool) int
 	d := pl.D
 	macros := d.Macros()
 	flips := 0
+	var nets []netCtx // one macro's scratch, reused by every call
 	for pass := 0; pass < 4; pass++ {
 		changed := false
 		for _, m := range macros {
 			if !pl.Placed[m] {
 				continue
 			}
-			if flipOneMacro(pl, m, approx, hasApx) {
+			if flipOneMacro(pl, m, approx, hasApx, &nets) {
 				flips++
 				changed = true
 			}
@@ -47,9 +48,19 @@ func (s *span) extendPoint(v int64, first bool) {
 	}
 }
 
+// netCtx is one incident net of the macro being flipped: the bounding
+// spans of its other endpoints (orientation-independent) and the macro's
+// pin offset on it.
+type netCtx struct {
+	x, y   span
+	others int
+	pin    geom.Point // this macro's pin library offset
+}
+
 // flipOneMacro tries the four outline-preserving orientations of one macro
-// and keeps the best. Reports whether the orientation changed.
-func flipOneMacro(pl *placement.Placement, m netlist.CellID, approx []geom.Point, hasApx []bool) bool {
+// and keeps the best. Reports whether the orientation changed. scratch is
+// overwritten and may be grown.
+func flipOneMacro(pl *placement.Placement, m netlist.CellID, approx []geom.Point, hasApx []bool, scratch *[]netCtx) bool {
 	d := pl.D
 	base := pl.Orient[m]
 	candidates := [4]geom.Orient{
@@ -60,13 +71,8 @@ func flipOneMacro(pl *placement.Placement, m netlist.CellID, approx []geom.Point
 	}
 
 	// Precompute, per incident net, the bounding spans of the other
-	// endpoints (orientation-independent) and this macro's pin offset.
-	type netCtx struct {
-		x, y   span
-		others int
-		pin    geom.Point // this macro's pin library offset
-	}
-	var nets []netCtx
+	// endpoints and this macro's pin offset.
+	nets := (*scratch)[:0]
 	for _, pid := range d.Cell(m).Pins {
 		pin := d.Pin(pid)
 		ctx := netCtx{pin: pin.Offset}
@@ -93,6 +99,7 @@ func flipOneMacro(pl *placement.Placement, m netlist.CellID, approx []geom.Point
 			nets = append(nets, ctx)
 		}
 	}
+	*scratch = nets
 	if len(nets) == 0 {
 		return false
 	}

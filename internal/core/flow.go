@@ -402,6 +402,9 @@ func (st *flowState) recurse(ctx context.Context, nh netlist.HierID, region geom
 	}
 	d := st.d
 	decl := st.tree.Decluster(nh, hier.DefaultParams())
+	if len(decl.Blocks) < 2 {
+		st.tree.Release(decl)
+	}
 	if len(decl.Blocks) == 0 {
 		return nil
 	}
@@ -418,6 +421,9 @@ func (st *flowState) recurse(ctx context.Context, nh netlist.HierID, region geom
 	}
 
 	gdf, aff, sol, err := st.solveLevel(ctx, decl, region, sched.Derive(st.opt.Seed, int64(nh)), run.view)
+	// Only Gdf reads the design-sized membership; give it back before the
+	// children decluster theirs.
+	st.tree.Release(decl)
 	if err != nil {
 		return err
 	}
@@ -571,17 +577,54 @@ func (st *flowState) flatPlace(ctx context.Context, region geom.Rect, run *subRu
 	return nil
 }
 
+// levelAffinity is the CSR adjacency of one level's affinity pairs, for
+// corner scoring. Gdf node i's neighbours are nbr[off[i]:off[i+1]] in
+// ascending order, with the pair weights in w alongside.
+type levelAffinity struct {
+	off []int32
+	nbr []int32
+	w   []float64
+}
+
+// newLevelAffinity indexes the sorted pairs of an n-node Gdf. Filling the
+// rows in (I, J) order lists every row ascending: a node's lower
+// neighbours arrive (as I) before the pairs it leads.
+func newLevelAffinity(pairs []dataflow.Pair, n int) *levelAffinity {
+	la := &levelAffinity{
+		off: make([]int32, n+1),
+		nbr: make([]int32, 2*len(pairs)),
+		w:   make([]float64, 2*len(pairs)),
+	}
+	for _, pr := range pairs {
+		la.off[pr.I+1]++
+		la.off[pr.J+1]++
+	}
+	for i := 1; i <= n; i++ {
+		la.off[i] += la.off[i-1]
+	}
+	fill := make([]int32, n)
+	copy(fill, la.off[:n])
+	for _, pr := range pairs {
+		la.nbr[fill[pr.I]], la.w[fill[pr.I]] = pr.J, pr.W
+		fill[pr.I]++
+		la.nbr[fill[pr.J]], la.w[fill[pr.J]] = pr.I, pr.W
+		fill[pr.J]++
+	}
+	return la
+}
+
 // solveLevel floorplans one level: the declustered blocks (with their
 // §IV-C target areas and shape curves) and the Gdf terminals (at their
 // positions in view v) go into one layout instance inside region, annealed
-// from seed. It returns the level's Gdf, its affinity matrix and the
-// solution, or ctx.Err() when the solve was cancelled.
-func (st *flowState) solveLevel(ctx context.Context, decl *hier.Result, region geom.Rect, seed int64, v *view) (*dataflow.Graph, [][]float64, *layout.Result, error) {
+// from seed. It returns the level's Gdf, its affinity and the solution, or
+// ctx.Err() when the solve was cancelled.
+func (st *flowState) solveLevel(ctx context.Context, decl *hier.Result, region geom.Rect, seed int64, v *view) (*dataflow.Graph, *levelAffinity, *layout.Result, error) {
 	at := st.targetAreas(decl)
 	gdf := dataflow.Build(st.sg, decl)
-	aff := gdf.Affinity(dataflow.Params{Lambda: st.opt.Lambda, K: st.opt.K})
+	pairs := gdf.Pairs(dataflow.Params{Lambda: st.opt.Lambda, K: st.opt.K})
+	aff := newLevelAffinity(pairs, len(gdf.Nodes))
 
-	prob := &layout.Problem{Region: region, Affinity: aff}
+	prob := &layout.Problem{Region: region, Pairs: pairs}
 	for i := range decl.Blocks {
 		b := &decl.Blocks[i]
 		prob.Blocks = append(prob.Blocks, layout.BlockSpec{
@@ -683,7 +726,7 @@ func (st *flowState) terminalPos(gdf *dataflow.Graph, node int, v *view) geom.Po
 // that minimizes the affinity-weighted distance to its Gdf counterparts
 // (Algorithm 2, line 11). gdf/sol may be nil for degenerate levels, in
 // which case the macro centers in the region.
-func (st *flowState) fixSingleMacro(m netlist.CellID, r geom.Rect, gdf *dataflow.Graph, aff [][]float64, blockIdx int32, sol *layout.Result, v *view) {
+func (st *flowState) fixSingleMacro(m netlist.CellID, r geom.Rect, gdf *dataflow.Graph, aff *levelAffinity, blockIdx int32, sol *layout.Result, v *view) {
 	c := st.d.Cell(m)
 	// Choose the orientation whose outline fits the rectangle best.
 	orients := []geom.Orient{geom.R0, geom.R90}
@@ -727,20 +770,16 @@ func (st *flowState) fixSingleMacro(m netlist.CellID, r geom.Rect, gdf *dataflow
 }
 
 // macroAttraction scores a candidate macro position against the affinity
-// row of its block.
-func (st *flowState) macroAttraction(p geom.Point, gdf *dataflow.Graph, aff [][]float64, blockIdx int32, sol *layout.Result, v *view) float64 {
+// row of its block, visiting the block's Gdf neighbours in ascending order.
+func (st *flowState) macroAttraction(p geom.Point, gdf *dataflow.Graph, aff *levelAffinity, blockIdx int32, sol *layout.Result, v *view) float64 {
 	if gdf == nil || sol == nil {
 		// No dataflow context: all candidates tie at zero and the first
 		// (lower-left corner) wins.
 		return 0
 	}
 	var cost float64
-	for j := range gdf.Nodes {
-		w := aff[blockIdx][j]
-		if w == 0 || int32(j) == blockIdx {
-			continue
-		}
-		cost += w * float64(p.ManhattanDist(st.counterpartPos(gdf, j, sol, v)))
+	for k := aff.off[blockIdx]; k < aff.off[blockIdx+1]; k++ {
+		cost += aff.w[k] * float64(p.ManhattanDist(st.counterpartPos(gdf, int(aff.nbr[k]), sol, v)))
 	}
 	return cost
 }

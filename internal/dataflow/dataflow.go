@@ -1,5 +1,6 @@
 // Package dataflow builds the dataflow graph Gdf of the paper (§II-C,
-// §IV-D) and derives the affinity matrix Maff used by layout generation.
+// §IV-D) and derives the affinity matrix Maff used by layout generation,
+// as its sorted nonzero pairs.
 //
 // Gdf nodes are the floorplanning blocks of the current level plus the
 // fixed terminals (multi-bit ports and macros outside the level). Every
@@ -17,6 +18,8 @@
 package dataflow
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/hier"
@@ -302,39 +305,81 @@ type Params struct {
 // DefaultParams returns λ=0.5, k=2.
 func DefaultParams() Params { return Params{Lambda: 0.5, K: 2} }
 
-// Affinity computes the symmetric affinity matrix Maff: for every unordered
-// node pair the λ-blend of both directions' histogram scores.
+// Pair is one nonzero entry of the symmetric affinity matrix Maff: the
+// affinity W between Gdf nodes I < J.
+type Pair struct {
+	I, J int32
+	W    float64
+}
+
+// Pairs computes Maff as its nonzero upper-triangle entries, sorted by
+// (I, J): for every unordered node pair the λ-blend of both directions'
+// histogram scores. A level has far fewer edges than node pairs, so this
+// costs the level's edges, not its nodes squared.
+//
+// Each weight sums its contributions from 0 in one fixed order — block
+// flow I→J, block flow J→I, macro flow I→J, macro flow J→I — because float
+// addition is not associative: map-order accumulation would make the
+// weights' bit patterns differ run to run, nondeterminism that feeds
+// straight into λ-candidate costs. Regression-pinned by
+// TestAffinityAccumulationOrder. Pairs whose weight sums to exactly 0 are
+// dropped.
+func (g *Graph) Pairs(p Params) []Pair {
+	// contrib is one directed edge's share of a pair; dir ranks it in the
+	// accumulation order above.
+	type contrib struct {
+		i, j int32
+		dir  uint8
+		s    float64
+	}
+	mk := func(k EdgeKey, flow uint8, s float64) contrib {
+		if k.From < k.To {
+			return contrib{k.From, k.To, flow, s}
+		}
+		return contrib{k.To, k.From, flow + 1, s}
+	}
+	cs := make([]contrib, 0, len(g.BlockFlow)+len(g.MacroFlow))
+	for k, h := range g.BlockFlow {
+		cs = append(cs, mk(k, 0, p.Lambda*h.Score(p.K)))
+	}
+	for k, h := range g.MacroFlow {
+		cs = append(cs, mk(k, 2, (1-p.Lambda)*h.Score(p.K)))
+	}
+	slices.SortFunc(cs, func(a, b contrib) int {
+		if c := cmp.Compare(a.i, b.i); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.j, b.j); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.dir, b.dir)
+	})
+	pairs := make([]Pair, 0, len(cs))
+	for k := 0; k < len(cs); {
+		pr := Pair{I: cs[k].i, J: cs[k].j}
+		for ; k < len(cs) && cs[k].i == pr.I && cs[k].j == pr.J; k++ {
+			pr.W += cs[k].s
+		}
+		if pr.I != pr.J && pr.W != 0 {
+			pairs = append(pairs, pr)
+		}
+	}
+	return pairs
+}
+
+// Affinity is the dense (len(Nodes))² view of Pairs, symmetric with a zero
+// diagonal. Of the program, only the benchmark module still reads it; the
+// rest takes Pairs, which costs the level's edges instead.
 func (g *Graph) Affinity(p Params) [][]float64 {
 	n := len(g.Nodes)
 	m := make([][]float64, n)
 	for i := range m {
 		m[i] = make([]float64, n)
 	}
-	// Accumulate in sorted key order: cells can receive several float
-	// contributions (both directed keys of a pair land in the same two
-	// cells), and float addition is not associative, so map-order
-	// accumulation would make the matrix bit-pattern differ run to run —
-	// nondeterminism that feeds straight into λ-candidate costs.
-	// Regression-pinned by TestAffinityAccumulationOrder.
-	acc := func(edges map[EdgeKey]*Histogram, weight float64) {
-		keys := make([]EdgeKey, 0, len(edges))
-		for k := range edges {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].From != keys[j].From {
-				return keys[i].From < keys[j].From
-			}
-			return keys[i].To < keys[j].To
-		})
-		for _, k := range keys {
-			s := weight * edges[k].Score(p.K)
-			m[k.From][k.To] += s
-			m[k.To][k.From] += s
-		}
+	for _, pr := range g.Pairs(p) {
+		m[pr.I][pr.J] = pr.W
+		m[pr.J][pr.I] = pr.W
 	}
-	acc(g.BlockFlow, p.Lambda)
-	acc(g.MacroFlow, 1-p.Lambda)
 	return m
 }
 

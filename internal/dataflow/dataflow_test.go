@@ -187,26 +187,36 @@ func TestAffinityBlend(t *testing.T) {
 	g := Build(sg, decl)
 	A := blockIdx(t, decl, "A")
 	B := blockIdx(t, decl, "B")
-
-	blockOnly := g.Affinity(Params{Lambda: 1, K: 2})
-	macroOnly := g.Affinity(Params{Lambda: 0, K: 2})
-	blended := g.Affinity(Params{Lambda: 0.5, K: 2})
+	lo, hi := min(A, B), max(A, B)
+	weight := func(p Params) float64 {
+		t.Helper()
+		for _, pr := range g.Pairs(p) {
+			if pr.I == pr.J {
+				t.Fatalf("self pair %+v", pr)
+			}
+			if pr.I == lo && pr.J == hi {
+				return pr.W
+			}
+		}
+		t.Fatalf("λ=%v: no pair (%d, %d)", p.Lambda, lo, hi)
+		return 0
+	}
 
 	// block flow A->B: 16/4 = 4. macro flow: 16/16 = 1.
-	if math.Abs(blockOnly[A][B]-4) > 1e-12 {
-		t.Errorf("block-only affinity = %v, want 4", blockOnly[A][B])
+	if w := weight(Params{Lambda: 1, K: 2}); math.Abs(w-4) > 1e-12 {
+		t.Errorf("block-only affinity = %v, want 4", w)
 	}
-	if math.Abs(macroOnly[A][B]-1) > 1e-12 {
-		t.Errorf("macro-only affinity = %v, want 1", macroOnly[A][B])
+	if w := weight(Params{Lambda: 0, K: 2}); math.Abs(w-1) > 1e-12 {
+		t.Errorf("macro-only affinity = %v, want 1", w)
 	}
-	if math.Abs(blended[A][B]-2.5) > 1e-12 {
-		t.Errorf("blended affinity = %v, want 2.5", blended[A][B])
+	if w := weight(Params{Lambda: 0.5, K: 2}); math.Abs(w-2.5) > 1e-12 {
+		t.Errorf("blended affinity = %v, want 2.5", w)
 	}
-	// Symmetry.
-	if blended[A][B] != blended[B][A] {
-		t.Error("affinity matrix not symmetric")
+	// The dense view is symmetric with a zero diagonal.
+	blended := g.Affinity(Params{Lambda: 0.5, K: 2})
+	if blended[A][B] != blended[B][A] || blended[A][B] != weight(Params{Lambda: 0.5, K: 2}) {
+		t.Error("dense affinity view not symmetric or not equal to the pair")
 	}
-	// Diagonal zero.
 	if blended[A][A] != 0 {
 		t.Error("self affinity must be 0")
 	}
@@ -250,15 +260,7 @@ func TestDeterministicAffinity(t *testing.T) {
 	sg, decl, _ := fig7Toy(t)
 	g1 := Build(sg, decl)
 	g2 := Build(sg, decl)
-	m1 := g1.Affinity(DefaultParams())
-	m2 := g2.Affinity(DefaultParams())
-	for i := range m1 {
-		for j := range m1[i] {
-			if m1[i][j] != m2[i][j] {
-				t.Fatalf("affinity nondeterministic at %d,%d", i, j)
-			}
-		}
-	}
+	samePairs(t, "rebuilt", g1.Pairs(DefaultParams()), g2.Pairs(DefaultParams()))
 }
 
 // TestHistogramQuickPermutation: Add order never changes the result.
@@ -347,12 +349,13 @@ func TestMultiLatencyHistogram(t *testing.T) {
 	}
 }
 
-// TestAffinityAccumulationOrder pins the sorted-key accumulation order of
-// Affinity with rounding-sensitive values: the cell m[0][1] receives
-// 2^53 (block flow), then 1.5 and 1 (both macro-flow directions). Under
-// IEEE round-to-nearest-even, (2^53+1.5)+1 = 2^53+4 but (2^53+1)+1.5 =
-// 2^53+2, so any map-order accumulation would flip the result between
-// iterations once Go's randomized map iteration picks the other key first.
+// TestAffinityAccumulationOrder pins the accumulation order of Pairs (and
+// the dense Affinity view built from it) with rounding-sensitive values: the
+// pair (0, 1) receives 2^53 (block flow), then 1.5 and 1 (both macro-flow
+// directions). Under IEEE round-to-nearest-even, (2^53+1.5)+1 = 2^53+4 but
+// (2^53+1)+1.5 = 2^53+2, so any map-order accumulation would flip the
+// result between iterations once Go's randomized map iteration picks the
+// other key first.
 func TestAffinityAccumulationOrder(t *testing.T) {
 	g := &Graph{
 		Nodes: make([]Node, 2),
@@ -364,8 +367,12 @@ func TestAffinityAccumulationOrder(t *testing.T) {
 			{From: 1, To: 0}: {Bins: []Bin{{Latency: 1, Bits: 2}}},
 		},
 	}
-	want := math.Ldexp(1, 53) + 4 // (2^53 + 1.5) + 1 in sorted key order
+	want := math.Ldexp(1, 53) + 4 // (2^53 + 1.5) + 1 in the pinned order
 	for i := 0; i < 300; i++ {
+		pairs := g.Pairs(DefaultParams())
+		if len(pairs) != 1 || pairs[0].I != 0 || pairs[0].J != 1 || pairs[0].W != want {
+			t.Fatalf("iteration %d: pairs = %+v, want [{0 1 %v}] (accumulation order drifted)", i, pairs, want)
+		}
 		m := g.Affinity(DefaultParams())
 		if m[0][1] != want || m[1][0] != want {
 			t.Fatalf("iteration %d: affinity = %v / %v, want %v (accumulation order drifted)",

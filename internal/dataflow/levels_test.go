@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"repro/circuits"
@@ -127,21 +126,9 @@ func sameFlows(t *testing.T, what string, got, want map[EdgeKey]*Histogram) {
 	}
 }
 
-// sameAffinity requires bit-identical affinity matrices.
-func sameAffinity(t *testing.T, what string, got, want [][]float64) {
-	t.Helper()
-	for i := range want {
-		for j := range want[i] {
-			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
-				t.Fatalf("%s: affinity[%d][%d] = %v, want %v", what, i, j, got[i][j], want[i][j])
-			}
-		}
-	}
-}
-
 // TestBuildMatchesReference holds Build to the per-level reference
 // searches at every multi-block level of the suite circuits' recursion:
-// the same histograms, and a bit-identical affinity at several λ.
+// the same histograms, and bit-identical affinity pairs at several λ.
 func TestBuildMatchesReference(t *testing.T) {
 	for _, spec := range circuits.Suite() {
 		spec.Scale = 400
@@ -165,7 +152,7 @@ func TestBuildMatchesReference(t *testing.T) {
 			sameFlows(t, spec.Name+" macro flow", got.MacroFlow, ref.MacroFlow)
 			for _, lambda := range []float64{0.2, 0.5, 0.8} {
 				p := Params{Lambda: lambda, K: 2}
-				sameAffinity(t, spec.Name, got.Affinity(p), ref.Affinity(p))
+				samePairs(t, spec.Name, got.Pairs(p), ref.Pairs(p))
 			}
 			if li == 0 && len(got.MacroFlow) == 0 {
 				t.Fatalf("%s: top level has no macro flow; the check is vacuous", spec.Name)
@@ -201,6 +188,6 @@ func TestBuildConcurrentFirstUse(t *testing.T) {
 	p := DefaultParams()
 	for _, gi := range got {
 		sameFlows(t, "concurrent macro flow", gi.MacroFlow, want.MacroFlow)
-		sameAffinity(t, "concurrent", gi.Affinity(p), want.Affinity(p))
+		samePairs(t, "concurrent", gi.Pairs(p), want.Pairs(p))
 	}
 }

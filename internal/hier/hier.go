@@ -7,6 +7,7 @@ package hier
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/netlist"
 )
@@ -18,7 +19,15 @@ type Tree struct {
 	// (inclusive). SubMacros[n] counts macros under n.
 	SubArea   []int64
 	SubMacros []int32
+
+	// cellBlocks pools design-sized CellBlock buffers (*cellBlock), every
+	// entry Outside, so a recursion that releases each level's result
+	// does not allocate len(D.Cells) per level.
+	cellBlocks sync.Pool
 }
+
+// cellBlock is one pooled Result.CellBlock buffer.
+type cellBlock struct{ m []int32 }
 
 // New computes the aggregates for a design.
 func New(d *netlist.Design) *Tree {
@@ -100,13 +109,15 @@ const (
 type Result struct {
 	Blocks []Block
 	// CellBlock maps every cell of the design to the index of its block,
-	// or Glue / Outside.
+	// or Glue / Outside. It is valid until Tree.Release(res).
 	CellBlock []int32
 	// Glue lists the glue cells under nh (those whose CellBlock is Glue),
 	// so a level can visit its glue without scanning the whole design.
 	Glue []netlist.CellID
 	// GlueArea is the total area of glue cells under nh.
 	GlueArea int64
+
+	pooled *cellBlock // CellBlock's buffer, when it came from a Tree's pool
 }
 
 // Params controls declustering. Fractions are relative to the area of the
@@ -127,15 +138,22 @@ func DefaultParams() Params { return Params{OpenAreaFrac: 0.01, MinAreaFrac: 0.4
 // become bare-macro blocks; and if the sweep produces fewer than two
 // blocks, the single surviving block is transparently expanded again so
 // that wrapper modules do not stall the recursion.
+//
+// CellBlock comes from the tree's pool; a caller that is done with it
+// passes the result to Release so the next Decluster reuses the buffer.
 func (t *Tree) Decluster(nh netlist.HierID, p Params) *Result {
 	d := t.D
 	openArea := int64(p.OpenAreaFrac * float64(t.SubArea[nh]))
 	minArea := int64(p.MinAreaFrac * float64(t.SubArea[nh]))
 
-	res := &Result{CellBlock: make([]int32, len(d.Cells))}
-	for i := range res.CellBlock {
-		res.CellBlock[i] = Outside
+	cb, _ := t.cellBlocks.Get().(*cellBlock)
+	if cb == nil {
+		cb = &cellBlock{m: make([]int32, len(d.Cells))}
+		for i := range cb.m {
+			cb.m[i] = Outside
+		}
 	}
+	res := &Result{CellBlock: cb.m, pooled: cb}
 
 	var glueNodes []netlist.HierID
 	var glueCells []netlist.CellID
@@ -225,6 +243,27 @@ func (t *Tree) Decluster(nh netlist.HierID, p Params) *Result {
 		res.GlueArea += d.Cell(cid).Area()
 	}
 	return res
+}
+
+// Release returns res.CellBlock's buffer to the tree's pool and clears the
+// field. It resets only the entries Decluster set (block cells and glue),
+// so it costs the level, not the design. Releasing a result twice, or one
+// whose CellBlock the tree did not allocate, does nothing.
+func (t *Tree) Release(res *Result) {
+	cb := res.pooled
+	if cb == nil {
+		return
+	}
+	for bi := range res.Blocks {
+		for _, cid := range res.Blocks[bi].Cells {
+			cb.m[cid] = Outside
+		}
+	}
+	for _, cid := range res.Glue {
+		cb.m[cid] = Outside
+	}
+	res.CellBlock, res.pooled = nil, nil
+	t.cellBlocks.Put(cb)
 }
 
 // subtreeBlock materializes a hierarchy node as a block.

@@ -12,6 +12,8 @@ import (
 
 // benchProblem builds a mixed macro/soft level of n blocks with a sparse
 // affinity ring plus two corner terminals — the shape of a real HiDaP level.
+// The ring is drawn as a dense matrix, the benchmark module's level problem
+// (bench/level.go) draws it, and handed over as its pairs.
 func benchProblem(n int) *Problem {
 	rng := rand.New(rand.NewSource(99))
 	blocks := make([]BlockSpec, n)
@@ -44,7 +46,7 @@ func benchProblem(n int) *Problem {
 			{Name: "sw", Pos: geom.Pt(0, 0)},
 			{Name: "ne", Pos: geom.Pt(1500, 1200)},
 		},
-		Affinity: aff,
+		Pairs: densePairs(aff, n+2),
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"repro/internal/anneal"
+	"repro/internal/dataflow"
 	"repro/internal/geom"
 	"repro/internal/sched"
 	"repro/internal/slicing"
@@ -44,14 +45,22 @@ type Terminal struct {
 	Pos  geom.Point
 }
 
-// Problem is one level floorplanning instance. Affinity is indexed with
+// Problem is one level floorplanning instance. Affinity node indices put
 // blocks first (0..B-1) and terminals after (B..B+T-1), matching the Gdf
-// node order produced by the dataflow package.
+// node order produced by the dataflow package, in Pairs and Affinity
+// alike.
 type Problem struct {
 	Region    geom.Rect
 	Blocks    []BlockSpec
 	Terminals []Terminal
-	Affinity  [][]float64
+	// Pairs is the canonical affinity: the nonzero entries of the
+	// symmetric matrix Maff with I < J, sorted by (I, J), as
+	// dataflow.Graph.Pairs returns them. The solver reads nothing else.
+	Pairs []dataflow.Pair
+	// Affinity is a dense form of Maff, read only when Pairs is nil: Solve
+	// then takes its nonzero upper-triangle entries as the pairs, once.
+	// Only the benchmark module still sets it.
+	Affinity [][]float64
 }
 
 // Effort selects the annealing budget.
@@ -133,6 +142,11 @@ type Result struct {
 func Solve(ctx context.Context, p *Problem, opt Options) *Result {
 	if len(p.Blocks) == 0 {
 		return &Result{Penalty: 1, Legal: true}
+	}
+	if p.Pairs == nil && p.Affinity != nil {
+		q := *p
+		q.Pairs = densePairs(p.Affinity, len(p.Blocks)+len(p.Terminals))
+		p = &q
 	}
 
 	if opt.Restarts <= 1 {
@@ -275,68 +289,71 @@ func (m *mover) Undo() {
 
 func (m *mover) Snapshot() { m.best.CopyFrom(m.expr) }
 
-// pair is one nonzero affinity entry with at least one movable endpoint.
-type pair struct {
-	i, j int // node indices (blocks first, then terminals)
-	w    float64
+// densePairs lists the nonzero upper-triangle entries of a dense affinity
+// matrix over the first n nodes, in (I, J) order.
+func densePairs(aff [][]float64, n int) []dataflow.Pair {
+	var out []dataflow.Pair
+	for i := 0; i < n && i < len(aff); i++ {
+		row := aff[i]
+		for j := i + 1; j < n && j < len(row); j++ {
+			if row[j] != 0 {
+				out = append(out, dataflow.Pair{I: int32(i), J: int32(j), W: row[j]})
+			}
+		}
+	}
+	return out
 }
 
-// pairIndex is the immutable half of the cost model: the nonzero affinity
-// pairs of a problem and their CSR adjacency by block. It is a pure
-// function of the Problem, so restart chains share one instance read-only.
+// pairIndex is the immutable half of the cost model: the affinity pairs
+// with at least one movable endpoint and their CSR adjacency by block. It
+// is a pure function of the Problem, so restart chains share one instance
+// read-only.
 type pairIndex struct {
-	pairs   []pair
+	pairs   []dataflow.Pair
 	adjOff  []int32
 	adjPair []int32
 	cursor  []int32 // CSR fill scratch
 }
 
-// build extracts the nonzero upper-triangle affinity entries and their
-// adjacency, reusing the receiver's buffers. Terminal–terminal pairs are
-// dropped: they contribute a layout-independent constant that would only
-// dilute the penalty gradient.
+// build copies the problem's pairs and derives their adjacency, reusing the
+// receiver's buffers. Terminal–terminal pairs are dropped: they contribute
+// a layout-independent constant that would only dilute the penalty
+// gradient.
 func (px *pairIndex) build(p *Problem) {
-	nb := len(p.Blocks)
-	n := nb + len(p.Terminals)
+	nb := int32(len(p.Blocks))
 	px.pairs = px.pairs[:0]
-	for i := 0; i < n && i < len(p.Affinity); i++ {
-		row := p.Affinity[i]
-		for j := i + 1; j < n && j < len(row); j++ {
-			if i >= nb && j >= nb {
-				continue
-			}
-			if row[j] != 0 {
-				px.pairs = append(px.pairs, pair{i, j, row[j]})
-			}
+	for _, pr := range p.Pairs {
+		if pr.I < nb || pr.J < nb {
+			px.pairs = append(px.pairs, pr)
 		}
 	}
-	px.adjOff = resizeSlice(px.adjOff, nb+1)
+	px.adjOff = resizeSlice(px.adjOff, int(nb)+1)
 	for i := range px.adjOff {
 		px.adjOff[i] = 0
 	}
 	for _, pr := range px.pairs {
-		if pr.i < nb {
-			px.adjOff[pr.i+1]++
+		if pr.I < nb {
+			px.adjOff[pr.I+1]++
 		}
-		if pr.j < nb {
-			px.adjOff[pr.j+1]++
+		if pr.J < nb {
+			px.adjOff[pr.J+1]++
 		}
 	}
-	for i := 1; i <= nb; i++ {
+	for i := int32(1); i <= nb; i++ {
 		px.adjOff[i] += px.adjOff[i-1]
 	}
 	px.adjPair = resizeSlice(px.adjPair, int(px.adjOff[nb]))
-	cursor := resizeSlice(px.cursor, nb)
+	cursor := resizeSlice(px.cursor, int(nb))
 	px.cursor = cursor
 	copy(cursor, px.adjOff[:nb])
 	for k, pr := range px.pairs {
-		if pr.i < nb {
-			px.adjPair[cursor[pr.i]] = int32(k)
-			cursor[pr.i]++
+		if pr.I < nb {
+			px.adjPair[cursor[pr.I]] = int32(k)
+			cursor[pr.I]++
 		}
-		if pr.j < nb {
-			px.adjPair[cursor[pr.j]] = int32(k)
-			cursor[pr.j]++
+		if pr.J < nb {
+			px.adjPair[cursor[pr.J]] = int32(k)
+			cursor[pr.J]++
 		}
 	}
 }
@@ -398,8 +415,8 @@ func (cs *costState) init(p *Problem, idx *pairIndex) {
 // pairContrib computes one pair's dist·weight term from current positions.
 func (cs *costState) pairContrib(k int) float64 {
 	pr := &cs.idx.pairs[k]
-	d := cs.pts[pr.i].ManhattanDist(cs.pts[pr.j])
-	return float64(d) * pr.w
+	d := cs.pts[pr.I].ManhattanDist(cs.pts[pr.J])
+	return float64(d) * pr.W
 }
 
 // sum folds the contribution array under one fixed association — four

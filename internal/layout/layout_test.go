@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dataflow"
 	"repro/internal/geom"
 	"repro/internal/sched"
 	"repro/internal/shape"
@@ -38,12 +39,6 @@ func TestSolveSingleBlock(t *testing.T) {
 func TestSolveTerminalPull(t *testing.T) {
 	// Block 0 is bound to a west terminal, block 1 to an east terminal.
 	// After annealing, block 0 must sit west of block 1.
-	aff := make([][]float64, 4)
-	for i := range aff {
-		aff[i] = make([]float64, 4)
-	}
-	aff[0][2], aff[2][0] = 100, 100 // block0 <-> west terminal
-	aff[1][3], aff[3][1] = 100, 100 // block1 <-> east terminal
 	p := &Problem{
 		Region: geom.RectXYWH(0, 0, 1000, 500),
 		Blocks: []BlockSpec{soft(200_000), soft(200_000)},
@@ -51,7 +46,10 @@ func TestSolveTerminalPull(t *testing.T) {
 			{Name: "west", Pos: geom.Pt(0, 250)},
 			{Name: "east", Pos: geom.Pt(1000, 250)},
 		},
-		Affinity: aff,
+		Pairs: []dataflow.Pair{
+			{I: 0, J: 2, W: 100}, // block0 <-> west terminal
+			{I: 1, J: 3, W: 100}, // block1 <-> east terminal
+		},
 	}
 	opt := DefaultOptions()
 	opt.Seed = 5
@@ -67,17 +65,10 @@ func TestSolveTerminalPull(t *testing.T) {
 func TestSolveAffinityAdjacency(t *testing.T) {
 	// Four equal blocks; 0 and 3 have overwhelming affinity: they must end
 	// adjacent (distance below the region half-diagonal).
-	n := 4
-	aff := make([][]float64, n)
-	for i := range aff {
-		aff[i] = make([]float64, n)
-	}
-	aff[0][3], aff[3][0] = 1000, 1000
-	aff[1][2], aff[2][1] = 1, 1
 	p := &Problem{
-		Region:   geom.RectXYWH(0, 0, 800, 800),
-		Blocks:   []BlockSpec{soft(160_000), soft(160_000), soft(160_000), soft(160_000)},
-		Affinity: aff,
+		Region: geom.RectXYWH(0, 0, 800, 800),
+		Blocks: []BlockSpec{soft(160_000), soft(160_000), soft(160_000), soft(160_000)},
+		Pairs:  []dataflow.Pair{{I: 0, J: 3, W: 1000}, {I: 1, J: 2, W: 1}},
 	}
 	opt := DefaultOptions()
 	opt.Seed = 11
@@ -116,11 +107,10 @@ func TestSolveMacroLegality(t *testing.T) {
 }
 
 func TestSolveDeterministic(t *testing.T) {
-	aff := [][]float64{{0, 5}, {5, 0}}
 	p := &Problem{
-		Region:   geom.RectXYWH(0, 0, 400, 400),
-		Blocks:   []BlockSpec{soft(40_000), soft(40_000)},
-		Affinity: aff,
+		Region: geom.RectXYWH(0, 0, 400, 400),
+		Blocks: []BlockSpec{soft(40_000), soft(40_000)},
+		Pairs:  []dataflow.Pair{{I: 0, J: 1, W: 5}},
 	}
 	opt := DefaultOptions()
 	opt.Seed = 77
@@ -140,18 +130,15 @@ func TestSolveBeatsBadReference(t *testing.T) {
 	// The annealed cost must not exceed the cost of the initial balanced
 	// expression (sanity: SA keeps the best ever seen).
 	n := 6
-	aff := make([][]float64, n)
-	for i := range aff {
-		aff[i] = make([]float64, n)
-	}
-	aff[0][5], aff[5][0] = 50, 50
-	aff[1][4], aff[4][1] = 30, 30
-	aff[2][3], aff[3][2] = 10, 10
 	blocks := make([]BlockSpec, n)
 	for i := range blocks {
 		blocks[i] = soft(100_000)
 	}
-	p := &Problem{Region: geom.RectXYWH(0, 0, 900, 700), Blocks: blocks, Affinity: aff}
+	p := &Problem{
+		Region: geom.RectXYWH(0, 0, 900, 700),
+		Blocks: blocks,
+		Pairs:  []dataflow.Pair{{I: 0, J: 5, W: 50}, {I: 1, J: 4, W: 30}, {I: 2, J: 3, W: 10}},
+	}
 
 	// Reference: evaluate the untouched balanced expression.
 	sl := make([]slicing.Block, n)
@@ -175,16 +162,11 @@ func TestWirecostDegenerateLayoutLoses(t *testing.T) {
 	// violation penalty: the illegal zero-distance layout has to cost more
 	// than a nearby legal one. (Regression: penalty · Σ dist·aff scored the
 	// degenerate layout 0, beating every legal layout.)
-	aff := make([][]float64, 2)
-	for i := range aff {
-		aff[i] = make([]float64, 2)
-	}
-	aff[0][1], aff[1][0] = 5, 5 // block <-> center terminal
 	p := &Problem{
 		Region:    geom.RectXYWH(0, 0, 100, 100),
 		Blocks:    []BlockSpec{soft(5000)},
 		Terminals: []Terminal{{Name: "c", Pos: geom.Pt(50, 50)}},
-		Affinity:  aff,
+		Pairs:     []dataflow.Pair{{I: 0, J: 1, W: 5}}, // block <-> center terminal
 	}
 	// Illegal layout sitting exactly on the terminal: distance sum is zero.
 	illegal := &slicing.Eval{
@@ -204,22 +186,50 @@ func TestWirecostDegenerateLayoutLoses(t *testing.T) {
 }
 
 func TestAffinityPairsSkipTerminalTerminal(t *testing.T) {
-	aff := make([][]float64, 3)
-	for i := range aff {
-		aff[i] = make([]float64, 3)
-	}
-	aff[1][2], aff[2][1] = 9, 9 // terminal-terminal
-	aff[0][1], aff[1][0] = 2, 2 // block-terminal
 	p := &Problem{
 		Region:    geom.RectXYWH(0, 0, 10, 10),
 		Blocks:    []BlockSpec{soft(10)},
 		Terminals: []Terminal{{Pos: geom.Pt(0, 0)}, {Pos: geom.Pt(9, 9)}},
-		Affinity:  aff,
+		Pairs: []dataflow.Pair{
+			{I: 0, J: 1, W: 2}, // block-terminal
+			{I: 1, J: 2, W: 9}, // terminal-terminal
+		},
 	}
 	var px pairIndex
 	px.build(p)
-	if len(px.pairs) != 1 || px.pairs[0].i != 0 || px.pairs[0].j != 1 {
+	if len(px.pairs) != 1 || px.pairs[0].I != 0 || px.pairs[0].J != 1 {
 		t.Errorf("pairs = %+v, want only block-terminal", px.pairs)
+	}
+}
+
+// TestSolveDenseAffinity is the dense-input contract: a Problem that
+// carries only the dense Affinity solves exactly as one that carries its
+// nonzero upper-triangle entries as Pairs. Entries below the diagonal are
+// never read, so an asymmetric matrix solves as its upper triangle.
+func TestSolveDenseAffinity(t *testing.T) {
+	p := benchProblem(9)
+	n := len(p.Blocks) + len(p.Terminals)
+	aff := make([][]float64, n)
+	for i := range aff {
+		aff[i] = make([]float64, n)
+	}
+	for _, pr := range p.Pairs {
+		aff[pr.I][pr.J] = pr.W
+		aff[pr.J][pr.I] = pr.W + 1 // lower triangle: ignored
+	}
+	dense := *p
+	dense.Pairs, dense.Affinity = nil, aff
+	opt := DefaultOptions()
+	opt.Seed = 5
+	opt.Effort = EffortLow
+	want := Solve(context.Background(), p, opt)
+	got := Solve(context.Background(), &dense, opt)
+	if math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || got.Expr.String() != want.Expr.String() {
+		t.Fatalf("dense affinity: cost %v expr %s, pairs: cost %v expr %s",
+			got.Cost, got.Expr.String(), want.Cost, want.Expr.String())
+	}
+	if dense.Pairs != nil {
+		t.Error("Solve wrote the converted pairs into the caller's Problem")
 	}
 }
 
@@ -239,15 +249,12 @@ func TestSolvePoolMatchesUnpooled(t *testing.T) {
 			})
 		}
 		p.Terminals = []Terminal{{Name: "t", Pos: geom.Pt(0, 0)}}
-		aff := make([][]float64, nb+1)
-		for i := range aff {
-			aff[i] = make([]float64, nb+1)
-		}
 		for i := 0; i+1 < nb; i++ {
-			aff[i][i+1] = 1 + float64(i)
+			p.Pairs = append(p.Pairs, dataflow.Pair{I: int32(i), J: int32(i + 1), W: 1 + float64(i)})
+			if i == 0 {
+				p.Pairs = append(p.Pairs, dataflow.Pair{I: 0, J: int32(nb), W: 2}) // block 0 pulled to the terminal
+			}
 		}
-		aff[0][nb] = 2 // block 0 pulled to the terminal
-		p.Affinity = aff
 
 		opt := DefaultOptions()
 		opt.Seed = int64(nb)
@@ -381,8 +388,8 @@ func wirecost(ev *slicing.Eval, p *Problem) float64 {
 	}
 	var sum float64
 	for _, pr := range px.pairs {
-		d := pos(pr.i).ManhattanDist(pos(pr.j))
-		sum += float64(d) * pr.w
+		d := pos(int(pr.I)).ManhattanDist(pos(int(pr.J)))
+		sum += float64(d) * pr.W
 	}
 	return ev.Penalty * (1 + sum)
 }

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 
@@ -197,8 +198,11 @@ func (b *Builder) Build() (*Design, error) {
 	d := b.d
 	if d.Die.Empty() {
 		// Default die: square with ~60% utilization of the total cell area.
-		st := d.Stats()
-		side := isqrt(st.CellArea*100/60) + 1
+		area, ok := d.cellAreaUpTo(maxDefaultDieCellArea)
+		if !ok {
+			return nil, fmt.Errorf("netlist: total cell area exceeds %d, too large to size a default die", maxDefaultDieCellArea)
+		}
+		side := isqrt(area*100/60) + 1
 		d.Die = geom.RectXYWH(0, 0, side, side)
 	}
 	if err := d.Validate(); err != nil {
@@ -214,6 +218,30 @@ func (b *Builder) MustBuild() *Design {
 		panic(err)
 	}
 	return d
+}
+
+// maxDefaultDieCellArea is the largest total cell area Build sizes a
+// default die for: the area·100/60 of the sizing, and so the die's own
+// area, stay inside int64.
+const maxDefaultDieCellArea = math.MaxInt64 / 100
+
+// cellAreaUpTo sums the outline area of the non-port cells, as
+// Stats().CellArea does, and reports false once the sum would exceed limit
+// (or a cell's area has overflowed) instead of wrapping around.
+func (d *Design) cellAreaUpTo(limit int64) (int64, bool) {
+	var sum int64
+	for i := range d.Cells {
+		c := &d.Cells[i]
+		if c.Kind == KindPort {
+			continue
+		}
+		a := c.Area()
+		if a < 0 || a > limit-sum {
+			return 0, false
+		}
+		sum += a
+	}
+	return sum, true
 }
 
 // isqrt returns floor(sqrt(v)), 0 for v <= 0. Newton's iteration starts

@@ -28,6 +28,8 @@ func FuzzReadJSON(f *testing.F) {
 		`{"name":"x","die":[0,0,100,100],"cells":[{"name":"m","kind":"macro","w":-100,"h":10},{"name":"p","kind":"port"}],"nets":[],"pins":[],"port_pos":[[4294967297,5,7],[0,1,1],[9,2,2]]}`,
 		`{"name":"x","die":[0,0,100,100],"cells":[{"name":"m","kind":"macro","w":9223372036854775807,"h":10}],"nets":[],"pins":[]}`,
 		`{"name":"x","die":[0,0,100,100],"cells":[{"name":"p","kind":"port"}],"nets":["n"],"pins":[{"cell":0,"net":0,"dir":"out"}],"port_pos":[[0,0,50],[-1,0,0]]}`,
+		// No die, and cell areas summing past the default die sizing.
+		`{"name":"x","cells":[{"name":"a","kind":"macro","w":2147483648,"h":2147483648},{"name":"b","kind":"macro","w":2147483648,"h":1073741824}],"nets":[],"pins":[]}`,
 	} {
 		f.Add([]byte(s))
 	}

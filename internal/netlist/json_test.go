@@ -70,6 +70,12 @@ func TestJSONRoundTrip(t *testing.T) {
 // TestReadJSONErrors pins the decoder's input checks, one case per
 // rejection, each error naming the offending field; the design the outline
 // and port_pos cases vary still reads at the size bound.
+// hugeNoDieDesign has no die and two macros of 2^31×2^31 and 2^31×2^30
+// DBU, each within ReadJSON's per-cell bound.
+const hugeNoDieDesign = `{"name":"x","cells":[` +
+	`{"name":"a","kind":"macro","w":2147483648,"h":2147483648},` +
+	`{"name":"b","kind":"macro","w":2147483648,"h":1073741824}],"nets":[],"pins":[]}`
+
 func TestReadJSONErrors(t *testing.T) {
 	design := func(macroW, macroH, portPos string) string {
 		return `{"name":"x","die":[0,0,100,100],"cells":[` +
@@ -98,6 +104,12 @@ func TestReadJSONErrors(t *testing.T) {
 		if _, err := ReadJSON(strings.NewReader(c.src)); err == nil || !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("%s: err = %v, want contains %q", c.name, err, c.frag)
 		}
+	}
+	// No die, and two macros within the per-cell bound whose areas sum
+	// past what the default die sizing can hold (2^62 + 2^61; ×100 wraps
+	// int64): rejected, not read with a wrapped 1×1 die.
+	if _, err := ReadJSON(strings.NewReader(hugeNoDieDesign)); err == nil || !strings.Contains(err.Error(), "too large to size a default die") {
+		t.Errorf("huge design without a die: err = %v, want the default-die size error", err)
 	}
 	d, err := ReadJSON(strings.NewReader(design("2147483648", "2147483648", "[1,0,50]")))
 	if err != nil {

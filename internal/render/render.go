@@ -140,9 +140,9 @@ func heat(v float64) string {
 }
 
 // Dataflow draws a Gdf block floorplan with affinity edges (Fig. 9d):
-// each node is a colored box at its position, arrows weighted and shaded by
-// affinity.
-func Dataflow(w io.Writer, die geom.Rect, gdf *dataflow.Graph, aff [][]float64,
+// each node is a colored box at its position, and each affinity pair
+// (dataflow.Graph.Pairs) a line weighted and shaded by its affinity.
+func Dataflow(w io.Writer, die geom.Rect, gdf *dataflow.Graph, pairs []dataflow.Pair,
 	rects []geom.Rect, terminals []geom.Point, widthPx int) {
 
 	c := newCanvas(w, die, widthPx)
@@ -158,26 +158,17 @@ func Dataflow(w io.Writer, die geom.Rect, gdf *dataflow.Graph, aff [][]float64,
 	}
 	// Max affinity for shading.
 	maxAff := 0.0
-	for i := range aff {
-		for j := range aff[i] {
-			if aff[i][j] > maxAff {
-				maxAff = aff[i][j]
-			}
-		}
+	for _, pr := range pairs {
+		maxAff = max(maxAff, pr.W)
 	}
 	if maxAff == 0 {
 		maxAff = 1
 	}
-	for i := range gdf.Nodes {
-		for j := i + 1; j < len(gdf.Nodes); j++ {
-			if i >= len(aff) || j >= len(aff[i]) || aff[i][j] == 0 {
-				continue
-			}
-			v := aff[i][j] / maxAff
-			width := 1 + 4*v
-			shade := int(200 * (1 - v))
-			c.line(pos(i), pos(j), fmt.Sprintf("#%02x%02xff", shade, shade), width)
-		}
+	for _, pr := range pairs {
+		v := pr.W / maxAff
+		width := 1 + 4*v
+		shade := int(200 * (1 - v))
+		c.line(pos(int(pr.I)), pos(int(pr.J)), fmt.Sprintf("#%02x%02xff", shade, shade), width)
 	}
 	palette := []string{"#e5a33b", "#5ab45a", "#c05a5a", "#5a7ac0", "#b45ab4", "#5ab4b4"}
 	for i := range gdf.Nodes {

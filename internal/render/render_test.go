@@ -89,13 +89,13 @@ func TestDataflowSVG(t *testing.T) {
 	decl := tr.Decluster(g.Design.Root(), hier.DefaultParams())
 	sg := seqgraph.Build(g.Design, seqgraph.DefaultParams())
 	gdf := dataflow.Build(sg, decl)
-	aff := gdf.Affinity(dataflow.DefaultParams())
+	pairs := gdf.Pairs(dataflow.DefaultParams())
 	rects := make([]geom.Rect, len(decl.Blocks))
 	for i := range rects {
 		rects[i] = geom.RectXYWH(int64(i)*100_000, 0, 90_000, 90_000)
 	}
 	var sb strings.Builder
-	Dataflow(&sb, g.Design.Die, gdf, aff, rects, nil, 400)
+	Dataflow(&sb, g.Design.Die, gdf, pairs, rects, nil, 400)
 	svg := sb.String()
 	if strings.Count(svg, "<line") == 0 {
 		t.Error("no affinity edges drawn")
