@@ -97,8 +97,10 @@ type Job struct {
 	Flow Flow
 	// Lambdas overrides the HiDaP λ sweep for circuit jobs (default: the
 	// paper's {0.2, 0.5, 0.8}, best wirelength wins). A single value pins
-	// λ. Circuit jobs otherwise take only Seed and Effort from the Config;
-	// the remaining flow knobs are the pipeline's defaults.
+	// λ. From the Config, circuit jobs read Seed, Effort, Restarts,
+	// Parallelism and (for the HiDaP flow) Autocluster; they ignore Lambda,
+	// K, Flat, Trace and Progress, and the remaining flow knobs are the
+	// pipeline's defaults. The IndEDA flow always runs at high effort.
 	Lambdas []float64
 
 	// Config overrides the engine's default Config for this job.

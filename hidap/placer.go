@@ -215,7 +215,9 @@ func placeHiDaP(ctx context.Context, d *Design, cfg *Config) (*Placement, Stats,
 }
 
 // placeIndEDA runs the industrial-baseline macro placer (hierarchy- and
-// dataflow-blind; wall-packing plus netlist annealing).
+// dataflow-blind; wall-packing plus netlist annealing). It runs at high
+// effort unless cfg.Effort is low, while circuit jobs (flows.Run) always run
+// IndEDA at high effort.
 func placeIndEDA(ctx context.Context, d *Design, cfg *Config) (*Placement, Stats, error) {
 	start := time.Now()
 	pl, err := indeda.Place(ctx, d, indeda.Options{

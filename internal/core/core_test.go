@@ -295,7 +295,7 @@ func TestFlippingImprovesPinWL(t *testing.T) {
 	pl := placement.New(d)
 	pl.Place(m, geom.Pt(4_000, 0))
 	before := pl.TotalHPWL()
-	flips := flipMacros(pl, nil, nil)
+	flips := pl.FlipMacros(d.Macros(), nil, nil, 4)
 	after := pl.TotalHPWL()
 	if flips != 1 {
 		t.Errorf("flips = %d, want 1", flips)

@@ -184,7 +184,7 @@ type flowState struct {
 // cellEstimates holds the position estimates of the non-macro cells, which
 // every task shares: such a cell is written only by the task that owns its
 // subtree, and read only by that task and, after the last join, by
-// flipMacros. It also maps each macro cell to its slot in a view's
+// the flipping pass. It also maps each macro cell to its slot in a view's
 // per-macro arrays.
 type cellEstimates struct {
 	macroSlot []int32 // cell -> macro slot, or -1
@@ -371,7 +371,7 @@ func Place(ctx context.Context, d *netlist.Design, opt Options) (*Result, error)
 	}
 	legalize.Macros(st.pl, d.Die)
 	approx, hasApx := root.view.merged()
-	st.res.Flips = flipMacros(st.pl, approx, hasApx)
+	st.res.Flips = st.pl.FlipMacros(d.Macros(), approx, hasApx, 4)
 	st.res.Placement = st.pl
 	// Replay the buffered level events (the root spine already streamed
 	// live) in canonical depth-first order, then close with the flips

@@ -98,7 +98,9 @@ type Metrics struct {
 	WLnorm float64 `json:"wl_norm,omitempty"`
 }
 
-// Run executes one flow on a generated circuit and measures it. A cancelled
+// Run executes one flow on a generated circuit and measures it. IndEDA
+// always runs at the paper's high effort, whatever opt.Effort says (the
+// hidap "indeda" placer follows its Config's Effort instead). A cancelled
 // ctx aborts macro placement, candidate evaluation and cell placement
 // promptly and returns ctx.Err().
 func Run(ctx context.Context, g *circuits.Generated, flow Flow, opt Options) (*Metrics, *placement.Placement, error) {

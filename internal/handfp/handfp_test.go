@@ -28,7 +28,7 @@ func design(t testing.TB) (*netlist.Design, Intent) {
 
 func TestPlaceHonorsIntent(t *testing.T) {
 	d, intent := design(t)
-	pl, err := Place(context.Background(), d, intent, DefaultOptions())
+	pl, err := Place(context.Background(), d, intent, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestPlaceRotatedIntent(t *testing.T) {
 	d, intent := design(t)
 	// Rotate m3's intent: 10000x20000.
 	intent["m3"] = geom.RectXYWH(0, 50_000, 10_000, 20_000)
-	pl, err := Place(context.Background(), d, intent, DefaultOptions())
+	pl, err := Place(context.Background(), d, intent, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestPlaceRotatedIntent(t *testing.T) {
 func TestPlaceMissingIntentFails(t *testing.T) {
 	d, intent := design(t)
 	delete(intent, "m2")
-	if _, err := Place(context.Background(), d, intent, DefaultOptions()); err == nil {
+	if _, err := Place(context.Background(), d, intent, Options{}); err == nil {
 		t.Error("expected error for missing intent")
 	}
 }
@@ -97,8 +97,8 @@ func TestRefineImprovesOrKeepsWL(t *testing.T) {
 
 func TestPlaceDeterministic(t *testing.T) {
 	d, intent := design(t)
-	a, _ := Place(context.Background(), d, intent, DefaultOptions())
-	b, _ := Place(context.Background(), d, intent, DefaultOptions())
+	a, _ := Place(context.Background(), d, intent, Options{})
+	b, _ := Place(context.Background(), d, intent, Options{})
 	for _, m := range d.Macros() {
 		if a.Pos[m] != b.Pos[m] || a.Orient[m] != b.Orient[m] {
 			t.Fatal("nondeterministic")

@@ -9,7 +9,6 @@ package indeda
 
 import (
 	"context"
-	"math/rand"
 	"sort"
 
 	"repro/internal/anneal"
@@ -33,13 +32,9 @@ type Options struct {
 	HighEffort bool
 	// WallWeight is the attraction of macros to the nearest die edge,
 	// relative to wirelength (industrial tools strongly prefer wall
-	// positions to keep the core area open).
+	// positions to keep the core area open; the paper's setup uses 0.4). Zero
+	// drops the wall term and the snap-to-wall move.
 	WallWeight float64
-}
-
-// DefaultOptions mirrors the paper's setup (high effort).
-func DefaultOptions() Options {
-	return Options{HighEffort: true, WallWeight: 0.4}
 }
 
 // Place produces a macro placement. Ports must already be fixed (they are
@@ -51,17 +46,13 @@ func Place(ctx context.Context, d *netlist.Design, opt Options) (*placement.Plac
 	if len(macros) == 0 {
 		return pl, nil
 	}
-	if opt.WallWeight == 0 {
-		opt.WallWeight = 0.4
-	}
-
 	packPeriphery(pl, macros)
 	refine(ctx, pl, macros, opt)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	legalize.Macros(pl, d.Die)
-	pl.FlipForPinWL(macros)
+	pl.FlipMacros(macros, nil, nil, 1)
 	return pl, nil
 }
 
@@ -140,9 +131,8 @@ func packPeriphery(pl *placement.Placement, macros []netlist.CellID) {
 // an overlap penalty. This is the connectivity picture a commercial,
 // RTL-blind floorplanner optimizes before cell placement.
 func refine(ctx context.Context, pl *placement.Placement, macros []netlist.CellID, opt Options) {
-	d := pl.D
-	die := d.Die
-	bonds := mbonds.Extract(d, mbonds.DefaultParams())
+	die := pl.D.Die
+	bonds := mbonds.Extract(pl.D, mbonds.DefaultParams())
 	meanBondW := 1.0
 	if len(bonds) > 0 {
 		var t float64
@@ -165,132 +155,13 @@ func refine(ctx context.Context, pl *placement.Placement, macros []netlist.CellI
 		sa.Alpha = 0.9
 		sa.StallRounds = 12
 	}
-	r := refiner{
-		pl: pl, macros: macros, bonds: bonds, die: die,
-		// Wall distance is scaled to compete with a typical bond; overlap
-		// area to the die's perimeter.
-		wallW:    opt.WallWeight * meanBondW,
-		overlapW: float64(die.W+die.H) / 64 * meanBondW,
-		step:     die.W / 10,
-		best:     make([]geom.Point, len(macros)),
-	}
-	anneal.RunModel(ctx, sa, &r)
-	for i, m := range macros {
-		pl.Place(m, r.best[i])
-	}
-}
-
-// refiner is the refine anneal as an anneal.Model over the placement.
-// Propose journals the (macro, old position) pairs its move overwrote, so
-// Undo restores them in reverse.
-type refiner struct {
-	pl       *placement.Placement
-	macros   []netlist.CellID
-	bonds    []mbonds.Bond
-	die      geom.Rect
-	wallW    float64
-	overlapW float64
-	step     int64
-
-	moved [2]movedMacro
-	n     int
-	best  []geom.Point
-}
-
-// movedMacro is one journaled position overwrite.
-type movedMacro struct {
-	m   netlist.CellID
-	old geom.Point
-}
-
-func (rf *refiner) Cost() float64 {
-	pl, die := rf.pl, rf.die
-	sum := mbonds.WL(pl, rf.bonds)
-	// Wall preference: distance to nearest edge.
-	for _, m := range rf.macros {
-		r := pl.Rect(m)
-		edge := min4(r.X-die.X, die.X2()-r.X2(), r.Y-die.Y, die.Y2()-r.Y2())
-		sum += rf.wallW * float64(edge)
-	}
-	// Overlap penalty.
-	for i, m := range rf.macros {
-		r := pl.Rect(m)
-		for _, o := range rf.macros[i+1:] {
-			if ov := r.Intersect(pl.Rect(o)).Area(); ov > 0 {
-				sum += rf.overlapW * float64(ov) / float64(die.W)
-			}
-		}
-	}
-	return sum
-}
-
-func (rf *refiner) Propose(rng *rand.Rand) float64 {
-	pl, die, macros := rf.pl, rf.die, rf.macros
-	switch rng.Intn(3) {
-	case 0: // swap two macros (clamped: outlines differ)
-		i, j := rng.Intn(len(macros)), rng.Intn(len(macros))
-		mi, mj := macros[i], macros[j]
-		pi, pj := pl.Pos[mi], pl.Pos[mj]
-		ri := geom.RectXYWH(pj.X, pj.Y, pl.Rect(mi).W, pl.Rect(mi).H).ClampInside(die)
-		rj := geom.RectXYWH(pi.X, pi.Y, pl.Rect(mj).W, pl.Rect(mj).H).ClampInside(die)
-		pl.Place(mi, geom.Pt(ri.X, ri.Y))
-		pl.Place(mj, geom.Pt(rj.X, rj.Y))
-		rf.moved, rf.n = [2]movedMacro{{mi, pi}, {mj, pj}}, 2
-	case 1: // translate one macro
-		m := macros[rng.Intn(len(macros))]
-		old := pl.Pos[m]
-		dx := rng.Int63n(2*rf.step+1) - rf.step
-		dy := rng.Int63n(2*rf.step+1) - rf.step
-		r := pl.Rect(m).Translate(dx, dy).ClampInside(die)
-		pl.Place(m, geom.Pt(r.X, r.Y))
-		rf.moved[0], rf.n = movedMacro{m, old}, 1
-	default: // snap one macro to the nearest wall
-		m := macros[rng.Intn(len(macros))]
-		old := pl.Pos[m]
-		r := pl.Rect(m)
-		dl := r.X - die.X
-		dr := die.X2() - r.X2()
-		db := r.Y - die.Y
-		dt := die.Y2() - r.Y2()
-		switch min4(dl, dr, db, dt) {
-		case dl:
-			r.X = die.X
-		case dr:
-			r.X = die.X2() - r.W
-		case db:
-			r.Y = die.Y
-		default:
-			r.Y = die.Y2() - r.H
-		}
-		pl.Place(m, geom.Pt(r.X, r.Y))
-		rf.moved[0], rf.n = movedMacro{m, old}, 1
-	}
-	return rf.Cost()
-}
-
-func (rf *refiner) Undo() {
-	for k := rf.n - 1; k >= 0; k-- {
-		rf.pl.Place(rf.moved[k].m, rf.moved[k].old)
-	}
-	rf.n = 0
-}
-
-func (rf *refiner) Snapshot() {
-	for i, m := range rf.macros {
-		rf.best[i] = rf.pl.Pos[m]
-	}
-}
-
-func min4(a, b, c, d int64) int64 {
-	m := a
-	if b < m {
-		m = b
-	}
-	if c < m {
-		m = c
-	}
-	if d < m {
-		m = d
-	}
-	return m
+	// Wall distance is scaled to compete with a typical bond; overlap area
+	// to the die's perimeter. Macros hold R0 here (packPeriphery places
+	// them so), which the refinement keeps.
+	mbonds.Refine(ctx, pl, macros, bonds, mbonds.RefineParams{
+		OverlapW: float64(die.W+die.H) / 64 * meanBondW,
+		Step:     die.W / 10,
+		Slides:   1,
+		WallW:    opt.WallWeight * meanBondW,
+	}, sa)
 }

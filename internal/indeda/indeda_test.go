@@ -9,6 +9,9 @@ import (
 	"repro/internal/netlist"
 )
 
+// paperOptions is the paper's setup, as the flows run it.
+var paperOptions = Options{HighEffort: true, WallWeight: 0.4}
+
 func wallDesign(t testing.TB) *netlist.Design {
 	b := netlist.NewBuilder("wd")
 	b.SetDie(geom.RectXYWH(0, 0, 200_000, 200_000))
@@ -31,7 +34,7 @@ func wallDesign(t testing.TB) *netlist.Design {
 
 func TestPlaceLegal(t *testing.T) {
 	d := wallDesign(t)
-	pl, err := Place(context.Background(), d, DefaultOptions())
+	pl, err := Place(context.Background(), d, paperOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +51,7 @@ func TestPlaceLegal(t *testing.T) {
 
 func TestPlacePrefersWalls(t *testing.T) {
 	d := wallDesign(t)
-	pl, err := Place(context.Background(), d, DefaultOptions())
+	pl, err := Place(context.Background(), d, paperOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +93,7 @@ func TestPlaceNoMacros(t *testing.T) {
 	b := netlist.NewBuilder("empty")
 	b.AddComb("c", 100, "")
 	d := b.MustBuild()
-	pl, err := Place(context.Background(), d, DefaultOptions())
+	pl, err := Place(context.Background(), d, paperOptions)
 	if err != nil || pl == nil {
 		t.Fatalf("macro-free design should succeed: %v", err)
 	}
@@ -100,7 +103,7 @@ func TestConnectivityPullsChainTogether(t *testing.T) {
 	// Macro chain m0-m1-...-m7: the annealer should keep consecutive
 	// macros closer on average than random pairs.
 	d := wallDesign(t)
-	pl, err := Place(context.Background(), d, DefaultOptions())
+	pl, err := Place(context.Background(), d, paperOptions)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,6 +34,7 @@ var solverExtraPkgs = []string{
 	"internal/flows",
 	"internal/handfp",
 	"internal/indeda",
+	"internal/mbonds",
 	"internal/place",
 }
 

@@ -3,8 +3,9 @@
 // sequential graph finds the macros and ports reachable within a few
 // register hops, weighted by bus width. This is the connectivity model a
 // netlist-only floorplanner works with — no hierarchy, no array names, no
-// latency decay — and both comparison flows (IndEDA, handFP refinement)
-// score candidate macro positions against it.
+// latency decay. Refine is the one refinement anneal both comparison flows
+// (IndEDA, handFP) run on it: swap, slide and, with a wall weight, snap
+// moves scored by bond wirelength plus overlap (and wall) penalties.
 package mbonds
 
 import (
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/netlist"
+	"repro/internal/placement"
 	"repro/internal/seqgraph"
 )
 
@@ -149,9 +151,7 @@ func Extract(d *netlist.Design, p Params) []Bond {
 }
 
 // WL evaluates the bond wirelength of a macro placement: Σ W · dist.
-func WL(pl interface {
-	Center(netlist.CellID) geom.Point
-}, bonds []Bond) float64 {
+func WL(pl *placement.Placement, bonds []Bond) float64 {
 	var sum float64
 	for i := range bonds {
 		b := &bonds[i]

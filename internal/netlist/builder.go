@@ -196,10 +196,15 @@ func (b *Builder) Build() (*Design, error) {
 		return nil, b.err
 	}
 	d := b.d
+	// Every area sum downstream (Stats().CellArea, hierarchy node areas)
+	// would wrap past int64.
+	area, ok := d.cellArea()
+	if !ok {
+		return nil, fmt.Errorf("netlist: total cell area overflows int64")
+	}
 	if d.Die.Empty() {
 		// Default die: square with ~60% utilization of the total cell area.
-		area, ok := d.cellAreaUpTo(maxDefaultDieCellArea)
-		if !ok {
+		if area > maxDefaultDieCellArea {
 			return nil, fmt.Errorf("netlist: total cell area exceeds %d, too large to size a default die", maxDefaultDieCellArea)
 		}
 		side := isqrt(area*100/60) + 1
@@ -225,10 +230,10 @@ func (b *Builder) MustBuild() *Design {
 // area, stay inside int64.
 const maxDefaultDieCellArea = math.MaxInt64 / 100
 
-// cellAreaUpTo sums the outline area of the non-port cells, as
-// Stats().CellArea does, and reports false once the sum would exceed limit
-// (or a cell's area has overflowed) instead of wrapping around.
-func (d *Design) cellAreaUpTo(limit int64) (int64, bool) {
+// cellArea sums the outline area of the non-port cells, as
+// Stats().CellArea does, and reports false once the sum would overflow
+// int64 (or a cell's area has overflowed) instead of wrapping around.
+func (d *Design) cellArea() (int64, bool) {
 	var sum int64
 	for i := range d.Cells {
 		c := &d.Cells[i]
@@ -236,7 +241,7 @@ func (d *Design) cellAreaUpTo(limit int64) (int64, bool) {
 			continue
 		}
 		a := c.Area()
-		if a < 0 || a > limit-sum {
+		if a < 0 || a > math.MaxInt64-sum {
 			return 0, false
 		}
 		sum += a

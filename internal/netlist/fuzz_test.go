@@ -30,6 +30,8 @@ func FuzzReadJSON(f *testing.F) {
 		`{"name":"x","die":[0,0,100,100],"cells":[{"name":"p","kind":"port"}],"nets":["n"],"pins":[{"cell":0,"net":0,"dir":"out"}],"port_pos":[[0,0,50],[-1,0,0]]}`,
 		// No die, and cell areas summing past the default die sizing.
 		`{"name":"x","cells":[{"name":"a","kind":"macro","w":2147483648,"h":2147483648},{"name":"b","kind":"macro","w":2147483648,"h":1073741824}],"nets":[],"pins":[]}`,
+		// A die past the coordinate bound, and cell areas summing past int64.
+		`{"name":"x","die":[0,0,4294967296,4294967296],"cells":[{"kind":"macro","w":2147483648,"h":2147483648},{"kind":"macro","w":2147483648,"h":2147483648},{"kind":"macro","w":2147483648,"h":2147483648},{"kind":"macro","w":2147483648,"h":2147483648}],"nets":[],"pins":[]}`,
 	} {
 		f.Add([]byte(s))
 	}

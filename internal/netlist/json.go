@@ -77,19 +77,26 @@ func WriteJSON(w io.Writer, d *Design) error {
 	return enc.Encode(&jd)
 }
 
-// maxCellDim bounds a cell's width and height in DBU on input, so that no
-// cell's area W*H can overflow int64.
+// maxCellDim bounds a cell's width and height, and the die's origin and
+// size, in DBU on input, so that no cell's area W*H, nor the die's area or
+// far edges, can overflow int64.
 const maxCellDim = 1 << 31
 
 // ReadJSON parses the JSON interchange form back into a validated Design.
 // It is an untrusted edge (hidap-serve reads client designs through it), so
-// it rejects cell outlines outside [0, maxCellDim] and port positions that
-// name a cell out of range or a cell that is not a port.
+// it rejects a die and cell outlines outside [0, maxCellDim], port positions
+// that name a cell out of range or a cell that is not a port, and (in
+// Build) cell areas whose sum overflows int64.
 func ReadJSON(r io.Reader) (*Design, error) {
 	var jd jsonDesign
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&jd); err != nil {
 		return nil, fmt.Errorf("netlist: json: %w", err)
+	}
+	for i, v := range jd.Die {
+		if v < 0 || v > maxCellDim {
+			return nil, fmt.Errorf("netlist: json die[%d] %d out of range [0, %d]", i, v, maxCellDim)
+		}
 	}
 	b := NewBuilder(jd.Name)
 	b.SetDie(geom.RectXYWH(jd.Die[0], jd.Die[1], jd.Die[2], jd.Die[3]))

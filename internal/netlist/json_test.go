@@ -76,6 +76,14 @@ const hugeNoDieDesign = `{"name":"x","cells":[` +
 	`{"name":"a","kind":"macro","w":2147483648,"h":2147483648},` +
 	`{"name":"b","kind":"macro","w":2147483648,"h":1073741824}],"nets":[],"pins":[]}`
 
+// fourMacroDesign has a side×side die and four macros of 2^31×2^31 DBU,
+// each within ReadJSON's per-cell bound but together 2^64 DBU² of area.
+func fourMacroDesign(side string) string {
+	m := `{"kind":"macro","w":2147483648,"h":2147483648}`
+	return `{"name":"x","die":[0,0,` + side + `,` + side + `],"cells":[` +
+		strings.Join([]string{m, m, m, m}, ",") + `],"nets":[],"pins":[]}`
+}
+
 func TestReadJSONErrors(t *testing.T) {
 	design := func(macroW, macroH, portPos string) string {
 		return `{"name":"x","die":[0,0,100,100],"cells":[` +
@@ -99,6 +107,9 @@ func TestReadJSONErrors(t *testing.T) {
 		{"port index past last cell", design("10", "10", "[9,2,2]"), "port_pos 0: cell 9 out of range"},
 		{"port pos on a macro", design("10", "10", "[0,1,1]"), "port_pos 0: cell 0 is a macro, not a port"},
 		{"port pos on a comb", design("10", "10", "[2,1,1]"), "port_pos 0: cell 2 is a comb, not a port"},
+		{"die past bound", fourMacroDesign("4294967296"), "die[2] 4294967296 out of range"},
+		{"die origin negative", `{"name":"x","die":[-1,0,10,10],"cells":[],"nets":[],"pins":[]}`, "die[0] -1 out of range"},
+		{"cell area sum overflows", fourMacroDesign("2147483648"), "total cell area overflows int64"},
 	}
 	for _, c := range cases {
 		if _, err := ReadJSON(strings.NewReader(c.src)); err == nil || !strings.Contains(err.Error(), c.frag) {

@@ -1,8 +1,9 @@
 // Package placement holds the physical state shared by every flow stage:
 // per-cell positions and orientations, pin locations under orientation
-// transforms, and wirelength accounting. The macro placers fill in macros
-// and ports; the standard-cell placer fills in the rest; the metric stages
-// read the result.
+// transforms, wirelength accounting, and the macro flipping pass every
+// macro placer ends with. The macro placers fill in macros and ports; the
+// standard-cell placer fills in the rest; the metric stages read the
+// result.
 package placement
 
 import (
@@ -62,35 +63,6 @@ func (p *Placement) PlaceOriented(id netlist.CellID, pos geom.Point, o geom.Orie
 	p.Pos[id] = pos
 	p.Orient[id] = o
 	p.Placed[id] = true
-}
-
-// FlipForPinWL greedily flips each macro, in order, to the mirror image of
-// its orientation (X, Y or both) that minimizes the half-perimeter
-// wirelength of its own nets, counting placed cells only. Position and
-// rotation are kept; a tie keeps the current orientation.
-func (p *Placement) FlipForPinWL(macros []netlist.CellID) {
-	for _, m := range macros {
-		base := p.Orient[m]
-		bestO := base
-		bestC := p.pinWL(m)
-		for _, o := range []geom.Orient{base.FlipX(), base.FlipY(), base.FlipX().FlipY()} {
-			p.PlaceOriented(m, p.Pos[m], o)
-			if c := p.pinWL(m); c < bestC {
-				bestC = c
-				bestO = o
-			}
-		}
-		p.PlaceOriented(m, p.Pos[m], bestO)
-	}
-}
-
-// pinWL sums NetHPWL over the nets of one cell's pins.
-func (p *Placement) pinWL(id netlist.CellID) int64 {
-	var sum int64
-	for _, pid := range p.D.Cell(id).Pins {
-		sum += p.NetHPWL(p.D.Pin(pid).Net)
-	}
-	return sum
 }
 
 // Rect returns the placed outline of a cell.

@@ -158,21 +158,3 @@ func TestClone(t *testing.T) {
 		t.Error("clone aliases original")
 	}
 }
-
-func TestFlipForPinWLFacesPinToItsNet(t *testing.T) {
-	d, _, m, _ := design(t)
-	pin := d.Cell(m).Pins[0]
-	for _, start := range []geom.Orient{geom.R0, geom.R0.FlipX(), geom.R0.FlipY(), geom.R0.FlipX().FlipY()} {
-		p := New(d)
-		p.PlaceOriented(m, geom.Pt(5000, 4500), start)
-		p.FlipForPinWL([]netlist.CellID{m})
-		// The net's other placed pin is the port at x=0: the best mirror
-		// image keeps the macro pin on the west edge.
-		if got := p.PinPos(pin).X; got != 5000 {
-			t.Errorf("from %v: pin x = %d after flipping, want 5000 (orient %v)", start, got, p.Orient[m])
-		}
-		if p.Pos[m] != geom.Pt(5000, 4500) {
-			t.Errorf("from %v: flipping moved the macro to %v", start, p.Pos[m])
-		}
-	}
-}
