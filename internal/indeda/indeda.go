@@ -32,8 +32,8 @@ type Options struct {
 	HighEffort bool
 	// WallWeight is the attraction of macros to the nearest die edge,
 	// relative to wirelength (industrial tools strongly prefer wall
-	// positions to keep the core area open; the paper's setup uses 0.4). Zero
-	// drops the wall term and the snap-to-wall move.
+	// positions to keep the core area open; the paper's setup uses 0.4).
+	// Zero drops the wall term and the snap-to-wall move.
 	WallWeight float64
 }
 
