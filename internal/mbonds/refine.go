@@ -55,6 +55,7 @@ type refiner struct {
 	moved [2]movedMacro
 	n     int
 	best  []geom.Point
+	rects []geom.Rect // Cost's macro outlines, one per macro
 }
 
 // movedMacro is one journaled position overwrite.
@@ -70,24 +71,27 @@ func newRefiner(pl *placement.Placement, macros []netlist.CellID, bonds []Bond, 
 	}
 	return &refiner{
 		pl: pl, macros: macros, bonds: bonds, die: pl.D.Die, p: p, kinds: kinds,
-		best: make([]geom.Point, len(macros)),
+		best: make([]geom.Point, len(macros)), rects: make([]geom.Rect, len(macros)),
 	}
 }
 
+// Cost reads each macro's outline once, then sums the wall terms and the
+// all-pairs overlap scan over those outlines.
 func (rf *refiner) Cost() float64 {
-	pl, die := rf.pl, rf.die
+	pl, die, rects := rf.pl, rf.die, rf.rects
 	sum := WL(pl, rf.bonds)
+	for i, m := range rf.macros {
+		rects[i] = pl.Rect(m)
+	}
 	if rf.p.WallW != 0 {
-		for _, m := range rf.macros {
-			r := pl.Rect(m)
+		for _, r := range rects {
 			edge := min(r.X-die.X, die.X2()-r.X2(), r.Y-die.Y, die.Y2()-r.Y2())
 			sum += rf.p.WallW * float64(edge)
 		}
 	}
-	for i, m := range rf.macros {
-		r := pl.Rect(m)
-		for _, o := range rf.macros[i+1:] {
-			if ov := r.Intersect(pl.Rect(o)).Area(); ov > 0 {
+	for i, r := range rects {
+		for _, o := range rects[i+1:] {
+			if ov := r.Intersect(o).Area(); ov > 0 {
 				sum += rf.p.OverlapW * float64(ov) / float64(die.W)
 			}
 		}

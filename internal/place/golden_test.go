@@ -100,16 +100,22 @@ func TestRunAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkRun places the cells of suite circuit c8 at scale 100 around its
-// handFP macro placement. Run resets every movable cell, so one placement is
-// reused across iterations.
+// BenchmarkRun places the cells of suite circuits c8 and c1 at scale 100
+// around their handFP macro placements. Run resets every movable cell, so one
+// placement is reused across iterations. c1's macros leave many overfull bins
+// ringed by full or blocked ones, so it leans on the spare-bin search more
+// than c8 does.
 func BenchmarkRun(b *testing.B) {
-	pl := macroPlaced(b, "c8", 100, "handfp")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := place.Run(context.Background(), pl, place.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
+	for _, circuit := range []string{"c8", "c1"} {
+		b.Run(circuit, func(b *testing.B) {
+			pl := macroPlaced(b, circuit, 100, "handfp")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := place.Run(context.Background(), pl, place.DefaultOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

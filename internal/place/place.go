@@ -10,10 +10,9 @@
 package place
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"repro/internal/geom"
 	"repro/internal/netlist"
@@ -74,7 +73,7 @@ func Run(ctx context.Context, pl *placement.Placement, opt Options) error {
 		opt.TargetUtil = deriveTargetUtil(d, pl)
 	}
 	grid := newGrid(d, pl, opt)
-	s := newScratch(d, len(grid.cap))
+	s := newScratch(pl, movable, len(grid.cap))
 	for iter := 0; iter < opt.Iterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -121,11 +120,27 @@ func deriveTargetUtil(d *netlist.Design, pl *placement.Placement) float64 {
 // scratch is the working memory of solve and spread, allocated once per Run
 // and reused by every round.
 type scratch struct {
-	centers    []geom.Point       // cell centers, snapshotted per sweep and per spread round
-	cx, cy, cn []int64            // per-net sums of placed pin centers, and their count
-	binCells   [][]netlist.CellID // movable cells per spreading bin
-	keys       []spreadKey        // one overfull bin's cells in eviction order
+	centers []geom.Point // cell centers, snapshotted per sweep and per spread round
+	// netOf[netOff[i]:netOff[i+1]] are the nets of movable[i]'s pins that
+	// have a centroid (at least two placed pins), one entry per pin: a cell
+	// with two pins on a net lists it twice.
+	netOff []int32
+	netOf  []netlist.NetID
+	// pinCell[pinOff[n]:pinOff[n+1]] are the movable cells of net n's pins,
+	// one entry per pin.
+	pinOff  []int32
+	pinCell []netlist.CellID
+	// fixed sums each net's fixed placed pins (macros and ports) and counts
+	// all of its placed pins; neither changes during a Run.
+	fixed    []netSum
+	centroid []geom.Point       // per-net centroid of one sweep, where fixed[n].n ≥ 2
+	binCells [][]netlist.CellID // movable cells per spreading bin
+	keys     []spreadKey        // one overfull bin's cells, a heap in eviction order
+	ring     []ringBin          // one ring's bins with spare capacity, a heap
 }
+
+// netSum is the sum of a net's fixed pin centers and its placed pin count.
+type netSum struct{ x, y, n int64 }
 
 // spreadKey orders an overfull bin's cells for eviction: farthest from the
 // bin center first, ties by cell ID.
@@ -134,14 +149,77 @@ type spreadKey struct {
 	id   netlist.CellID
 }
 
-func newScratch(d *netlist.Design, bins int) *scratch {
-	return &scratch{
+func (a spreadKey) before(b spreadKey) bool {
+	if a.dist != b.dist {
+		return a.dist > b.dist
+	}
+	return a.id < b.id
+}
+
+// ringBin is a bin of the ring being searched for relief, ordered by most
+// spare capacity first, ties by the ring's scan order.
+type ringBin struct {
+	spare float64
+	ord   int32 // position in the ring's scan order
+	bin   int32
+}
+
+func (a ringBin) before(b ringBin) bool {
+	if a.spare != b.spare {
+		return a.spare > b.spare
+	}
+	return a.ord < b.ord
+}
+
+// newScratch sizes the working memory for placing movable on pl with the
+// given number of spreading bins. It indexes the nets of the movable cells
+// both ways and sums the fixed pins, which stay put for the whole Run. Every
+// movable cell must already be placed.
+func newScratch(pl *placement.Placement, movable []netlist.CellID, bins int) *scratch {
+	d := pl.D
+	s := &scratch{
 		centers:  make([]geom.Point, len(d.Cells)),
-		cx:       make([]int64, len(d.Nets)),
-		cy:       make([]int64, len(d.Nets)),
-		cn:       make([]int64, len(d.Nets)),
+		netOff:   make([]int32, len(movable)+1),
+		pinOff:   make([]int32, len(d.Nets)+1),
+		fixed:    make([]netSum, len(d.Nets)),
+		centroid: make([]geom.Point, len(d.Nets)),
 		binCells: make([][]netlist.CellID, bins),
 	}
+	isMovable := make([]bool, len(d.Cells))
+	pins := 0
+	for _, id := range movable {
+		isMovable[id] = true
+		pins += len(d.Cell(id).Pins)
+	}
+	s.pinCell = make([]netlist.CellID, 0, pins)
+	s.netOf = make([]netlist.NetID, 0, pins)
+	for nid := range d.Nets {
+		f := &s.fixed[nid]
+		for _, pid := range d.Nets[nid].Pins {
+			pin := d.Pin(pid)
+			switch {
+			case isMovable[pin.Cell]:
+				s.pinCell = append(s.pinCell, pin.Cell)
+			case pl.Placed[pin.Cell]:
+				c := pl.Center(pin.Cell)
+				f.x += c.X
+				f.y += c.Y
+			default:
+				continue
+			}
+			f.n++
+		}
+		s.pinOff[nid+1] = int32(len(s.pinCell))
+	}
+	for i, id := range movable {
+		for _, pid := range d.Cell(id).Pins {
+			if nid := d.Pin(pid).Net; s.fixed[nid].n >= 2 {
+				s.netOf = append(s.netOf, nid)
+			}
+		}
+		s.netOff[i+1] = int32(len(s.netOf))
+	}
+	return s
 }
 
 // solve runs Gauss–Seidel sweeps of the star net model: each pass computes
@@ -150,43 +228,39 @@ func newScratch(d *netlist.Design, bins int) *scratch {
 // Fixed cells (macros, ports) keep the system anchored.
 func solve(pl *placement.Placement, movable []netlist.CellID, sweeps int, keep float64, s *scratch) {
 	d := pl.D
-	cx, cy, cn, centers := s.cx, s.cy, s.cn, s.centers
+	centers, centroid := s.centers, s.centroid
 	for sweep := 0; sweep < sweeps; sweep++ {
-		for i := range d.Nets {
-			cx[i], cy[i], cn[i] = 0, 0, 0
-		}
 		// A sweep reads the positions from before its first move, so one
-		// snapshot of the centers serves every pin.
-		for i := range d.Cells {
-			if pl.Placed[i] {
-				centers[i] = pl.Center(netlist.CellID(i))
-			}
-		}
-		for i := range d.Pins {
-			pin := &d.Pins[i]
-			if !pl.Placed[pin.Cell] {
-				continue
-			}
-			c := centers[pin.Cell]
-			cx[pin.Net] += c.X
-			cy[pin.Net] += c.Y
-			cn[pin.Net]++
-		}
+		// snapshot of the centers serves every pin. The sums are integers,
+		// so adding a net's movable pins to its fixed ones in another order
+		// than d.Pins gives the same centroid.
 		for _, id := range movable {
-			cell := d.Cell(id)
-			var sx, sy, n int64
-			for _, pid := range cell.Pins {
-				nid := d.Pin(pid).Net
-				if cn[nid] < 2 {
-					continue
-				}
-				sx += cx[nid] / cn[nid]
-				sy += cy[nid] / cn[nid]
-				n++
-			}
-			if n == 0 {
+			centers[id] = pl.Center(id)
+		}
+		for nid := range s.fixed {
+			f := &s.fixed[nid]
+			if f.n < 2 {
 				continue
 			}
+			x, y := f.x, f.y
+			for _, c := range s.pinCell[s.pinOff[nid]:s.pinOff[nid+1]] {
+				x += centers[c].X
+				y += centers[c].Y
+			}
+			centroid[nid] = geom.Pt(x/f.n, y/f.n)
+		}
+		for i, id := range movable {
+			nets := s.netOf[s.netOff[i]:s.netOff[i+1]]
+			if len(nets) == 0 {
+				continue
+			}
+			var sx, sy int64
+			for _, nid := range nets {
+				sx += centroid[nid].X
+				sy += centroid[nid].Y
+			}
+			n := int64(len(nets))
+			cell := d.Cell(id)
 			target := geom.Pt(sx/n, sy/n)
 			cur := centers[id]
 			nx := int64(keep*float64(cur.X) + (1-keep)*float64(target.X))
@@ -205,6 +279,13 @@ type grid struct {
 	macros     []geom.Rect // placed macro outlines, fixed for the whole Run
 	cap        []float64   // usable area per bin × target utilization
 	load       []float64
+	// rowSpare and colSpare both hold the set of bins with spare capacity
+	// (cap > load) during spread, as one bitset of wx words per row and one
+	// of wy words per column, so a ring search tests or walks a side of its
+	// ring a word at a time instead of visiting every bin.
+	wx, wy   int
+	rowSpare []uint64
+	colSpare []uint64
 }
 
 func newGrid(d *netlist.Design, pl *placement.Placement, opt Options) *grid {
@@ -216,6 +297,9 @@ func newGrid(d *netlist.Design, pl *placement.Placement, opt Options) *grid {
 	}
 	g.cap = make([]float64, g.nx*g.ny)
 	g.load = make([]float64, g.nx*g.ny)
+	g.wx, g.wy = (g.nx+63)/64, (g.ny+63)/64
+	g.rowSpare = make([]uint64, g.ny*g.wx)
+	g.colSpare = make([]uint64, g.nx*g.wy)
 	for by := 0; by < g.ny; by++ {
 		for bx := 0; bx < g.nx; bx++ {
 			r := g.binRect(bx, by)
@@ -254,10 +338,11 @@ func (g *grid) binOf(p geom.Point) (int, int) {
 
 // spread relieves overfull bins by relocating their outermost cells to the
 // least-loaded neighboring bin, repeating a few rounds. Deterministic: bins
-// scan in row order, cells ordered by distance from the bin center.
+// scan in row order, cells leave in order of distance from the bin center.
 func (g *grid) spread(pl *placement.Placement, movable []netlist.CellID, s *scratch) {
 	d := pl.D
 	const rounds = 3
+	maxR := max(g.nx, g.ny)
 	for round := 0; round < rounds; round++ {
 		for i := range g.load {
 			g.load[i] = 0
@@ -271,6 +356,9 @@ func (g *grid) spread(pl *placement.Placement, movable []netlist.CellID, s *scra
 			g.load[bi] += float64(d.Cell(id).Area())
 			s.binCells[bi] = append(s.binCells[bi], id)
 		}
+		for i := range g.load {
+			g.markSpare(i)
+		}
 		moved := false
 		for by := 0; by < g.ny; by++ {
 			for bx := 0; bx < g.nx; bx++ {
@@ -280,37 +368,49 @@ func (g *grid) spread(pl *placement.Placement, movable []netlist.CellID, s *scra
 				}
 				// A bin's cells move only when the bin itself is relieved,
 				// so their centers are still the ones snapshotted above.
+				// Usually only a prefix of them has to leave, so the keys
+				// are heapified and popped one per move rather than sorted.
 				c := g.binRect(bx, by).Center()
 				keys := s.keys[:0]
 				for _, id := range s.binCells[bi] {
 					keys = append(keys, spreadKey{s.centers[id].ManhattanDist(c), id})
 				}
-				slices.SortFunc(keys, func(a, b spreadKey) int {
-					if a.dist != b.dist {
-						return cmp.Compare(b.dist, a.dist)
-					}
-					return cmp.Compare(a.id, b.id)
-				})
+				heapify(keys)
 				s.keys = keys
-				ring := 1
-				for _, k := range keys {
-					if g.load[bi] <= g.cap[bi] {
+				ring, r := s.ring[:0], 0
+				for len(keys) > 0 && g.load[bi] > g.cap[bi] {
+					// While one bin is relieved, only the source (radius 0)
+					// loses load and only the targets gain it, so a ring
+					// found without spare capacity stays so and the next
+					// search resumes at the current ring.
+					for len(ring) == 0 && r < maxR {
+						r++
+						ring = g.ringSpare(bx, by, r, ring)
+					}
+					if len(ring) == 0 {
 						break
 					}
-					tx, ty, r, ok := g.bestNeighbor(bx, by, ring)
-					if !ok {
-						break
-					}
-					ring = r
-					ti := ty*g.nx + tx
-					target := g.binRect(tx, ty).Center()
-					cell := d.Cell(k.id)
+					id := keys[0].id
+					keys = pop(keys)
+					ti := int(ring[0].bin)
+					target := g.binRect(ti%g.nx, ti/g.nx).Center()
+					cell := d.Cell(id)
 					area := float64(cell.Area())
-					pl.Place(k.id, geom.Pt(target.X-cell.Width/2, target.Y-cell.Height/2))
+					pl.Place(id, geom.Pt(target.X-cell.Width/2, target.Y-cell.Height/2))
 					g.load[bi] -= area
 					g.load[ti] += area
+					g.markSpare(bi)
+					g.markSpare(ti)
 					moved = true
+					// The target is the only ring bin whose spare changed.
+					if spare := g.cap[ti] - g.load[ti]; spare > 0 {
+						ring[0].spare = spare
+						siftDown(ring, 0)
+					} else {
+						ring = pop(ring)
+					}
 				}
+				s.ring = ring
 			}
 		}
 		if !moved {
@@ -319,43 +419,99 @@ func (g *grid) spread(pl *placement.Placement, movable []netlist.CellID, s *scra
 	}
 }
 
-// bestNeighbor finds the nearest bin with spare capacity, scanning rings of
-// growing Chebyshev radius from r0 (macro blockages can zero out whole
-// neighborhoods, so adjacent-only relief deadlocks next to big macros). It
-// returns the target bin and the radius r it was found at.
-//
-// While one bin is relieved, a search may resume at the radius where the
-// previous one succeeded: every ring inside it had no spare capacity then,
-// and since only the source bin (radius 0) lost load and the target gained
-// some, none has now.
-func (g *grid) bestNeighbor(bx, by, r0 int) (int, int, int, bool) {
-	maxR := max(g.nx, g.ny)
-	for r := r0; r <= maxR; r++ {
-		bestSpare := 0.0
-		bestX, bestY := -1, -1
-		visit := func(nx, ny int) {
-			if nx < 0 || nx >= g.nx || ny < 0 || ny >= g.ny {
-				return
-			}
-			ni := ny*g.nx + nx
-			if spare := g.cap[ni] - g.load[ni]; spare > bestSpare {
-				bestSpare = spare
-				bestX, bestY = nx, ny
-			}
+// markSpare records in the spare bitsets whether bin i has spare capacity.
+func (g *grid) markSpare(i int) {
+	x, y := i%g.nx, i/g.nx
+	row, col := &g.rowSpare[y*g.wx+(x>>6)], &g.colSpare[x*g.wy+(y>>6)]
+	if g.cap[i]-g.load[i] > 0 {
+		*row |= 1 << (x & 63)
+		*col |= 1 << (y & 63)
+	} else {
+		*row &^= 1 << (x & 63)
+		*col &^= 1 << (y & 63)
+	}
+}
+
+// ringSpare appends to dst[:0] the bins of the ring of Chebyshev radius r
+// around (bx, by) that have spare capacity, as a heap whose top is the bin
+// with the most spare, ties by the ring's scan order: the top and bottom
+// rows interleaved column by column, then the left and right columns
+// interleaved row by row. The ring is searched because macro blockages can
+// zero out whole neighborhoods, so adjacent-only relief deadlocks next to
+// big macros.
+func (g *grid) ringSpare(bx, by, r int, dst []ringBin) []ringBin {
+	dst = dst[:0]
+	x0, x1 := max(bx-r, 0), min(bx+r, g.nx-1)
+	for k, y := range [2]int{by - r, by + r} {
+		if y < 0 || y >= g.ny {
+			continue
 		}
-		for dx := -r; dx <= r; dx++ {
-			visit(bx+dx, by-r)
-			visit(bx+dx, by+r)
-		}
-		for dy := -r + 1; dy <= r-1; dy++ {
-			visit(bx-r, by+dy)
-			visit(bx+r, by+dy)
-		}
-		if bestX >= 0 {
-			return bestX, bestY, r, true
+		row := g.rowSpare[y*g.wx : (y+1)*g.wx]
+		for x := nextBit(row, x0, x1); x <= x1; x = nextBit(row, x+1, x1) {
+			dst = g.appendSpare(dst, y*g.nx+x, 2*(x-bx+r)+k)
 		}
 	}
-	return -1, -1, maxR, false
+	y0, y1 := max(by-r+1, 0), min(by+r-1, g.ny-1)
+	for k, x := range [2]int{bx - r, bx + r} {
+		if x < 0 || x >= g.nx {
+			continue
+		}
+		col := g.colSpare[x*g.wy : (x+1)*g.wy]
+		for y := nextBit(col, y0, y1); y <= y1; y = nextBit(col, y+1, y1) {
+			dst = g.appendSpare(dst, y*g.nx+x, 2*(2*r+1)+2*(y-by+r-1)+k)
+		}
+	}
+	heapify(dst)
+	return dst
+}
+
+func (g *grid) appendSpare(dst []ringBin, bin, ord int) []ringBin {
+	return append(dst, ringBin{g.cap[bin] - g.load[bin], int32(ord), int32(bin)})
+}
+
+// nextBit returns the index of the first set bit of w at or after i, or a
+// value above hi if none is set in [i, hi].
+func nextBit(w []uint64, i, hi int) int {
+	for i <= hi {
+		if word := w[i>>6] >> (i & 63); word != 0 {
+			return i + bits.TrailingZeros64(word)
+		}
+		i = (i | 63) + 1
+	}
+	return hi + 1
+}
+
+// heapify, siftDown and pop keep h a binary heap whose top comes before
+// every other element.
+func heapify[T interface{ before(T) bool }](h []T) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+}
+
+func siftDown[T interface{ before(T) bool }](h []T, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+func pop[T interface{ before(T) bool }](h []T) []T {
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	siftDown(h, 0)
+	return h
 }
 
 // evictFromMacros pushes any cell sitting on a macro to the nearest macro
