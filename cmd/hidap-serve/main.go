@@ -186,20 +186,29 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, jobStatus{ID: id, Label: t.Label(), State: t.State()})
 }
 
+// Bounds on a request's restarts and parallelism, well above what any
+// client has reason to ask for.
+const (
+	maxRestarts    = 64
+	maxParallelism = 256
+)
+
 func (req *jobRequest) toJob() (hidap.Job, error) {
 	var opts []hidap.Option
 	opts = append(opts, hidap.WithSeed(req.Seed))
 	if req.Lambda != nil {
 		opts = append(opts, hidap.WithLambda(*req.Lambda))
 	}
-	if req.Restarts < 0 {
-		return hidap.Job{}, fmt.Errorf("negative restarts %d", req.Restarts)
+	// Both sizes allocate up front (a chain result per restart, a scheduler
+	// goroutine per lane), so they are bounded before anything is built.
+	if req.Restarts < 0 || req.Restarts > maxRestarts {
+		return hidap.Job{}, fmt.Errorf("restarts %d outside [0, %d]", req.Restarts, maxRestarts)
 	}
 	if req.Restarts > 0 {
 		opts = append(opts, hidap.WithRestarts(req.Restarts))
 	}
-	if req.Parallelism < 0 {
-		return hidap.Job{}, fmt.Errorf("negative parallelism %d", req.Parallelism)
+	if req.Parallelism < 0 || req.Parallelism > maxParallelism {
+		return hidap.Job{}, fmt.Errorf("parallelism %d outside [0, %d]", req.Parallelism, maxParallelism)
 	}
 	if req.Parallelism > 0 {
 		opts = append(opts, hidap.WithParallelism(req.Parallelism))
@@ -436,8 +445,8 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	counter("hidap_jobs_canceled_total", "Jobs canceled before finishing.", st.Canceled)
 	gauge("hidap_queue_depth", "Jobs queued but not yet running.", float64(st.Queued))
 	gauge("hidap_jobs_running", "Jobs currently executing.", float64(st.Running))
-	gauge("hidap_workers", "Worker pool size.", float64(st.Workers))
-	gauge("hidap_worker_utilization", "Running jobs over pool size.", util)
+	gauge("hidap_workers", "Job slots: the bound on concurrently running jobs.", float64(st.Workers))
+	gauge("hidap_worker_utilization", "Running jobs over job slots.", util)
 	gauge("hidap_design_cache_entries", "Designs retained in the LRU cache.", float64(st.CachedDesigns))
 	counter("hidap_design_cache_hits_total", "Design cache hits at submit.", st.DesignCacheHits)
 	counter("hidap_design_cache_misses_total", "Design cache misses at submit.", st.DesignCacheMisses)

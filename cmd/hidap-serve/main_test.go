@@ -126,19 +126,27 @@ func TestServeJobRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServeDesignJobAndCancel ships a design in the netlist JSON form to a
-// deliberately blocking placer, then cancels it over HTTP.
-func TestServeDesignJobAndCancel(t *testing.T) {
-	started := make(chan struct{}, 4)
+// serveBlockStarted receives a token each time the "test-serve-block"
+// placer starts a run.
+var serveBlockStarted = make(chan struct{}, 4)
+
+// test-serve-block parks until its context is cancelled. It is registered
+// once per package, so the tests can run repeatedly in one process.
+func init() {
 	hidap.MustRegister(hidap.PlacerFunc("test-serve-block",
 		func(ctx context.Context, d *hidap.Design, cfg *hidap.Config) (*hidap.Placement, hidap.Stats, error) {
 			select {
-			case started <- struct{}{}:
+			case serveBlockStarted <- struct{}{}:
 			default:
 			}
 			<-ctx.Done()
 			return nil, hidap.Stats{}, ctx.Err()
 		}))
+}
+
+// TestServeDesignJobAndCancel ships a design in the netlist JSON form to a
+// deliberately blocking placer, then cancels it over HTTP.
+func TestServeDesignJobAndCancel(t *testing.T) {
 	_, ts, eng := newTestServer(t, 1)
 	defer eng.Close()
 
@@ -152,7 +160,7 @@ func TestServeDesignJobAndCancel(t *testing.T) {
 		t.Fatalf("submit status = %d", code)
 	}
 	select {
-	case <-started:
+	case <-serveBlockStarted:
 	case <-time.After(30 * time.Second):
 		t.Fatal("job never started")
 	}
@@ -208,13 +216,23 @@ func TestServeValidation(t *testing.T) {
 	defer eng.Close()
 
 	for name, body := range map[string]string{
-		"empty":       `{}`,
-		"bad json":    `{not json`,
-		"bad effort":  `{"effort": "turbo", "circuit": {"name": "x"}}`,
-		"bad flow":    `{"flow": "nope", "circuit": {"name": "x"}}`,
-		"bad design":  `{"design": {"die": "not-a-rect"}}`,
-		"no macros":   `{"circuit": {"name": "not-a-suite-circuit"}}`,
-		"both inputs": `{"circuit": {"name": "x"}, "design": {"name": "y"}}`,
+		"empty":                `{}`,
+		"bad json":             `{not json`,
+		"bad effort":           `{"effort": "turbo", "circuit": {"name": "x"}}`,
+		"bad flow":             `{"flow": "nope", "circuit": {"name": "x"}}`,
+		"bad design":           `{"design": {"die": "not-a-rect"}}`,
+		"no macros":            `{"circuit": {"name": "not-a-suite-circuit"}}`,
+		"both inputs":          `{"circuit": {"name": "x"}, "design": {"name": "y"}}`,
+		"negative restarts":    `{"restarts": -1, "circuit": {"name": "c1"}}`,
+		"too many restarts":    `{"restarts": 1000000000, "circuit": {"name": "c1"}}`,
+		"negative parallelism": `{"parallelism": -1, "circuit": {"name": "c1"}}`,
+		"too much parallelism": `{"parallelism": 1000000000, "circuit": {"name": "c1"}}`,
+		"too many cells":       `{"circuit": {"name": "c1", "cells": 1000000000000, "scale": 1}}`,
+		"too many macros":      `{"circuit": {"name": "x", "macros": 1000000}}`,
+		"too many subsystems":  `{"circuit": {"name": "c1", "subsystems": 1000}}`,
+		"bus too wide":         `{"circuit": {"name": "c1", "buswidth": 100000000}}`,
+		"pipeline too deep":    `{"circuit": {"name": "c1", "pipelinedepth": 100000000}}`,
+		"utilization above 1":  `{"circuit": {"name": "c1", "utilization": 2}}`,
 	} {
 		if _, code := postJob(t, ts, body); code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, code)

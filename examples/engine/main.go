@@ -1,8 +1,8 @@
 // Engine: the long-lived run model, end to end.
 //
 // One hidap.Engine fans a mini evaluation suite (two circuits × three
-// flows) through its bounded worker pool with SubmitBatch, streams
-// completions as they land, and then shows the warm-cache effect: a second
+// flows) through its Workers-bounded slots with SubmitBatch, reports each
+// job once the batch is done, and then shows the warm-cache effect: a second
 // job on an already-served design skips Gseq construction and reuses the
 // engine's pooled annealing scratch.
 //
@@ -27,13 +27,6 @@ func main() {
 	)
 	defer eng.Close()
 
-	// Stream completions while the batch runs.
-	go func() {
-		for tk := range eng.Results() {
-			fmt.Printf("  [done] %-18s state=%s\n", tk.Label(), tk.State())
-		}
-	}()
-
 	// A mini suite: two scaled-down paper circuits, all three flows.
 	c1, err := circuits.SuiteSpec("c1")
 	if err != nil {
@@ -54,6 +47,9 @@ func main() {
 	res, err := batch.Wait(ctx)
 	if err != nil {
 		log.Fatal(err)
+	}
+	for _, tk := range batch.Tickets {
+		fmt.Printf("  [done] %-18s state=%s\n", tk.Label(), tk.State())
 	}
 
 	fmt.Println("\nTable II over the mini suite:")

@@ -26,7 +26,7 @@ import (
 
 // Flow harness aliases: the suite pipeline (Tables II/III) surfaced through
 // the public API so a serving engine can fan a whole evaluation through its
-// worker pool.
+// Workers slots.
 type (
 	// Flow names a macro-placement flow of the paper's evaluation.
 	Flow = flows.Flow
@@ -129,59 +129,70 @@ type JobResult struct {
 // aborts the job whether queued or running.
 type Ticket struct {
 	id     uint64
-	label  string
 	job    Job
 	eng    *Engine
 	cd     *cachedDesign
-	cc     *cachedCircuit
+	gen    func() *circuits.Generated // circuit jobs: generates once
 	placer Placer
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	phase  atomic.Int32 // 0 queued, 1 running
+	phase  atomic.Int32 // phaseQueued until it leaves, exactly once
 	done   chan struct{}
 	res    *JobResult
 	err    error
 }
 
+// A ticket's phase leaves phaseQueued exactly once, by CompareAndSwap:
+// to phaseRunning when its goroutine takes a slot, or to phaseDropped when
+// Ticket.Cancel or the job context gets there first. The winner finishes
+// the ticket.
+const (
+	phaseQueued int32 = iota
+	phaseRunning
+	phaseDropped
+)
+
 // ID is the engine-unique job id.
 func (t *Ticket) ID() uint64 { return t.id }
 
 // Label echoes Job.Label.
-func (t *Ticket) Label() string { return t.label }
+func (t *Ticket) Label() string { return t.job.Label }
 
 // Done is closed when the job finishes (successfully or not).
 func (t *Ticket) Done() <-chan struct{} { return t.done }
 
-// Cancel aborts the job. A still-queued job is removed from the queue
-// immediately — its MaxPending slot frees and Wait returns
-// context.Canceled without a worker touching it; a running job stops
-// between annealing moves. Cancel after completion is a no-op.
+// Cancel aborts the job. A still-queued job finishes at once — its
+// MaxPending place frees and Wait returns context.Canceled without the job
+// ever running; a running job stops between annealing moves. Cancel after
+// completion is a no-op.
 func (t *Ticket) Cancel() {
 	t.cancel()
-	if t.eng != nil {
-		t.eng.dequeue(t)
-	}
+	t.eng.drop(t)
 }
 
 // State reports the job's lifecycle phase.
 func (t *Ticket) State() JobState {
 	select {
 	case <-t.done:
-		switch {
-		case t.err == nil:
-			return JobDone
-		case errors.Is(t.err, context.Canceled) || errors.Is(t.err, context.DeadlineExceeded):
-			return JobCanceled
-		default:
-			return JobFailed
-		}
+		return finalState(t.err)
 	default:
-		if t.phase.Load() == 1 {
+		if t.phase.Load() == phaseRunning {
 			return JobRunning
 		}
 		return JobQueued
 	}
+}
+
+// finalState classifies a finished job by its error.
+func finalState(err error) JobState {
+	switch {
+	case err == nil:
+		return JobDone
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return JobCanceled
+	}
+	return JobFailed
 }
 
 // Wait blocks until the job finishes or ctx is done. The wait context is
@@ -247,30 +258,30 @@ type EngineStats struct {
 	ClusterCacheHits uint64 `json:"cluster_cache_hits"`
 }
 
-// Engine is the long-lived run model of the package: a bounded worker pool
-// fed by Submit/SubmitBatch, a per-engine circuit cache (parsed designs and
-// their sequential graphs, keyed by content hash) and pooled annealing
-// scratch, so back-to-back jobs on the same design run allocation-warm.
-// One Engine serves concurrent callers; all methods are safe for concurrent
-// use.
+// Engine is the long-lived run model of the package: jobs fed by
+// Submit/SubmitBatch run at most Workers at a time, beside a design cache
+// keyed by content hash (or Job.Key), a circuit cache keyed by canonical
+// spec, and pooled annealing scratch, so back-to-back jobs on the same
+// design run allocation-warm. Each accepted job waits on its own goroutine
+// for one of Workers slots; waiting jobs start in the order they win a
+// slot, not strictly in submission order. One Engine serves concurrent
+// callers; all methods are safe for concurrent use.
 type Engine struct {
 	cfg        *Config
 	workers    int
 	maxPending int
+	slots      chan struct{} // one token per job running in a slot
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	pending []*Ticket
-	closed  bool
-	quit    chan struct{} // closed at Close: unblocks stream sends
-	wg      sync.WaitGroup
-	runs    sync.WaitGroup // inline Engine.Run executions, drained by Close
+	mu     sync.Mutex // orders jobs.Add against Close setting closed
+	closed atomic.Bool
+	jobs   sync.WaitGroup // every accepted job: queued, in a slot or inline in Run
 
 	pool    *slicing.EvaluatorPool
 	designs *lruCache[*cachedDesign]
-	gens    *lruCache[*cachedCircuit]
+	gens    *lruCache[func() *circuits.Generated]
 
 	nextID    atomic.Uint64
+	queued    atomic.Int32
 	running   atomic.Int32
 	completed atomic.Uint64
 	failed    atomic.Uint64
@@ -281,14 +292,10 @@ type Engine struct {
 	acClusters atomic.Uint64 // leaf clusters emitted, cumulative
 	acLevels   atomic.Uint64 // coarsening levels run, cumulative
 	acHits     atomic.Uint64 // jobs served a cached clustered design
-
-	resultsMu     sync.Mutex
-	results       chan *Ticket
-	resultsClosed bool
 }
 
 // NewEngine builds an engine whose jobs default to cfg (nil means
-// NewConfig() defaults) and starts its worker pool. Close releases it.
+// NewConfig() defaults). Close drains it.
 func NewEngine(cfg *Config, opt EngineOptions) *Engine {
 	if cfg == nil {
 		cfg = NewConfig()
@@ -301,45 +308,26 @@ func NewEngine(cfg *Config, opt EngineOptions) *Engine {
 	if cache <= 0 {
 		cache = 64
 	}
-	e := &Engine{
+	return &Engine{
 		cfg:        cfg,
 		workers:    workers,
 		maxPending: opt.MaxPending,
-		quit:       make(chan struct{}),
+		slots:      make(chan struct{}, workers),
 		pool:       &slicing.EvaluatorPool{},
 		designs:    newLRU[*cachedDesign](cache),
-		gens:       newLRU[*cachedCircuit](cache),
+		gens:       newLRU[func() *circuits.Generated](cache),
 	}
-	e.cond = sync.NewCond(&e.mu)
-	for i := 0; i < workers; i++ {
-		e.wg.Add(1)
-		//hidapvet:allow gocap long-lived engine worker pool, bounded by Workers and joined via wg on Close; not per-solve fan-out
-		go e.worker()
-	}
-	return e
 }
 
-// Workers reports the concurrency bound of the pool.
+// Workers reports the bound on concurrently running jobs.
 func (e *Engine) Workers() int { return e.workers }
-
-// FlushCaches empties the design and circuit caches, releasing every
-// retained netlist and sequential graph. Jobs in flight keep the entries
-// they already resolved; subsequent jobs repopulate the caches. Use it when
-// a long-lived engine has served a working set it will not see again.
-func (e *Engine) FlushCaches() {
-	e.designs.flush()
-	e.gens.flush()
-}
 
 // Stats snapshots the engine's queue, outcome counters and cache occupancy.
 func (e *Engine) Stats() EngineStats {
-	e.mu.Lock()
-	queued := len(e.pending)
-	e.mu.Unlock()
 	dLen, dHits, dMisses := e.designs.stats()
 	cLen, cHits, cMisses := e.gens.stats()
 	return EngineStats{
-		Queued:             queued,
+		Queued:             int(e.queued.Load()),
 		Running:            int(e.running.Load()),
 		Workers:            e.workers,
 		Completed:          e.completed.Load(),
@@ -393,135 +381,127 @@ func (e *Engine) Submit(ctx context.Context, job Job) (*Ticket, error) {
 func (e *Engine) submit(ctx context.Context, job Job, bulk bool) (*Ticket, error) {
 	// Reject overload/shutdown before prepare: an engine refusing work must
 	// not pay the content hash nor let rejected traffic churn warm cache
-	// entries out of the LRU. The check repeats under the lock below for
-	// the (rare) race where the queue fills during prepare.
-	if err := e.acceptable(bulk); err != nil {
+	// entries out of the LRU. admit repeats the check for the (rare) race
+	// where the queue fills during prepare.
+	if err := e.refusal(!bulk); err != nil {
 		return nil, err
 	}
 	t, err := e.prepare(ctx, job)
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	switch {
-	case e.closed:
-		e.mu.Unlock()
-		t.cancel()
-		return nil, ErrEngineClosed
-	case !bulk && e.maxPending > 0 && len(e.pending) >= e.maxPending:
-		e.mu.Unlock()
-		t.cancel()
-		return nil, ErrQueueFull
+	if err := e.admit(t, true, !bulk); err != nil {
+		return nil, err
 	}
-	e.pending = append(e.pending, t)
-	e.cond.Signal()
-	e.mu.Unlock()
-	// Watch the job context while the ticket waits: a context cancelled
-	// during the queued phase dequeues the ticket immediately (freeing its
-	// MaxPending slot and unblocking Wait), exactly like Ticket.Cancel. The
-	// watcher exits as soon as the job finishes by any path.
-	//hidapvet:allow gocap per-ticket context watcher; lifetime bounded by the job, not solver fan-out
-	go func() {
-		select {
-		case <-t.ctx.Done():
-			e.dequeue(t)
-		case <-t.done:
-		}
-	}()
+	//hidapvet:allow gocap one goroutine per accepted job, parked on a Workers-deep slot channel and joined by Close; not per-solve fan-out
+	go e.run(t, true)
 	return t, nil
 }
 
-func (e *Engine) acceptable(bulk bool) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// refusal is the error that turns a job away after Close or, for a
+// MaxPending-bounded submission, when the queue is full.
+func (e *Engine) refusal(bounded bool) error {
 	switch {
-	case e.closed:
+	case e.closed.Load():
 		return ErrEngineClosed
-	case !bulk && e.maxPending > 0 && len(e.pending) >= e.maxPending:
+	case bounded && e.maxPending > 0 && int(e.queued.Load()) >= e.maxPending:
 		return ErrQueueFull
 	}
 	return nil
 }
 
-// Run executes one job synchronously on the caller's goroutine, outside the
-// worker pool but inside the engine's caches and scratch pool.
+// admit counts a prepared ticket into the engine — into Close's drain and,
+// for a job that waits for a slot, into the queue — or releases it with the
+// refusal. Admitting under e.mu keeps Close, which sets closed under the
+// same lock before it waits, from missing a job.
+func (e *Engine) admit(t *Ticket, slot, bounded bool) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.refusal(bounded); err != nil {
+		t.cancel()
+		return err
+	}
+	e.jobs.Add(1)
+	if slot {
+		e.queued.Add(1)
+	}
+	return nil
+}
+
+// Run executes one job synchronously on the caller's goroutine, without
+// waiting for a slot, but inside the engine's caches and scratch pool.
 func (e *Engine) Run(ctx context.Context, job Job) (*JobResult, error) {
 	t, err := e.prepare(ctx, job)
 	if err != nil {
 		return nil, err
 	}
-	defer t.cancel()
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, ErrEngineClosed
+	if err := e.admit(t, false, false); err != nil {
+		return nil, err
 	}
-	// Registered under the engine lock so Close (which flips closed under
-	// the same lock before waiting) cannot miss an in-flight Run.
-	e.runs.Add(1)
-	e.mu.Unlock()
-	defer e.runs.Done()
-	t.phase.Store(1)
+	e.run(t, false)
+	return t.res, t.err
+}
+
+// run carries one admitted job to its end. With slot set it first waits
+// for one of the Workers slots, and drops the job instead if its context
+// ends first; Run's inline job starts at once.
+func (e *Engine) run(t *Ticket, slot bool) {
+	defer e.jobs.Done()
+	if slot {
+		select {
+		case e.slots <- struct{}{}:
+			defer func() { <-e.slots }()
+		case <-t.ctx.Done():
+			e.drop(t)
+			return
+		}
+	}
+	if !t.phase.CompareAndSwap(phaseQueued, phaseRunning) {
+		return // Cancel dropped it first
+	}
+	if slot {
+		e.queued.Add(-1)
+	}
 	e.running.Add(1)
 	res, err := e.execute(t)
 	e.running.Add(-1)
-	e.finish(err)
-	return res, err
+	e.finish(t, res, err)
 }
 
-// finish tallies one terminal job outcome.
-func (e *Engine) finish(err error) {
+// drop finishes a job that is still queued with its cancellation error: its
+// MaxPending place frees and Wait returns without the job ever running. A
+// job already running or finished is left alone.
+func (e *Engine) drop(t *Ticket) {
+	if !t.phase.CompareAndSwap(phaseQueued, phaseDropped) {
+		return
+	}
+	e.queued.Add(-1)
+	e.finish(t, nil, t.ctx.Err()) // both callers saw the context end
+}
+
+// finish records a job's outcome on its ticket, tallies it, and releases
+// its waiters.
+func (e *Engine) finish(t *Ticket, res *JobResult, err error) {
+	t.res, t.err = res, err
 	e.completed.Add(1)
-	switch {
-	case err == nil:
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+	switch finalState(err) {
+	case JobCanceled:
 		e.canceled.Add(1)
-	default:
+	case JobFailed:
 		e.failed.Add(1)
 	}
+	t.cancel()
+	close(t.done)
 }
 
-// Results returns the completion stream: tickets finished by the worker
-// pool after the first Results call are delivered in completion order, at
-// most once each. Consumers should drain the channel until it closes (at
-// Close); a stalled consumer applies backpressure to the pool, never to
-// Close — completions that race shutdown are dropped from the stream
-// (Ticket.Wait/Result still return them). Tickets finished before the
-// first call, cancelled while queued, or run inline are not streamed.
-func (e *Engine) Results() <-chan *Ticket {
-	e.resultsMu.Lock()
-	defer e.resultsMu.Unlock()
-	if e.results == nil {
-		e.results = make(chan *Ticket, 16)
-		if e.resultsClosed {
-			close(e.results)
-		}
-	}
-	return e.results
-}
-
-// Close stops accepting jobs, drains every queued and running job —
-// including jobs executing inline through Run — then closes the Results
-// stream. It is idempotent and safe to call concurrently; all calls block
-// until the drain completes.
+// Close stops accepting jobs and drains every accepted one — queued,
+// running, or executing inline through Run. It is idempotent and safe to
+// call concurrently; all calls block until the drain completes.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	if !e.closed {
-		e.closed = true
-		close(e.quit) // release workers parked on a stalled Results consumer
-		e.cond.Broadcast()
-	}
+	e.closed.Store(true)
 	e.mu.Unlock()
-	e.wg.Wait()
-	e.runs.Wait()
-	e.resultsMu.Lock()
-	if !e.resultsClosed {
-		e.resultsClosed = true
-		if e.results != nil {
-			close(e.results)
-		}
-	}
-	e.resultsMu.Unlock()
+	e.jobs.Wait()
 }
 
 // Suite describes a SubmitBatch fan-out: the cross product of circuits,
@@ -554,11 +534,11 @@ type SuiteResult struct {
 	Summaries []FlowSummary  `json:"summary"`
 }
 
-// SubmitBatch fans a suite through the worker pool, one job per
+// SubmitBatch fans a suite through the engine, one job per
 // (circuit, flow, seed). Repeated circuits across jobs share one cached
 // design and sequential graph. ctx parents every job. A batch is exempt
 // from the MaxPending bound: the whole suite is accepted atomically and
-// drains through the Workers-bounded pool.
+// runs at most Workers jobs at a time.
 func (e *Engine) SubmitBatch(ctx context.Context, s Suite) (*Batch, error) {
 	if len(s.Circuits) == 0 {
 		return nil, errors.New("hidap: SubmitBatch needs at least one circuit")
@@ -640,11 +620,10 @@ func (b *Batch) Wait(ctx context.Context) (*SuiteResult, error) {
 // and wraps it in a ticket.
 func (e *Engine) prepare(ctx context.Context, job Job) (*Ticket, error) {
 	t := &Ticket{
-		id:    e.nextID.Add(1),
-		label: job.Label,
-		job:   job,
-		eng:   e,
-		done:  make(chan struct{}),
+		id:   e.nextID.Add(1),
+		job:  job,
+		eng:  e,
+		done: make(chan struct{}),
 	}
 	switch {
 	case job.Design != nil && job.Circuit != nil:
@@ -665,15 +644,15 @@ func (e *Engine) prepare(ctx context.Context, job Job) (*Ticket, error) {
 		}
 		d := job.Design
 		t.cd = e.designs.getOrCreate("design:"+key, func() *cachedDesign {
-			return &cachedDesign{d: d}
+			return newCachedDesign(d)
 		})
 	case job.Circuit != nil:
 		spec := job.Circuit.Canonical()
-		if spec.Macros <= 0 {
-			return nil, fmt.Errorf("hidap: circuit spec %q has no macros (use circuits.SuiteSpec for the paper suite)", spec.Name)
+		if err := checkSpec(spec); err != nil {
+			return nil, err
 		}
-		t.cc = e.gens.getOrCreate(fmt.Sprintf("circuit:%#v", spec), func() *cachedCircuit {
-			return &cachedCircuit{spec: spec}
+		t.gen = e.gens.getOrCreate(fmt.Sprintf("circuit:%#v", spec), func() func() *circuits.Generated {
+			return sync.OnceValue(func() *circuits.Generated { return circuits.Generate(spec) })
 		})
 	default:
 		return nil, errors.New("hidap: job needs a Design or a Circuit")
@@ -682,125 +661,73 @@ func (e *Engine) prepare(ctx context.Context, job Job) (*Ticket, error) {
 	return t, nil
 }
 
-// worker drains the queue until Close and the queue is empty, so shutdown
-// finishes every accepted job.
-func (e *Engine) worker() {
-	defer e.wg.Done()
-	for {
-		t := e.next()
-		if t == nil {
-			return
-		}
-		t.phase.Store(1)
-		e.running.Add(1)
-		t.res, t.err = e.execute(t)
-		e.running.Add(-1)
-		e.finish(t.err)
-		t.cancel()
-		close(t.done)
-		if ch := e.resultsStream(); ch != nil {
-			// A stalled consumer applies backpressure to the pool, but it
-			// must never wedge Close: once shutdown starts, undelivered
-			// completions are dropped from the stream (Wait/Result still
-			// return them). The non-blocking attempt first keeps delivery
-			// reliable for a consumer that is keeping up even while quit is
-			// already closed — the two-ready-cases select would otherwise
-			// drop randomly during a graceful drain.
-			select {
-			case ch <- t:
-			default:
-				select {
-				case ch <- t:
-				case <-e.quit:
-				}
-			}
-		}
-	}
-}
+// Bounds on a circuit job's spec, so that a spec from an untrusted caller
+// cannot make the generator build a design of any size. Each lies above
+// what the paper suite at scale 1 and every test and example ask for.
+const (
+	maxSpecCells         = 5_000_000 // c4 at scale 1: 4.81M
+	maxSpecMacros        = 1024      // suite ≤ 133; the deep_solve bench design has 400
+	maxSpecSubsystems    = 64        // suite ≤ 10; deep_solve 16
+	maxSpecBusWidth      = 1024      // suite ≤ 128
+	maxSpecPipelineDepth = 16        // suite ≤ 3
+)
 
-// dequeue removes a cancelled ticket from the pending queue and finalizes
-// it without a worker: its MaxPending slot frees immediately and Wait
-// unblocks with the cancellation error. A ticket already popped (or
-// finished) is left to the worker path; the queue lock makes the two
-// exclusive. Cancelled-while-queued tickets are not delivered to the
-// Results stream, which carries worker-completed jobs only.
-func (e *Engine) dequeue(t *Ticket) {
-	e.mu.Lock()
-	found := false
-	for i, p := range e.pending {
-		if p == t {
-			e.pending = append(e.pending[:i], e.pending[i+1:]...)
-			found = true
-			break
-		}
+// checkSpec rejects a canonical circuit spec the generator cannot build, or
+// should not: no macros, a subsystem without one, or a size beyond the
+// bounds above.
+func checkSpec(spec circuits.Spec) error {
+	bad := func(what string, v any) error {
+		return fmt.Errorf("hidap: circuit spec %q: %s %v out of range", spec.Name, what, v)
 	}
-	e.mu.Unlock()
-	if !found {
-		return
+	switch {
+	case spec.Macros <= 0:
+		return fmt.Errorf("hidap: circuit spec %q has no macros (use circuits.SuiteSpec for the paper suite)", spec.Name)
+	case spec.Macros > maxSpecMacros:
+		return bad("macros", spec.Macros)
+	case spec.Subsystems > min(spec.Macros, maxSpecSubsystems):
+		return bad("subsystems", spec.Subsystems)
+	case spec.ScaledCells() > maxSpecCells:
+		return bad("cells/scale", spec.ScaledCells())
+	case spec.BusWidth > maxSpecBusWidth:
+		return bad("bus width", spec.BusWidth)
+	case spec.PipelineDepth > maxSpecPipelineDepth:
+		return bad("pipeline depth", spec.PipelineDepth)
+	case !(spec.Utilization > 0 && spec.Utilization <= 1):
+		return bad("utilization", spec.Utilization)
 	}
-	t.err = t.ctx.Err()
-	if t.err == nil {
-		t.err = context.Canceled
-	}
-	e.finish(t.err)
-	close(t.done)
-}
-
-func (e *Engine) next() *Ticket {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for len(e.pending) == 0 && !e.closed {
-		e.cond.Wait()
-	}
-	if len(e.pending) == 0 {
-		return nil
-	}
-	t := e.pending[0]
-	e.pending[0] = nil
-	e.pending = e.pending[1:]
-	return t
-}
-
-func (e *Engine) resultsStream() chan *Ticket {
-	e.resultsMu.Lock()
-	defer e.resultsMu.Unlock()
-	return e.results
+	return nil
 }
 
 // execute runs one job on the caller's goroutine under guard, so a
 // panicking job becomes a job error rather than taking down the engine. A
 // failure names the job, whichever layer (engine or placer) reported it.
 func (e *Engine) execute(t *Ticket) (res *JobResult, err error) {
-	err = guard(t.ctx, "job", func() (err error) {
-		res, err = e.executeJob(t)
-		return err
-	})
-	if err != nil && t.ctx.Err() == nil {
-		err = fmt.Errorf("hidap: job %d (%q): %w", t.id, t.label, err)
-	}
-	return res, err
-}
-
-func (e *Engine) executeJob(t *Ticket) (*JobResult, error) {
-	ctx := t.ctx
 	cfg := t.job.Config
 	if cfg == nil {
 		cfg = e.cfg
 	}
 	cc := *cfg // shallow copy: the warm handle is per job
 	if e.workers > 1 && cc.Parallelism <= 0 {
-		// The engine's worker pool is the outer parallelism layer: a job's
+		// The engine's Workers slots are the outer parallelism layer: a job's
 		// internal scheduler must not default to all cores on top of it, or
 		// concurrent jobs multiply into Workers × GOMAXPROCS busy
-		// goroutines. Jobs run serially inside their worker slot unless they
-		// ask for more; results are identical either way (placements are
+		// goroutines. Jobs run serially inside their slot unless they ask
+		// for more; results are identical either way (placements are
 		// Parallelism-independent).
 		cc.Parallelism = 1
 	}
-	if t.cc != nil {
-		return e.runCircuitJob(ctx, t, &cc)
+	err = guard(t.ctx, "job", func() (err error) {
+		if t.gen != nil {
+			res, err = e.runCircuitJob(t.ctx, t, &cc)
+		} else {
+			res, err = e.runDesignJob(t.ctx, t, &cc)
+		}
+		return err
+	})
+	if err != nil && t.ctx.Err() == nil {
+		err = fmt.Errorf("hidap: job %d (%q): %w", t.id, t.job.Label, err)
 	}
-	return e.runDesignJob(ctx, t, &cc)
+	return res, err
 }
 
 // runDesignJob places (and optionally evaluates) a cached design with a
@@ -834,7 +761,7 @@ func (e *Engine) runDesignJob(ctx context.Context, t *Ticket, cfg *Config) (*Job
 // runCircuitJob generates (once) a synthetic circuit and runs the full flow
 // pipeline, yielding one Table III row.
 func (e *Engine) runCircuitJob(ctx context.Context, t *Ticket, cfg *Config) (*JobResult, error) {
-	g := t.cc.gen()
+	g := t.gen()
 	fl := t.job.Flow
 	if fl == "" {
 		fl = FlowHiDaP
@@ -888,22 +815,28 @@ type warmJob struct {
 
 // cachedDesign is one design cache entry: the canonical parsed instance and
 // its lazily built derived artifacts — sequential graph, hierarchy tree and
-// cell–net bipartite graph — each built once and shared read-only by every
-// job that references the design.
+// cell–net bipartite graph — each built once, on first call, and shared
+// read-only by every job that references the design.
 type cachedDesign struct {
-	d        *Design
-	once     sync.Once
-	sg       *seqgraph.Graph
-	treeOnce sync.Once
-	tree     *hier.Tree
-	bpOnce   sync.Once
-	bp       *graph.Bipartite
+	d         *Design
+	graph     func() *seqgraph.Graph
+	hierTree  func() *hier.Tree
+	bipartite func() *graph.Bipartite
 
 	// acMu guards the clustered-design variants, keyed by the autocluster
 	// knobs: the design cache is content-addressed, so one clustered variant
 	// per (design hash, params) serves every job that asks for it.
 	acMu sync.Mutex
 	ac   map[autocluster.Params]*clusteredEntry
+}
+
+func newCachedDesign(d *Design) *cachedDesign {
+	return &cachedDesign{
+		d:         d,
+		graph:     sync.OnceValue(func() *seqgraph.Graph { return seqgraph.Build(d, seqgraph.DefaultParams()) }),
+		hierTree:  sync.OnceValue(func() *hier.Tree { return hier.New(d) }),
+		bipartite: sync.OnceValue(func() *graph.Bipartite { return graph.BipartiteFromDesign(d) }),
+	}
 }
 
 // clusteredEntry is one autoclustered variant of a cached design. A no-op
@@ -930,52 +863,14 @@ func (c *cachedDesign) clustered(p autocluster.Params) (*clusteredEntry, bool, e
 	}
 	ent := &clusteredEntry{cd: c, stats: res.Stats}
 	if !res.Stats.NoOp {
-		cd := &cachedDesign{d: res.Design}
-		cd.once.Do(func() { cd.sg = c.graph() })
-		cd.bpOnce.Do(func() { cd.bp = c.bipartite() })
-		ent.cd = cd
+		ent.cd = newCachedDesign(res.Design)
+		ent.cd.graph, ent.cd.bipartite = c.graph, c.bipartite
 	}
 	if c.ac == nil {
 		c.ac = make(map[autocluster.Params]*clusteredEntry)
 	}
 	c.ac[p] = ent
 	return ent, true, nil
-}
-
-func (c *cachedDesign) graph() *seqgraph.Graph {
-	c.once.Do(func() {
-		c.sg = seqgraph.Build(c.d, seqgraph.DefaultParams())
-	})
-	return c.sg
-}
-
-func (c *cachedDesign) hierTree() *hier.Tree {
-	c.treeOnce.Do(func() {
-		c.tree = hier.New(c.d)
-	})
-	return c.tree
-}
-
-func (c *cachedDesign) bipartite() *graph.Bipartite {
-	c.bpOnce.Do(func() {
-		c.bp = graph.BipartiteFromDesign(c.d)
-	})
-	return c.bp
-}
-
-// cachedCircuit is one synthetic-circuit cache entry, generated on first
-// use. Generated caches its own Gseq.
-type cachedCircuit struct {
-	spec circuits.Spec
-	once sync.Once
-	g    *circuits.Generated
-}
-
-func (c *cachedCircuit) gen() *circuits.Generated {
-	c.once.Do(func() {
-		c.g = circuits.Generate(c.spec)
-	})
-	return c.g
 }
 
 // hashDesign content-addresses a design: a truncated SHA-256 over every
@@ -1130,11 +1025,4 @@ func (c *lruCache[V]) stats() (length int, hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.l.Len(), c.hits, c.misses
-}
-
-func (c *lruCache[V]) flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = make(map[string]*list.Element)
-	c.l.Init()
 }

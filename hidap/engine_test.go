@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -199,32 +200,55 @@ func BenchmarkEngineSameDesign(b *testing.B) {
 	})
 }
 
-// blockingPlacer parks until its context is cancelled; tests use it to hold
-// a worker slot deterministically. started receives one token per run.
-func blockingPlacer(name string, started chan struct{}) hidap.Placer {
-	return hidap.PlacerFunc(name, func(ctx context.Context, d *hidap.Design, cfg *hidap.Config) (*hidap.Placement, hidap.Stats, error) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		<-ctx.Done()
-		return nil, hidap.Stats{}, ctx.Err()
-	})
+// startedKey marks a job context that carries a channel: the
+// "test-engine-block" placer sends one token on it per run it starts.
+type startedKey struct{}
+
+// The test placers are registered once per package, so the tests that use
+// them can run repeatedly in one process (go test -count=N).
+func init() {
+	// test-engine-block parks until its context is cancelled; tests use it
+	// to hold a slot deterministically.
+	hidap.MustRegister(hidap.PlacerFunc("test-engine-block",
+		func(ctx context.Context, d *hidap.Design, cfg *hidap.Config) (*hidap.Placement, hidap.Stats, error) {
+			if started, ok := ctx.Value(startedKey{}).(chan struct{}); ok {
+				select {
+				case started <- struct{}{}:
+				default:
+				}
+			}
+			<-ctx.Done()
+			return nil, hidap.Stats{}, ctx.Err()
+		}))
+	hidap.MustRegister(hidap.PlacerFunc("test-engine-panic",
+		func(ctx context.Context, d *hidap.Design, cfg *hidap.Config) (*hidap.Placement, hidap.Stats, error) {
+			panic("boom")
+		}))
+}
+
+// withStarted returns ctx carrying a fresh started channel for
+// test-engine-block.
+func withStarted(ctx context.Context) (context.Context, chan struct{}) {
+	started := make(chan struct{}, 4)
+	return context.WithValue(ctx, startedKey{}, started), started
 }
 
 func TestEngineCancelAndQueueFull(t *testing.T) {
-	started := make(chan struct{}, 4)
-	hidap.MustRegister(blockingPlacer("test-engine-block", started))
 	g := circuits.ABCDX()
+	block := hidap.Job{Design: g.Design, Placer: "test-engine-block"}
 
 	eng := hidap.NewEngine(nil, hidap.EngineOptions{Workers: 1, MaxPending: 1})
 	defer eng.Close()
-	ctx := context.Background()
+	ctx, started := withStarted(context.Background())
+	// A dropped job must finish at once; waits on one give up after this.
+	soon, cancelSoon := context.WithTimeout(ctx, 10*time.Second)
+	defer cancelSoon()
 
-	running, err := eng.Submit(ctx, hidap.Job{Design: g.Design, Placer: "test-engine-block"})
+	running, err := eng.Submit(ctx, block)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer running.Cancel() // so a failed check cannot leave Close waiting
 	select {
 	case <-started:
 	case <-time.After(10 * time.Second):
@@ -234,30 +258,52 @@ func TestEngineCancelAndQueueFull(t *testing.T) {
 		t.Errorf("state = %q, want running", running.State())
 	}
 
-	queued, err := eng.Submit(ctx, hidap.Job{Design: g.Design, Placer: "test-engine-block"})
+	queued, err := eng.Submit(ctx, block)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if queued.State() != hidap.JobQueued {
 		t.Errorf("state = %q, want queued", queued.State())
 	}
-	if _, err := eng.Submit(ctx, hidap.Job{Design: g.Design, Placer: "test-engine-block"}); !errors.Is(err, hidap.ErrQueueFull) {
+	if _, err := eng.Submit(ctx, block); !errors.Is(err, hidap.ErrQueueFull) {
 		t.Errorf("third submit err = %v, want ErrQueueFull", err)
 	}
 
-	// Cancel the queued job: its MaxPending slot must free immediately,
-	// without a worker touching it.
+	// Cancel the queued job: its MaxPending place must free at once,
+	// without the job ever running.
 	queued.Cancel()
-	if _, err := queued.Wait(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := queued.Wait(soon); !errors.Is(err, context.Canceled) {
 		t.Fatalf("queued cancel err = %v, want context.Canceled", err)
 	}
-	refill, err := eng.Submit(ctx, hidap.Job{Design: g.Design, Placer: "test-engine-block"})
+	if q := eng.Stats().Queued; q != 0 {
+		t.Errorf("queued = %d after Cancel, want 0", q)
+	}
+
+	// Cancel a queued job's parent context instead: the same must hold, and
+	// the running job must not notice.
+	parent, cancelParent := context.WithCancel(ctx)
+	orphan, err := eng.Submit(parent, block)
 	if err != nil {
-		t.Fatalf("submit after cancelling queued job: %v (slot not freed)", err)
+		t.Fatal(err)
+	}
+	cancelParent()
+	if _, err := orphan.Wait(soon); !errors.Is(err, context.Canceled) {
+		t.Fatalf("queued job of a cancelled parent: err = %v, want context.Canceled", err)
+	}
+	if q := eng.Stats().Queued; q != 0 {
+		t.Errorf("queued = %d after the parent context ended, want 0", q)
+	}
+	if running.State() != hidap.JobRunning {
+		t.Errorf("running job state = %q after another job's parent ended, want running", running.State())
+	}
+
+	refill, err := eng.Submit(ctx, block)
+	if err != nil {
+		t.Fatalf("submit after cancelling queued jobs: %v (place not freed)", err)
 	}
 	refill.Cancel()
 	running.Cancel()
-	for _, tk := range []*hidap.Ticket{running, queued, refill} {
+	for _, tk := range []*hidap.Ticket{running, queued, orphan, refill} {
 		if _, err := tk.Wait(ctx); !errors.Is(err, context.Canceled) {
 			t.Errorf("err = %v, want context.Canceled", err)
 		}
@@ -265,22 +311,27 @@ func TestEngineCancelAndQueueFull(t *testing.T) {
 			t.Errorf("state = %q, want canceled", tk.State())
 		}
 	}
+	if len(started) != 0 {
+		t.Errorf("%d cancelled queued jobs ran", len(started))
+	}
+	if st := eng.Stats(); st.Completed != 4 || st.Canceled != 4 || st.Queued != 0 || st.Running != 0 {
+		t.Errorf("stats = %+v, want 4 cancelled completions and nothing left", st)
+	}
 }
 
 // TestEngineCloseWaitsForRun: Close's drain contract covers jobs executing
-// inline through Run on the caller's goroutine, not only pool workers.
+// inline through Run on the caller's goroutine, not only slot jobs.
 func TestEngineCloseWaitsForRun(t *testing.T) {
-	started := make(chan struct{}, 4)
-	hidap.MustRegister(blockingPlacer("test-engine-run-block", started))
 	g := circuits.ABCDX()
 	eng := hidap.NewEngine(nil, hidap.EngineOptions{Workers: 1})
 
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, started := withStarted(context.Background())
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	runDone := make(chan struct{})
 	go func() {
 		defer close(runDone)
-		_, _ = eng.Run(ctx, hidap.Job{Design: g.Design, Placer: "test-engine-run-block"})
+		_, _ = eng.Run(ctx, hidap.Job{Design: g.Design, Placer: "test-engine-block"})
 	}()
 	select {
 	case <-started:
@@ -356,33 +407,6 @@ func TestEngineCloseDrainsAndRejects(t *testing.T) {
 	eng.Close() // idempotent
 }
 
-func TestEngineResultsStream(t *testing.T) {
-	g := circuits.ABCDX()
-	eng := hidap.NewEngine(fastCfg(1), hidap.EngineOptions{Workers: 2})
-	results := eng.Results() // enable the stream before submitting
-	ctx := context.Background()
-	const n = 5
-	for i := 0; i < n; i++ {
-		if _, err := eng.Submit(ctx, hidap.Job{Design: g.Design, Placer: "indeda", Config: fastCfg(int64(i)), Label: "s"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case tk := <-results:
-			if res, err := tk.Result(); err != nil || res.Placement == nil {
-				t.Errorf("streamed job %d: %v", i, err)
-			}
-		case <-time.After(60 * time.Second):
-			t.Fatalf("completion %d never streamed", i)
-		}
-	}
-	eng.Close()
-	if _, open := <-results; open {
-		t.Error("results stream still open after Close")
-	}
-}
-
 func TestEngineSubmitBatch(t *testing.T) {
 	eng := hidap.NewEngine(fastCfg(1), hidap.EngineOptions{Workers: 4})
 	defer eng.Close()
@@ -422,10 +446,6 @@ func TestEngineSubmitBatch(t *testing.T) {
 // internal invariant) must fail alone — the worker, the engine and later
 // jobs survive.
 func TestEnginePanicIsolated(t *testing.T) {
-	hidap.MustRegister(hidap.PlacerFunc("test-engine-panic",
-		func(ctx context.Context, d *hidap.Design, cfg *hidap.Config) (*hidap.Placement, hidap.Stats, error) {
-			panic("boom")
-		}))
 	g := circuits.ABCDX()
 	eng := hidap.NewEngine(fastCfg(1), hidap.EngineOptions{Workers: 1})
 	defer eng.Close()
@@ -517,24 +537,43 @@ func TestEngineBatchMultiSeed(t *testing.T) {
 	}
 }
 
+// TestEngineJobValidation: a job the engine cannot or should not run is
+// refused at submit, before a worker builds anything for it.
 func TestEngineJobValidation(t *testing.T) {
 	eng := hidap.NewEngine(nil, hidap.EngineOptions{Workers: 1})
 	defer eng.Close()
-	ctx := context.Background()
 	g := circuits.ABCDX()
 	spec := loadSpecA()
-	if _, err := eng.Submit(ctx, hidap.Job{}); err == nil {
-		t.Error("empty job must fail")
+	circuit := func(edit func(*circuits.Spec)) hidap.Job {
+		s := loadSpecA()
+		edit(&s)
+		return hidap.Job{Circuit: &s}
 	}
-	if _, err := eng.Submit(ctx, hidap.Job{Design: g.Design, Circuit: &spec}); err == nil {
-		t.Error("job with both Design and Circuit must fail")
+	for name, job := range map[string]hidap.Job{
+		"empty":              {},
+		"design and circuit": {Design: g.Design, Circuit: &spec},
+		"unknown placer":     {Design: g.Design, Placer: "no-such-placer"},
+		"no macros":          {Circuit: &circuits.Spec{Name: "empty"}},
+		"too many macros":    circuit(func(s *circuits.Spec) { s.Macros = 1 << 20 }),
+		"too many cells":     circuit(func(s *circuits.Spec) { s.Cells, s.Scale = 1<<40, 1 }),
+		"too many subsystems": circuit(func(s *circuits.Spec) {
+			s.Macros, s.Subsystems = 1000, 1000
+		}),
+		"subsystem without a macro": circuit(func(s *circuits.Spec) { s.Subsystems = s.Macros + 1 }),
+		"bus too wide":              circuit(func(s *circuits.Spec) { s.BusWidth = 1 << 24 }),
+		"pipeline too deep":         circuit(func(s *circuits.Spec) { s.PipelineDepth = 1 << 20 }),
+		"utilization above 1":       circuit(func(s *circuits.Spec) { s.Utilization = 1.5 }),
+		"utilization NaN":           circuit(func(s *circuits.Spec) { s.Utilization = math.NaN() }),
+	} {
+		if _, err := eng.Submit(context.Background(), job); err == nil {
+			t.Errorf("%s: submit accepted the job", name)
+		}
+		if _, err := eng.Run(context.Background(), job); err == nil {
+			t.Errorf("%s: Run ran the job", name)
+		}
 	}
-	if _, err := eng.Submit(ctx, hidap.Job{Design: g.Design, Placer: "no-such-placer"}); err == nil {
-		t.Error("unknown placer must fail at submit")
-	}
-	macroless := circuits.Spec{Name: "empty"}
-	if _, err := eng.Submit(ctx, hidap.Job{Circuit: &macroless}); err == nil {
-		t.Error("macro-less circuit spec must fail at submit, not panic a worker")
+	if st := eng.Stats(); st.Completed != 0 || st.CachedCircuits != 0 {
+		t.Errorf("refused jobs left work behind: %+v", st)
 	}
 }
 

@@ -24,11 +24,11 @@
 // # Engine: the long-lived run model
 //
 // Placement is a batch workload — many jobs over few designs — so the
-// package's run model is the Engine: a long-lived object owning a bounded
-// worker pool, a content-hash design cache (parsed netlists plus their
-// sequential graphs) and pooled annealing scratch. Back-to-back jobs on the
-// same design run allocation-warm; concurrent jobs share the caches
-// race-free:
+// package's run model is the Engine: a long-lived object that runs at most
+// Workers jobs at a time, with a content-hash design cache (parsed netlists
+// plus their sequential graphs) and pooled annealing scratch. Back-to-back
+// jobs on the same design run allocation-warm; concurrent jobs share the
+// caches race-free:
 //
 //	eng := hidap.NewEngine(cfg, hidap.EngineOptions{Workers: 8})
 //	defer eng.Close()
@@ -36,10 +36,9 @@
 //	res, err := t.Wait(ctx)             // res.Report is the JSON-ready record
 //
 // Engine.SubmitBatch fans a whole evaluation suite (circuits × flows ×
-// seeds) through the pool and aggregates it with the Tables II/III
-// pipeline; Engine.Results streams completions for serving layers (see
-// cmd/hidap-serve for the HTTP surface). The Engine wraps the same
-// placers: a one-shot Placer.Place is cold, building every per-design
+// seeds) through the engine and aggregates it with the Tables II/III
+// pipeline (see cmd/hidap-serve for the HTTP surface). The Engine wraps the
+// same placers: a one-shot Placer.Place is cold, building every per-design
 // artifact itself, so callers that place a design more than once should
 // run an Engine to reuse its warm caches.
 //

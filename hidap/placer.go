@@ -183,7 +183,7 @@ func placeHiDaP(ctx context.Context, d *Design, cfg *Config) (*Placement, Stats,
 	// on another design places that one cold.
 	w := cfg.warm
 	if w == nil || w.cd.d != d {
-		w = &warmJob{cd: &cachedDesign{d: d}}
+		w = &warmJob{cd: newCachedDesign(d)}
 	}
 	cd := w.cd
 	if cfg.Autocluster != nil {

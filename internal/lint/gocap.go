@@ -13,7 +13,7 @@ import (
 // make the determinism matrix meaningless because work ordering stops being
 // governed by seed-derived task paths.
 //
-// Long-lived infrastructure goroutines (the Engine's worker pool, an HTTP
+// Infrastructure goroutines (the Engine's per-job goroutines, an HTTP
 // listener) are legitimate but must say so:
 //
 //	//hidapvet:allow gocap <reason>

@@ -80,8 +80,8 @@ func TestCellPlacementGolden(t *testing.T) {
 }
 
 // TestRunAllocs checks that the placer's scratch is allocated once per Run,
-// not per solve/spread round: doubling the rounds may add at most a quarter
-// to the allocations of a Run.
+// not per solve/spread round: doubling the rounds may not add a single
+// allocation to a Run.
 func TestRunAllocs(t *testing.T) {
 	pl := macroPlaced(t, "c8", 100, "handfp")
 	allocs := func(iterations int) float64 {
@@ -95,8 +95,8 @@ func TestRunAllocs(t *testing.T) {
 	}
 	six, twelve := allocs(6), allocs(12)
 	t.Logf("allocs per Run: %.0f at 6 iterations, %.0f at 12", six, twelve)
-	if twelve > 1.25*six {
-		t.Errorf("allocs per Run grow with iterations: %.0f at 12 > 1.25 × %.0f at 6", twelve, six)
+	if twelve > six {
+		t.Errorf("allocs per Run grow with iterations: %.0f at 12 > %.0f at 6", twelve, six)
 	}
 }
 

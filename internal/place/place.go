@@ -133,10 +133,15 @@ type scratch struct {
 	// fixed sums each net's fixed placed pins (macros and ports) and counts
 	// all of its placed pins; neither changes during a Run.
 	fixed    []netSum
-	centroid []geom.Point       // per-net centroid of one sweep, where fixed[n].n ≥ 2
-	binCells [][]netlist.CellID // movable cells per spreading bin
-	keys     []spreadKey        // one overfull bin's cells, a heap in eviction order
-	ring     []ringBin          // one ring's bins with spare capacity, a heap
+	centroid []geom.Point // per-net centroid of one sweep, where fixed[n].n ≥ 2
+	// binCell[binOff[b]:binOff[b+1]] are the movable cells in spreading bin
+	// b at the start of a spread round, in movable order; binNext is the
+	// counting sort's fill cursor per bin.
+	binOff  []int32
+	binNext []int32
+	binCell []netlist.CellID
+	keys    []spreadKey // one overfull bin's cells, a heap in eviction order
+	ring    []ringBin   // one ring's bins with spare capacity, a heap
 }
 
 // netSum is the sum of a net's fixed pin centers and its placed pin count.
@@ -183,7 +188,9 @@ func newScratch(pl *placement.Placement, movable []netlist.CellID, bins int) *sc
 		pinOff:   make([]int32, len(d.Nets)+1),
 		fixed:    make([]netSum, len(d.Nets)),
 		centroid: make([]geom.Point, len(d.Nets)),
-		binCells: make([][]netlist.CellID, bins),
+		binOff:   make([]int32, bins+1),
+		binNext:  make([]int32, bins),
+		binCell:  make([]netlist.CellID, len(movable)),
 	}
 	isMovable := make([]bool, len(d.Cells))
 	pins := 0
@@ -344,17 +351,26 @@ func (g *grid) spread(pl *placement.Placement, movable []netlist.CellID, s *scra
 	const rounds = 3
 	maxR := max(g.nx, g.ny)
 	for round := 0; round < rounds; round++ {
-		for i := range g.load {
-			g.load[i] = 0
-			s.binCells[i] = s.binCells[i][:0]
-		}
+		clear(g.load)
+		clear(s.binOff)
 		for _, id := range movable {
 			c := pl.Center(id)
 			s.centers[id] = c
 			bx, by := g.binOf(c)
 			bi := by*g.nx + bx
 			g.load[bi] += float64(d.Cell(id).Area())
-			s.binCells[bi] = append(s.binCells[bi], id)
+			s.binOff[bi+1]++
+		}
+		// Counting sort of the cells into their bins, in movable order.
+		for bi := range g.load {
+			s.binOff[bi+1] += s.binOff[bi]
+		}
+		copy(s.binNext, s.binOff)
+		for _, id := range movable {
+			bx, by := g.binOf(s.centers[id])
+			bi := by*g.nx + bx
+			s.binCell[s.binNext[bi]] = id
+			s.binNext[bi]++
 		}
 		for i := range g.load {
 			g.markSpare(i)
@@ -372,7 +388,7 @@ func (g *grid) spread(pl *placement.Placement, movable []netlist.CellID, s *scra
 				// are heapified and popped one per move rather than sorted.
 				c := g.binRect(bx, by).Center()
 				keys := s.keys[:0]
-				for _, id := range s.binCells[bi] {
+				for _, id := range s.binCell[s.binOff[bi]:s.binOff[bi+1]] {
 					keys = append(keys, spreadKey{s.centers[id].ManhattanDist(c), id})
 				}
 				heapify(keys)
