@@ -1,6 +1,7 @@
 package circuits
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -375,5 +376,38 @@ func TestGeneratedAutoclusterCache(t *testing.T) {
 	}
 	if err := autocluster.CheckTree(r1.Design, p); err != nil {
 		t.Fatalf("CheckTree: %v", err)
+	}
+}
+
+// TestGenerateFewMacros generates specs with 0–4 macros and 0–5 subsystems
+// (0 takes the default 4), hierarchical and flat. Each must build a valid
+// design with exactly its macros, every one of them in the intent, and one
+// subsystem per macro at most (one if there are none).
+func TestGenerateFewMacros(t *testing.T) {
+	for macros := 0; macros <= 4; macros++ {
+		for subs := 0; subs <= 5; subs++ {
+			for _, gen := range []func(Spec) *Generated{Generate, GenFlat} {
+				spec := Spec{Name: "few", Macros: macros, Subsystems: subs, Seed: int64(10*macros + subs)}
+				g := gen(spec)
+				d := g.Design
+				where := fmt.Sprintf("macros %d subsystems %d flat %v", macros, subs, g.Spec.Flat)
+				if err := d.Validate(); err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				if got := len(d.Macros()); got != macros {
+					t.Errorf("%s: design has %d macros", where, got)
+				}
+				if len(g.Intent) != macros {
+					t.Errorf("%s: intent has %d macros", where, len(g.Intent))
+				}
+				built := 0
+				for d.CellByName(fmt.Sprintf("sub%d/in_r[0]", built)) != netlist.None {
+					built++
+				}
+				if want := min(g.Spec.Subsystems, max(macros, 1)); built != want {
+					t.Errorf("%s: %d subsystems built, want %d", where, built, want)
+				}
+			}
+		}
 	}
 }

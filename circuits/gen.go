@@ -171,10 +171,14 @@ type subPlan struct {
 	macroIDs []netlist.CellID
 }
 
+// planSubsystems splits the macros over the subsystems, planning at most one
+// subsystem per macro so that none is left without one. A spec without
+// macros plans one macro-free subsystem.
 func planSubsystems(spec Spec, rng *rand.Rand) []subPlan {
-	subs := make([]subPlan, spec.Subsystems)
-	base := spec.Macros / spec.Subsystems
-	extra := spec.Macros % spec.Subsystems
+	macros := max(spec.Macros, 0)
+	subs := make([]subPlan, min(spec.Subsystems, max(macros, 1)))
+	base := macros / len(subs)
+	extra := macros % len(subs)
 	for k := range subs {
 		m := base
 		if k < extra {
@@ -276,7 +280,12 @@ func (g *genState) buildSubsystem(k int, s *subPlan) {
 		}
 	}
 
-	// Local dataflow chain: in_r -> ram0 -> ram1 -> ... -> out_r.
+	// Local dataflow chain: in_r -> ram0 -> ram1 -> ... -> out_r, or
+	// in_r -> out_r in a macro-free subsystem.
+	if s.macros == 0 {
+		g.pipe(s.name+"_thru", s.inReg, s.outReg, s.name)
+		return
+	}
 	g.pipe(s.name+"_head", s.inReg, s.dinRegs[0], s.name)
 	for i := 1; i < s.macros; i++ {
 		g.pipe(fmt.Sprintf("%s_ch%d", s.name, i), s.doutRegs[i-1], s.dinRegs[i], s.name)

@@ -22,9 +22,12 @@ type Spec struct {
 	// Cells is the paper's standard-cell count; the generator creates
 	// Cells/Scale cells.
 	Cells int
-	// Macros is the total macro count (matches the paper exactly).
+	// Macros is the total macro count (matches the paper exactly). A spec
+	// with no macros generates a macro-free design.
 	Macros int
-	// Subsystems is the number of macro-bearing functional units.
+	// Subsystems is the number of macro-bearing functional units (default
+	// 4). The generator builds at most one per macro, and one when there
+	// are no macros.
 	Subsystems int
 	// BusWidth is the inter-subsystem bus width in bits.
 	BusWidth int

@@ -3,10 +3,15 @@
 // the paper's evaluation (§V: "Metrics are taken after placement of
 // standard cells using the same tool as IndEDA").
 //
-// The placer is a classic quadratic scheme: Gauss–Seidel sweeps pull every
-// movable cell to the centroid of its nets (fixed macros and ports anchor
-// the system), interleaved with grid-based spreading that respects macro
+// The placer is a classic quadratic scheme: Jacobi sweeps pull every movable
+// cell to the centroid of its nets (fixed macros and ports anchor the
+// system), interleaved with grid-based spreading that respects macro
 // blockage and a density target. It is fully deterministic.
+//
+// A Run works on one dense array of the movable cells' centers, indexed by
+// position in the movable list (cell ID order), and writes the placement
+// once at the end. Nets, bins and eviction keys refer to cells by that
+// index, so the hot loops never go through the design or the placement.
 package place
 
 import (
@@ -25,7 +30,7 @@ type Options struct {
 	GridBins int
 	// Iterations is the number of solve+spread rounds (default 6).
 	Iterations int
-	// SolveSweeps is the number of Gauss–Seidel sweeps per round (default 4).
+	// SolveSweeps is the number of Jacobi sweeps per round (default 4).
 	SolveSweeps int
 	// TargetUtil is the bin utilization ceiling during spreading. When 0
 	// it is derived from the design: 1.3 × (cell area / free area),
@@ -42,7 +47,7 @@ func DefaultOptions() Options {
 // Run places all movable cells (flops and combinational cells) of pl's
 // design. Macros and ports must already be placed; their positions are not
 // modified. A cancelled ctx aborts between solve/spread rounds and returns
-// ctx.Err().
+// ctx.Err(), leaving the movable cells where they were.
 func Run(ctx context.Context, pl *placement.Placement, opt Options) error {
 	d := pl.D
 	if opt.GridBins <= 0 {
@@ -64,16 +69,17 @@ func Run(ctx context.Context, pl *placement.Placement, opt Options) error {
 		return nil
 	}
 
-	center := d.Die.Center()
-	for _, id := range movable {
-		pl.Place(id, center)
-	}
-
 	if opt.TargetUtil <= 0 {
 		opt.TargetUtil = deriveTargetUtil(d, pl)
 	}
 	grid := newGrid(d, pl, opt)
 	s := newScratch(pl, movable, len(grid.cap))
+	// Every cell starts with its lower-left corner at the die center.
+	start := d.Die.Center()
+	for i, id := range movable {
+		c := d.Cell(id)
+		s.cur[i] = geom.Pt(start.X+c.Width/2, start.Y+c.Height/2)
+	}
 	for iter := 0; iter < opt.Iterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -82,12 +88,13 @@ func Run(ctx context.Context, pl *placement.Placement, opt Options) error {
 		// the next quadratic solve (a light-weight stand-in for the anchor
 		// pseudo-nets of production placers).
 		keep := float64(iter) / float64(opt.Iterations+1)
-		solve(pl, movable, opt.SolveSweeps, keep, s)
-		grid.spread(pl, movable, s)
+		s.solve(opt.SolveSweeps, keep)
+		grid.spread(s)
 	}
 	// Final cleanups: keep cells inside the die and off macros.
-	grid.evictFromMacros(pl, movable)
-	clampAll(pl, movable)
+	grid.evictFromMacros(s)
+	s.clamp(d)
+	s.store(pl)
 	return nil
 }
 
@@ -117,29 +124,39 @@ func deriveTargetUtil(d *netlist.Design, pl *placement.Placement) float64 {
 	return t
 }
 
-// scratch is the working memory of solve and spread, allocated once per Run
-// and reused by every round.
+// scratch is the state of one Run: the movable cells' centers and the
+// working memory of solve and spread, allocated once and reused by every
+// round. A movable cell is named by its index i into movable, so cur[i] is
+// the center of movable[i]; movable is in cell ID order, so ordering by
+// index is ordering by cell ID. Every center is the one the placement would
+// report: movable cells are placed R0, so Center is Pos + (Width/2,
+// Height/2) exactly and store writes the centers back without rounding.
 type scratch struct {
-	centers []geom.Point // cell centers, snapshotted per sweep and per spread round
+	movable []netlist.CellID
+	// cur holds the centers; next receives a solve sweep's new centers and
+	// is swapped with cur after the sweep.
+	cur, next []geom.Point
+	area      []float64 // area of each movable cell
 	// netOf[netOff[i]:netOff[i+1]] are the nets of movable[i]'s pins that
 	// have a centroid (at least two placed pins), one entry per pin: a cell
 	// with two pins on a net lists it twice.
 	netOff []int32
 	netOf  []netlist.NetID
-	// pinCell[pinOff[n]:pinOff[n+1]] are the movable cells of net n's pins,
-	// one entry per pin.
+	// pinCell[pinOff[n]:pinOff[n+1]] are the movable indices of net n's
+	// pins, one entry per pin.
 	pinOff  []int32
-	pinCell []netlist.CellID
+	pinCell []int32
 	// fixed sums each net's fixed placed pins (macros and ports) and counts
 	// all of its placed pins; neither changes during a Run.
 	fixed    []netSum
 	centroid []geom.Point // per-net centroid of one sweep, where fixed[n].n ≥ 2
-	// binCell[binOff[b]:binOff[b+1]] are the movable cells in spreading bin
-	// b at the start of a spread round, in movable order; binNext is the
-	// counting sort's fill cursor per bin.
+	// bin is each cell's spreading bin at the start of a spread round, and
+	// binCell[binOff[b]:binOff[b+1]] are the cells in bin b, in index
+	// order; binNext is the counting sort's fill cursor per bin.
+	bin     []int32
 	binOff  []int32
 	binNext []int32
-	binCell []netlist.CellID
+	binCell []int32
 	keys    []spreadKey // one overfull bin's cells, a heap in eviction order
 	ring    []ringBin   // one ring's bins with spare capacity, a heap
 }
@@ -147,68 +164,46 @@ type scratch struct {
 // netSum is the sum of a net's fixed pin centers and its placed pin count.
 type netSum struct{ x, y, n int64 }
 
-// spreadKey orders an overfull bin's cells for eviction: farthest from the
-// bin center first, ties by cell ID.
-type spreadKey struct {
-	dist int64
-	id   netlist.CellID
-}
-
-func (a spreadKey) before(b spreadKey) bool {
-	if a.dist != b.dist {
-		return a.dist > b.dist
-	}
-	return a.id < b.id
-}
-
-// ringBin is a bin of the ring being searched for relief, ordered by most
-// spare capacity first, ties by the ring's scan order.
-type ringBin struct {
-	spare float64
-	ord   int32 // position in the ring's scan order
-	bin   int32
-}
-
-func (a ringBin) before(b ringBin) bool {
-	if a.spare != b.spare {
-		return a.spare > b.spare
-	}
-	return a.ord < b.ord
-}
-
-// newScratch sizes the working memory for placing movable on pl with the
-// given number of spreading bins. It indexes the nets of the movable cells
-// both ways and sums the fixed pins, which stay put for the whole Run. Every
-// movable cell must already be placed.
+// newScratch sizes the state for placing movable on pl with the given
+// number of spreading bins. It indexes the nets of the movable cells both
+// ways and sums the fixed pins, which stay put for the whole Run. The
+// centers are left zero for the caller to set.
 func newScratch(pl *placement.Placement, movable []netlist.CellID, bins int) *scratch {
 	d := pl.D
+	n := len(movable)
 	s := &scratch{
-		centers:  make([]geom.Point, len(d.Cells)),
-		netOff:   make([]int32, len(movable)+1),
+		movable:  movable,
+		cur:      make([]geom.Point, n),
+		next:     make([]geom.Point, n),
+		area:     make([]float64, n),
+		netOff:   make([]int32, n+1),
 		pinOff:   make([]int32, len(d.Nets)+1),
 		fixed:    make([]netSum, len(d.Nets)),
 		centroid: make([]geom.Point, len(d.Nets)),
+		bin:      make([]int32, n),
 		binOff:   make([]int32, bins+1),
 		binNext:  make([]int32, bins),
-		binCell:  make([]netlist.CellID, len(movable)),
+		binCell:  make([]int32, n),
 	}
-	isMovable := make([]bool, len(d.Cells))
+	index := make([]int32, len(d.Cells)) // movable index + 1, 0 if fixed
 	pins := 0
-	for _, id := range movable {
-		isMovable[id] = true
-		pins += len(d.Cell(id).Pins)
+	for i, id := range movable {
+		c := d.Cell(id)
+		index[id] = int32(i + 1)
+		s.area[i] = float64(c.Area())
+		pins += len(c.Pins)
 	}
-	s.pinCell = make([]netlist.CellID, 0, pins)
+	s.pinCell = make([]int32, 0, pins)
 	s.netOf = make([]netlist.NetID, 0, pins)
 	for nid := range d.Nets {
 		f := &s.fixed[nid]
 		for _, pid := range d.Nets[nid].Pins {
-			pin := d.Pin(pid)
+			cell := d.Pin(pid).Cell
 			switch {
-			case isMovable[pin.Cell]:
-				s.pinCell = append(s.pinCell, pin.Cell)
-			case pl.Placed[pin.Cell]:
-				c := pl.Center(pin.Cell)
+			case index[cell] > 0:
+				s.pinCell = append(s.pinCell, index[cell]-1)
+			case pl.Placed[cell]:
+				c := pl.Center(cell)
 				f.x += c.X
 				f.y += c.Y
 			default:
@@ -229,21 +224,24 @@ func newScratch(pl *placement.Placement, movable []netlist.CellID, bins int) *sc
 	return s
 }
 
-// solve runs Gauss–Seidel sweeps of the star net model: each pass computes
-// per-net centroids, then moves every movable cell toward the mean of its
-// nets' centroids, retaining a `keep` fraction of its current position.
-// Fixed cells (macros, ports) keep the system anchored.
-func solve(pl *placement.Placement, movable []netlist.CellID, sweeps int, keep float64, s *scratch) {
-	d := pl.D
-	centers, centroid := s.centers, s.centroid
+// store writes the centers back to pl, placing every movable cell R0.
+func (s *scratch) store(pl *placement.Placement) {
+	for i, id := range s.movable {
+		c := pl.D.Cell(id)
+		pl.Place(id, geom.Pt(s.cur[i].X-c.Width/2, s.cur[i].Y-c.Height/2))
+	}
+}
+
+// solve runs Jacobi sweeps of the star net model: each sweep computes
+// per-net centroids from the current centers, then moves every movable cell
+// toward the mean of its nets' centroids, retaining a `keep` fraction of its
+// current position. Fixed cells (macros, ports) keep the system anchored.
+func (s *scratch) solve(sweeps int, keep float64) {
+	centroid := s.centroid
 	for sweep := 0; sweep < sweeps; sweep++ {
-		// A sweep reads the positions from before its first move, so one
-		// snapshot of the centers serves every pin. The sums are integers,
-		// so adding a net's movable pins to its fixed ones in another order
-		// than d.Pins gives the same centroid.
-		for _, id := range movable {
-			centers[id] = pl.Center(id)
-		}
+		cur, next := s.cur, s.next
+		// The sums are integers, so adding a net's movable pins to its
+		// fixed ones in another order than d.Pins gives the same centroid.
 		for nid := range s.fixed {
 			f := &s.fixed[nid]
 			if f.n < 2 {
@@ -251,14 +249,15 @@ func solve(pl *placement.Placement, movable []netlist.CellID, sweeps int, keep f
 			}
 			x, y := f.x, f.y
 			for _, c := range s.pinCell[s.pinOff[nid]:s.pinOff[nid+1]] {
-				x += centers[c].X
-				y += centers[c].Y
+				x += cur[c].X
+				y += cur[c].Y
 			}
 			centroid[nid] = geom.Pt(x/f.n, y/f.n)
 		}
-		for i, id := range movable {
+		for i, c := range cur {
 			nets := s.netOf[s.netOff[i]:s.netOff[i+1]]
 			if len(nets) == 0 {
+				next[i] = c
 				continue
 			}
 			var sx, sy int64
@@ -267,13 +266,21 @@ func solve(pl *placement.Placement, movable []netlist.CellID, sweeps int, keep f
 				sy += centroid[nid].Y
 			}
 			n := int64(len(nets))
-			cell := d.Cell(id)
-			target := geom.Pt(sx/n, sy/n)
-			cur := centers[id]
-			nx := int64(keep*float64(cur.X) + (1-keep)*float64(target.X))
-			ny := int64(keep*float64(cur.Y) + (1-keep)*float64(target.Y))
-			pl.Place(id, geom.Pt(nx-cell.Width/2, ny-cell.Height/2))
+			tx, ty := sx/n, sy/n
+			next[i] = geom.Pt(
+				int64(keep*float64(c.X)+(1-keep)*float64(tx)),
+				int64(keep*float64(c.Y)+(1-keep)*float64(ty)))
 		}
+		s.cur, s.next = next, cur
+	}
+}
+
+// clamp moves every cell whose outline leaves d's die back inside it.
+func (s *scratch) clamp(d *netlist.Design) {
+	for i, id := range s.movable {
+		c := d.Cell(id)
+		r := geom.RectXYWH(s.cur[i].X-c.Width/2, s.cur[i].Y-c.Height/2, c.Width, c.Height)
+		s.cur[i] = r.ClampInside(d.Die).Center()
 	}
 }
 
@@ -283,8 +290,9 @@ type grid struct {
 	die        geom.Rect
 	nx, ny     int
 	binW, binH int64
-	macros     []geom.Rect // placed macro outlines, fixed for the whole Run
-	cap        []float64   // usable area per bin × target utilization
+	macros     []geom.Rect  // placed macro outlines, fixed for the whole Run
+	center     []geom.Point // center of each bin's die-clipped outline
+	cap        []float64    // usable area per bin × target utilization
 	load       []float64
 	// rowSpare and colSpare both hold the set of bins with spare capacity
 	// (cap > load) during spread, as one bitset of wx words per row and one
@@ -302,6 +310,7 @@ func newGrid(d *netlist.Design, pl *placement.Placement, opt Options) *grid {
 	for _, m := range d.Macros() {
 		g.macros = append(g.macros, pl.Rect(m))
 	}
+	g.center = make([]geom.Point, g.nx*g.ny)
 	g.cap = make([]float64, g.nx*g.ny)
 	g.load = make([]float64, g.nx*g.ny)
 	g.wx, g.wy = (g.nx+63)/64, (g.ny+63)/64
@@ -314,6 +323,7 @@ func newGrid(d *netlist.Design, pl *placement.Placement, opt Options) *grid {
 			for _, mr := range g.macros {
 				usable -= r.Intersect(mr).Area()
 			}
+			g.center[by*g.nx+bx] = r.Center()
 			g.cap[by*g.nx+bx] = float64(usable) * opt.TargetUtil
 		}
 	}
@@ -325,7 +335,8 @@ func (g *grid) binRect(bx, by int) geom.Rect {
 	return r.Intersect(g.die)
 }
 
-func (g *grid) binOf(p geom.Point) (int, int) {
+// binOf returns the index of the bin holding p, clamped to the grid.
+func (g *grid) binOf(p geom.Point) int {
 	bx := int((p.X - g.die.X) / g.binW)
 	by := int((p.Y - g.die.Y) / g.binH)
 	if bx < 0 {
@@ -340,36 +351,31 @@ func (g *grid) binOf(p geom.Point) (int, int) {
 	if by >= g.ny {
 		by = g.ny - 1
 	}
-	return bx, by
+	return by*g.nx + bx
 }
 
 // spread relieves overfull bins by relocating their outermost cells to the
 // least-loaded neighboring bin, repeating a few rounds. Deterministic: bins
 // scan in row order, cells leave in order of distance from the bin center.
-func (g *grid) spread(pl *placement.Placement, movable []netlist.CellID, s *scratch) {
-	d := pl.D
+func (g *grid) spread(s *scratch) {
 	const rounds = 3
 	maxR := max(g.nx, g.ny)
 	for round := 0; round < rounds; round++ {
 		clear(g.load)
 		clear(s.binOff)
-		for _, id := range movable {
-			c := pl.Center(id)
-			s.centers[id] = c
-			bx, by := g.binOf(c)
-			bi := by*g.nx + bx
-			g.load[bi] += float64(d.Cell(id).Area())
+		for i, c := range s.cur {
+			bi := g.binOf(c)
+			s.bin[i] = int32(bi)
+			g.load[bi] += s.area[i]
 			s.binOff[bi+1]++
 		}
-		// Counting sort of the cells into their bins, in movable order.
+		// Counting sort of the cells into their bins, in index order.
 		for bi := range g.load {
 			s.binOff[bi+1] += s.binOff[bi]
 		}
 		copy(s.binNext, s.binOff)
-		for _, id := range movable {
-			bx, by := g.binOf(s.centers[id])
-			bi := by*g.nx + bx
-			s.binCell[s.binNext[bi]] = id
+		for i, bi := range s.bin {
+			s.binCell[s.binNext[bi]] = int32(i)
 			s.binNext[bi]++
 		}
 		for i := range g.load {
@@ -383,15 +389,15 @@ func (g *grid) spread(pl *placement.Placement, movable []netlist.CellID, s *scra
 					continue
 				}
 				// A bin's cells move only when the bin itself is relieved,
-				// so their centers are still the ones snapshotted above.
-				// Usually only a prefix of them has to leave, so the keys
-				// are heapified and popped one per move rather than sorted.
-				c := g.binRect(bx, by).Center()
+				// so their centers are still the ones binned above. Usually
+				// only a prefix of them has to leave, so the keys are
+				// heapified and popped one per move rather than sorted.
+				c := g.center[bi]
 				keys := s.keys[:0]
-				for _, id := range s.binCell[s.binOff[bi]:s.binOff[bi+1]] {
-					keys = append(keys, spreadKey{s.centers[id].ManhattanDist(c), id})
+				for _, i := range s.binCell[s.binOff[bi]:s.binOff[bi+1]] {
+					keys = append(keys, spreadKey{s.cur[i].ManhattanDist(c), i})
 				}
-				heapify(keys)
+				heapifyKeys(keys)
 				s.keys = keys
 				ring, r := s.ring[:0], 0
 				for len(keys) > 0 && g.load[bi] > g.cap[bi] {
@@ -406,24 +412,21 @@ func (g *grid) spread(pl *placement.Placement, movable []netlist.CellID, s *scra
 					if len(ring) == 0 {
 						break
 					}
-					id := keys[0].id
-					keys = pop(keys)
+					i := keys[0].i
+					keys = popKey(keys)
 					ti := int(ring[0].bin)
-					target := g.binRect(ti%g.nx, ti/g.nx).Center()
-					cell := d.Cell(id)
-					area := float64(cell.Area())
-					pl.Place(id, geom.Pt(target.X-cell.Width/2, target.Y-cell.Height/2))
-					g.load[bi] -= area
-					g.load[ti] += area
+					s.cur[i] = g.center[ti]
+					g.load[bi] -= s.area[i]
+					g.load[ti] += s.area[i]
 					g.markSpare(bi)
 					g.markSpare(ti)
 					moved = true
 					// The target is the only ring bin whose spare changed.
 					if spare := g.cap[ti] - g.load[ti]; spare > 0 {
 						ring[0].spare = spare
-						siftDown(ring, 0)
+						siftRing(ring, 0)
 					} else {
-						ring = pop(ring)
+						ring = popRing(ring)
 					}
 				}
 				s.ring = ring
@@ -477,7 +480,9 @@ func (g *grid) ringSpare(bx, by, r int, dst []ringBin) []ringBin {
 			dst = g.appendSpare(dst, y*g.nx+x, 2*(2*r+1)+2*(y-by+r-1)+k)
 		}
 	}
-	heapify(dst)
+	for i := len(dst)/2 - 1; i >= 0; i-- {
+		siftRing(dst, i)
+	}
 	return dst
 }
 
@@ -497,15 +502,29 @@ func nextBit(w []uint64, i, hi int) int {
 	return hi + 1
 }
 
-// heapify, siftDown and pop keep h a binary heap whose top comes before
-// every other element.
-func heapify[T interface{ before(T) bool }](h []T) {
+// spreadKey orders an overfull bin's cells for eviction: farthest from the
+// bin center first, ties by index (so by cell ID).
+type spreadKey struct {
+	dist int64
+	i    int32 // movable index
+}
+
+func (a spreadKey) before(b spreadKey) bool {
+	if a.dist != b.dist {
+		return a.dist > b.dist
+	}
+	return a.i < b.i
+}
+
+// heapifyKeys, siftKey and popKey keep h a binary heap whose top is the
+// next cell to evict.
+func heapifyKeys(h []spreadKey) {
 	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
+		siftKey(h, i)
 	}
 }
 
-func siftDown[T interface{ before(T) bool }](h []T, i int) {
+func siftKey(h []spreadKey, i int) {
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
@@ -522,26 +541,66 @@ func siftDown[T interface{ before(T) bool }](h []T, i int) {
 	}
 }
 
-func pop[T interface{ before(T) bool }](h []T) []T {
+func popKey(h []spreadKey) []spreadKey {
 	n := len(h) - 1
 	h[0] = h[n]
 	h = h[:n]
-	siftDown(h, 0)
+	siftKey(h, 0)
 	return h
 }
 
-// evictFromMacros pushes any cell sitting on a macro to the nearest macro
+// ringBin is a bin of the ring being searched for relief, ordered by most
+// spare capacity first, ties by the ring's scan order.
+type ringBin struct {
+	spare float64
+	ord   int32 // position in the ring's scan order
+	bin   int32
+}
+
+func (a ringBin) before(b ringBin) bool {
+	if a.spare != b.spare {
+		return a.spare > b.spare
+	}
+	return a.ord < b.ord
+}
+
+// siftRing and popRing keep h a binary heap whose top is the ring bin with
+// the most spare capacity.
+func siftRing(h []ringBin, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+func popRing(h []ringBin) []ringBin {
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	siftRing(h, 0)
+	return h
+}
+
+// evictFromMacros pushes any cell centered on a macro to the nearest macro
 // edge.
-func (g *grid) evictFromMacros(pl *placement.Placement, movable []netlist.CellID) {
-	d := pl.D
-	for _, id := range movable {
-		c := pl.Center(id)
+func (g *grid) evictFromMacros(s *scratch) {
+	for i, c := range s.cur {
 		for _, mr := range g.macros {
 			if !mr.Contains(c) {
 				continue
 			}
 			// Push to the nearest macro edge that stays inside the die.
-			cands := []geom.Point{
+			cands := [4]geom.Point{
 				{X: mr.X - 1, Y: c.Y},
 				{X: mr.X2() + 1, Y: c.Y},
 				{X: c.X, Y: mr.Y - 1},
@@ -558,19 +617,10 @@ func (g *grid) evictFromMacros(pl *placement.Placement, movable []netlist.CellID
 					best = cand
 				}
 			}
-			if bestDist < 0 {
-				break // macro covers the die; leave the cell be
+			if bestDist >= 0 {
+				s.cur[i] = best
 			}
-			cell := d.Cell(id)
-			pl.Place(id, geom.Pt(best.X-cell.Width/2, best.Y-cell.Height/2))
-			break
+			break // a cell on a macro covering the die is left be
 		}
-	}
-}
-
-func clampAll(pl *placement.Placement, movable []netlist.CellID) {
-	for _, id := range movable {
-		r := pl.Rect(id).ClampInside(pl.D.Die)
-		pl.Place(id, geom.Pt(r.X, r.Y))
 	}
 }

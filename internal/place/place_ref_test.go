@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -11,6 +12,75 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/placement"
 )
+
+// runRef is the straightforward form of Run: it keeps every center in pl,
+// placing cells as it goes, and runs solveRef, spreadRef and the reference
+// cleanups on it.
+func runRef(pl *placement.Placement, opt Options) {
+	d := pl.D
+	if opt.GridBins <= 0 {
+		opt = DefaultOptions()
+	}
+	var movable []netlist.CellID
+	for i := range d.Cells {
+		switch d.Cells[i].Kind {
+		case netlist.KindComb, netlist.KindFlop:
+			movable = append(movable, netlist.CellID(i))
+		}
+	}
+	for _, id := range movable {
+		pl.Place(id, d.Die.Center())
+	}
+	if opt.TargetUtil <= 0 {
+		opt.TargetUtil = deriveTargetUtil(d, pl)
+	}
+	g := newGrid(d, pl, opt)
+	for iter := 0; iter < opt.Iterations; iter++ {
+		keep := float64(iter) / float64(opt.Iterations+1)
+		solveRef(pl, movable, opt.SolveSweeps, keep)
+		g.spreadRef(pl, movable)
+	}
+	g.evictFromMacrosRef(pl, movable)
+	for _, id := range movable {
+		r := pl.Rect(id).ClampInside(d.Die)
+		pl.Place(id, geom.Pt(r.X, r.Y))
+	}
+}
+
+// evictFromMacrosRef pushes any cell centered on a macro to the nearest
+// macro edge inside the die, placing it on pl.
+func (g *grid) evictFromMacrosRef(pl *placement.Placement, movable []netlist.CellID) {
+	for _, id := range movable {
+		c := pl.Center(id)
+		for _, mr := range g.macros {
+			if !mr.Contains(c) {
+				continue
+			}
+			bestDist := int64(-1)
+			var best geom.Point
+			for _, cand := range []geom.Point{
+				{X: mr.X - 1, Y: c.Y}, {X: mr.X2() + 1, Y: c.Y},
+				{X: c.X, Y: mr.Y - 1}, {X: c.X, Y: mr.Y2() + 1},
+			} {
+				if dist := c.ManhattanDist(cand); g.die.Contains(cand) && (bestDist < 0 || dist < bestDist) {
+					bestDist, best = dist, cand
+				}
+			}
+			if bestDist >= 0 {
+				cell := pl.D.Cell(id)
+				pl.Place(id, geom.Pt(best.X-cell.Width/2, best.Y-cell.Height/2))
+			}
+			break
+		}
+	}
+}
+
+// load sets the centers from pl, whose movable cells must all be placed R0.
+func (s *scratch) load(pl *placement.Placement) {
+	for i, id := range s.movable {
+		s.cur[i] = pl.Center(id)
+	}
+}
 
 // spreadRef and bestNeighborRef are the straightforward forms of spread and
 // its ring search: every eviction order is fully sorted by recomputing cell
@@ -27,8 +97,7 @@ func (g *grid) spreadRef(pl *placement.Placement, movable []netlist.CellID) {
 			binCells[i] = binCells[i][:0]
 		}
 		for _, id := range movable {
-			bx, by := g.binOf(pl.Center(id))
-			bi := by*g.nx + bx
+			bi := g.binOf(pl.Center(id))
 			g.load[bi] += float64(d.Cell(id).Area())
 			binCells[bi] = append(binCells[bi], id)
 		}
@@ -219,9 +288,11 @@ func TestSolveMatchesRef(t *testing.T) {
 		pl, movable := randomSolveCase(rng)
 		ref := pl.Clone()
 		s := newScratch(pl, movable, 1)
+		s.load(pl)
 		for call := 0; call < 4; call++ {
 			sweeps, keep := 1+rng.Intn(4), rng.Float64()
-			solve(pl, movable, sweeps, keep, s)
+			s.solve(sweeps, keep)
+			s.store(pl)
 			solveRef(ref, movable, sweeps, keep)
 			if !slices.Equal(pl.Pos, ref.Pos) {
 				t.Fatalf("seed %d call %d: cell positions differ from solveRef", seed, call)
@@ -291,8 +362,10 @@ func checkSpreadMatchesRef(t *testing.T, pl *placement.Placement, movable []netl
 	ref := pl.Clone()
 	g, gRef := newGrid(pl.D, pl, opt), newGrid(pl.D, ref, opt)
 	s := newScratch(pl, movable, len(g.cap))
+	s.load(pl)
 	for call := 0; call < 2; call++ {
-		g.spread(pl, movable, s)
+		g.spread(s)
+		s.store(pl)
 		gRef.spreadRef(ref, movable)
 		if !slices.Equal(pl.Pos, ref.Pos) {
 			t.Fatalf("call %d: cell positions differ from spreadRef", call)
@@ -338,5 +411,35 @@ func FuzzSpreadMatchesRef(f *testing.F) {
 			util:     0.05 + 0.9*float64(util)/255,
 		})
 		checkSpreadMatchesRef(t, pl, movable, opt)
+	})
+}
+
+// FuzzRunMatchesRef compares Run with runRef on randomSolveCase designs,
+// with the grid, round and sweep counts and the target (0 derives it) drawn
+// from the fuzz input. Both start from the same placement, so ports left
+// unplaced and macros reaching past the die are shared.
+func FuzzRunMatchesRef(f *testing.F) {
+	f.Add(int64(1), uint8(48), uint8(6), uint8(4), uint8(0))
+	f.Add(int64(2), uint8(7), uint8(3), uint8(1), uint8(200))
+	f.Add(int64(3), uint8(1), uint8(1), uint8(2), uint8(30))
+	f.Add(int64(4), uint8(130), uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, bins, iterations, sweeps, util uint8) {
+		pl, _ := randomSolveCase(rand.New(rand.NewSource(seed)))
+		opt := Options{
+			GridBins:    1 + int(bins%130),
+			Iterations:  int(iterations % 8),
+			SolveSweeps: int(sweeps % 5),
+		}
+		if util > 0 {
+			opt.TargetUtil = 0.05 + 0.9*float64(util)/255
+		}
+		ref := pl.Clone()
+		if err := Run(context.Background(), pl, opt); err != nil {
+			t.Fatal(err)
+		}
+		runRef(ref, opt)
+		if !slices.Equal(pl.Pos, ref.Pos) || !slices.Equal(pl.Orient, ref.Orient) || !slices.Equal(pl.Placed, ref.Placed) {
+			t.Fatal("placement differs from runRef")
+		}
 	})
 }

@@ -66,6 +66,12 @@ func Estimate(pl *placement.Placement, opt Options) *Result {
 	die := d.Die
 	binW := float64(die.W) / float64(n)
 	binH := float64(die.H) / float64(n)
+	// Gcell (bx, by) spans [ex[bx], ex[bx+1]) × [ey[by], ey[by+1]).
+	ex, ey := make([]int64, n+1), make([]int64, n+1)
+	for k := range ex {
+		ex[k] = die.X + die.W*int64(k)/int64(n)
+		ey[k] = die.Y + die.H*int64(k)/int64(n)
+	}
 
 	// Capacity: supply × gcell extent, derated over macro coverage.
 	macroRects := make([]geom.Rect, 0, 8)
@@ -76,7 +82,7 @@ func Estimate(pl *placement.Placement, opt Options) *Result {
 	}
 	for by := 0; by < n; by++ {
 		for bx := 0; bx < n; bx++ {
-			r := binRect(die, n, bx, by)
+			r := geom.RectXYWH(ex[bx], ey[by], ex[bx+1]-ex[bx], ey[by+1]-ey[by])
 			full := opt.SupplyPerDBU2 * float64(r.Area())
 			var blocked int64
 			for _, mr := range macroRects {
@@ -90,7 +96,11 @@ func Estimate(pl *placement.Placement, opt Options) *Result {
 		}
 	}
 
-	// Demand: RUDY. Each net adds (w+h)/(w·h) per unit area over its bbox.
+	// Demand: RUDY. Each net adds (w+h)/(w·h) per unit area over its bbox,
+	// widened by half a gcell on every side. A gcell's overlap with that
+	// box is its x overlap times its y overlap, so a net's x overlaps are
+	// computed once per column and each row multiplies them by its own.
+	ox := make([]float64, n)
 	for i := range d.Nets {
 		bbox, pins := netBBox(pl, netlist.NetID(i))
 		if pins < 2 {
@@ -101,13 +111,17 @@ func Estimate(pl *placement.Placement, opt Options) *Result {
 		density := (w + h) / (w * h)
 		x0, y0 := binIndex(die, n, bbox.X, bbox.Y)
 		x1, y1 := binIndex(die, n, bbox.X2(), bbox.Y2())
+		lo, hi := float64(bbox.X)-binW/2, float64(bbox.X2())+binW/2
+		for bx := x0; bx <= x1; bx++ {
+			ox[bx] = overlap1D(float64(ex[bx]), float64(ex[bx+1]), lo, hi)
+		}
+		lo, hi = float64(bbox.Y)-binH/2, float64(bbox.Y2())+binH/2
 		for by := y0; by <= y1; by++ {
+			oy := overlap1D(float64(ey[by]), float64(ey[by+1]), lo, hi)
+			row := res.Demand[by*n : (by+1)*n]
 			for bx := x0; bx <= x1; bx++ {
-				r := binRect(die, n, bx, by)
-				ov := overlap1D(float64(r.X), float64(r.X2()), float64(bbox.X)-binW/2, float64(bbox.X2())+binW/2) *
-					overlap1D(float64(r.Y), float64(r.Y2()), float64(bbox.Y)-binH/2, float64(bbox.Y2())+binH/2)
-				if ov > 0 {
-					res.Demand[by*n+bx] += density * ov
+				if ov := ox[bx] * oy; ov > 0 {
+					row[bx] += density * ov
 				}
 			}
 		}
@@ -128,14 +142,6 @@ func Estimate(pl *placement.Placement, opt Options) *Result {
 	}
 	res.OverflowPct = 100 * float64(over) / float64(len(res.Demand))
 	return res
-}
-
-func binRect(die geom.Rect, n, bx, by int) geom.Rect {
-	x0 := die.X + die.W*int64(bx)/int64(n)
-	x1 := die.X + die.W*int64(bx+1)/int64(n)
-	y0 := die.Y + die.H*int64(by)/int64(n)
-	y1 := die.Y + die.H*int64(by+1)/int64(n)
-	return geom.RectXYWH(x0, y0, x1-x0, y1-y0)
 }
 
 func binIndex(die geom.Rect, n int, x, y int64) (int, int) {
