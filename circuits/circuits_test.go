@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/autocluster"
 	"repro/internal/dataflow"
 	"repro/internal/hier"
 	"repro/internal/netlist"
@@ -351,31 +350,6 @@ func TestGenFlat(t *testing.T) {
 	s.Flat = true
 	if got := len(Generate(s).Design.Hier); got != 1 {
 		t.Fatalf("Spec.Flat design has %d hier nodes, want 1", got)
-	}
-}
-
-func TestGeneratedAutoclusterCache(t *testing.T) {
-	g := GenFlat(testSpec())
-	p := autocluster.Params{MaxNumInst: 300, MaxNumMacro: 4}
-	r1, fresh1, err := g.Autocluster(p)
-	if err != nil {
-		t.Fatalf("Autocluster: %v", err)
-	}
-	r2, fresh2, err := g.Autocluster(p)
-	if err != nil {
-		t.Fatalf("Autocluster (cached): %v", err)
-	}
-	if !fresh1 || fresh2 {
-		t.Fatalf("fresh flags = %v, %v; want true, false", fresh1, fresh2)
-	}
-	if r1 != r2 {
-		t.Fatal("cache returned a different result pointer")
-	}
-	if r1.Stats.NoOp {
-		t.Fatal("flat design should not be a no-op")
-	}
-	if err := autocluster.CheckTree(r1.Design, p); err != nil {
-		t.Fatalf("CheckTree: %v", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"repro/internal/autocluster"
 	"repro/internal/geom"
 	"repro/internal/handfp"
 	"repro/internal/netlist"
@@ -23,31 +22,6 @@ type Generated struct {
 
 	seqOnce sync.Once
 	seq     *seqgraph.Graph
-
-	acMu sync.Mutex
-	ac   map[autocluster.Params]*autocluster.Result
-}
-
-// Autocluster returns the hierarchy-synthesis result for the design under
-// the given params, cached per param set on the Generated (like SeqGraph),
-// so engines replaying many jobs against the same circuit share one
-// synthesized hierarchy. fresh reports whether this call built the result
-// rather than hitting the cache.
-func (g *Generated) Autocluster(p autocluster.Params) (res *autocluster.Result, fresh bool, err error) {
-	g.acMu.Lock()
-	defer g.acMu.Unlock()
-	if r, ok := g.ac[p]; ok {
-		return r, false, nil
-	}
-	r, err := autocluster.ClusterUsing(g.Design, p, g.SeqGraph())
-	if err != nil {
-		return nil, false, err
-	}
-	if g.ac == nil {
-		g.ac = make(map[autocluster.Params]*autocluster.Result)
-	}
-	g.ac[p] = r
-	return r, true, nil
 }
 
 // SeqGraph returns Gseq for the design under the default parameters, built

@@ -35,7 +35,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/outfile"
 	"repro/internal/render"
-	"repro/internal/seqgraph"
 )
 
 func main() {
@@ -182,12 +181,12 @@ func runSuite(ctx context.Context, specs []circuits.Spec, opt flows.Options) []*
 // abstractions (HT, Gnet, Gseq, Gdf) for one suite circuit.
 func printTable1(spec circuits.Spec) {
 	g := circuits.Generate(spec)
+	art := core.NewArtifacts(g.Design, g.SeqGraph)
 	d := g.Design
 	st := d.Stats()
-	tr := hier.New(d)
-	sg := seqgraph.Build(d, seqgraph.DefaultParams())
+	sg := art.SeqGraph()
 	sgst := sg.Stats()
-	decl := tr.Decluster(d.Root(), hier.DefaultParams())
+	decl := art.Tree().Decluster(d.Root(), hier.DefaultParams())
 	gdf := dataflow.Build(sg, decl)
 	gst := gdf.Stats()
 
@@ -246,6 +245,8 @@ func emitFig9(ctx context.Context, name string, scale int, opt flows.Options, ou
 	if err := os.MkdirAll(outdir, 0o755); err != nil {
 		return err
 	}
+	art := core.NewArtifacts(g.Design, g.SeqGraph)
+	opt.Artifacts = art
 
 	var lambda float64 // the HiDaP row's chosen λ
 	for _, f := range []flows.Flow{flows.FlowIndEDA, flows.FlowHiDaP, flows.FlowHandFP} {
@@ -270,13 +271,13 @@ func emitFig9(ctx context.Context, name string, scale int, opt flows.Options, ou
 
 	// Fig 9d: top-level Gdf floorplan of the HiDaP row above, with the
 	// affinity at the row's λ.
-	res, err := traceHiDaP(ctx, g, opt, lambda)
+	res, err := traceHiDaP(ctx, art, opt, lambda)
 	if err != nil {
 		return err
 	}
 	d := g.Design
-	decl := hier.New(d).Decluster(d.Root(), hier.DefaultParams())
-	gdf := dataflow.Build(g.SeqGraph(), decl)
+	decl := art.Tree().Decluster(d.Root(), hier.DefaultParams())
+	gdf := dataflow.Build(art.SeqGraph(), decl)
 	ap := dataflow.DefaultParams()
 	ap.Lambda = lambda
 	pairs := gdf.Pairs(ap)
@@ -301,15 +302,14 @@ func emitFig9(ctx context.Context, name string, scale int, opt flows.Options, ou
 // traceHiDaP re-runs the HiDaP placement flows.Run kept for the row — the
 // candidate at lambda, with the run's seed, effort and restarts — with the
 // level trace on, so the traced floorplan is the row's placement.
-func traceHiDaP(ctx context.Context, g *circuits.Generated, opt flows.Options, lambda float64) (*core.Result, error) {
+func traceHiDaP(ctx context.Context, art *core.Artifacts, opt flows.Options, lambda float64) (*core.Result, error) {
 	coreOpt := core.DefaultOptions()
 	coreOpt.Lambda = lambda
 	coreOpt.Seed = opt.Seed
 	coreOpt.Effort = opt.Effort
 	coreOpt.Restarts = opt.Restarts
-	coreOpt.SeqGraph = g.SeqGraph()
 	coreOpt.Trace = true
-	return core.Place(ctx, g.Design, coreOpt)
+	return art.Place(ctx, coreOpt)
 }
 
 // emitFlat writes a synthetic flat netlist of insts instances in the design

@@ -11,6 +11,7 @@ import (
 
 	"repro/circuits"
 	"repro/hidap"
+	"repro/internal/core"
 	"repro/internal/flows"
 	"repro/internal/outfile"
 )
@@ -102,11 +103,12 @@ func TestFig9TraceMatchesRow(t *testing.T) {
 	opt.Effort = hidap.EffortLow
 	opt.Restarts = 2
 	opt.Lambdas = []float64{0.2, 0.8}
+	opt.Artifacts = core.NewArtifacts(g.Design, g.SeqGraph)
 	m, pl, err := flows.Run(ctx, g, flows.FlowHiDaP, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := traceHiDaP(ctx, g, opt, m.Lambda)
+	res, err := traceHiDaP(ctx, opt.Artifacts, opt, m.Lambda)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,13 +14,10 @@ import (
 	"sync/atomic"
 
 	"repro/circuits"
-	"repro/internal/autocluster"
+	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/flows"
-	"repro/internal/graph"
-	"repro/internal/hier"
 	"repro/internal/netlist"
-	"repro/internal/seqgraph"
 	"repro/internal/slicing"
 )
 
@@ -131,8 +128,8 @@ type Ticket struct {
 	id     uint64
 	job    Job
 	eng    *Engine
-	cd     *cachedDesign
-	gen    func() *circuits.Generated // circuit jobs: generates once
+	art    *core.Artifacts                               // design jobs
+	gen    func() (*circuits.Generated, *core.Artifacts) // circuit jobs: generates once
 	placer Placer
 
 	ctx    context.Context
@@ -277,8 +274,8 @@ type Engine struct {
 	jobs   sync.WaitGroup // every accepted job: queued, in a slot or inline in Run
 
 	pool    *slicing.EvaluatorPool
-	designs *lruCache[*cachedDesign]
-	gens    *lruCache[func() *circuits.Generated]
+	designs *lruCache[*core.Artifacts]
+	gens    *lruCache[func() (*circuits.Generated, *core.Artifacts)]
 
 	nextID    atomic.Uint64
 	queued    atomic.Int32
@@ -314,8 +311,8 @@ func NewEngine(cfg *Config, opt EngineOptions) *Engine {
 		maxPending: opt.MaxPending,
 		slots:      make(chan struct{}, workers),
 		pool:       &slicing.EvaluatorPool{},
-		designs:    newLRU[*cachedDesign](cache),
-		gens:       newLRU[func() *circuits.Generated](cache),
+		designs:    newLRU[*core.Artifacts](cache),
+		gens:       newLRU[func() (*circuits.Generated, *core.Artifacts)](cache),
 	}
 }
 
@@ -347,10 +344,18 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// noteAutocluster tallies one autoclustering outcome into the engine
-// counters: a cache hit, a no-op pass-through, or a fresh synthesis. A nil
-// engine (a one-shot Place) tallies nothing.
-func (e *Engine) noteAutocluster(stats autocluster.Stats, fresh bool) {
+// artifacts returns what a HiDaP placement under cfg reads: a itself, or
+// its autoclustered variant when cfg asks for one, with the outcome (a
+// cache hit, a no-op pass-through or a fresh synthesis) tallied into the
+// engine counters. A nil engine (a one-shot Place) tallies nothing.
+func (e *Engine) artifacts(a *core.Artifacts, cfg *Config) (*core.Artifacts, error) {
+	if cfg.Autocluster == nil {
+		return a, nil
+	}
+	v, stats, fresh, err := a.Cluster(*cfg.Autocluster)
+	if err != nil {
+		return nil, err
+	}
 	switch {
 	case e == nil:
 	case !fresh:
@@ -362,6 +367,7 @@ func (e *Engine) noteAutocluster(stats autocluster.Stats, fresh bool) {
 		e.acClusters.Add(uint64(stats.Clusters))
 		e.acLevels.Add(uint64(stats.Levels))
 	}
+	return v, nil
 }
 
 // Submit enqueues a job. ctx parents the job's run context: cancelling it
@@ -643,16 +649,21 @@ func (e *Engine) prepare(ctx context.Context, job Job) (*Ticket, error) {
 			key = hashDesign(job.Design)
 		}
 		d := job.Design
-		t.cd = e.designs.getOrCreate("design:"+key, func() *cachedDesign {
-			return newCachedDesign(d)
+		t.art = e.designs.getOrCreate("design:"+key, func() *core.Artifacts {
+			return core.NewArtifacts(d, nil)
 		})
 	case job.Circuit != nil:
 		spec := job.Circuit.Canonical()
 		if err := checkSpec(spec); err != nil {
 			return nil, err
 		}
-		t.gen = e.gens.getOrCreate(fmt.Sprintf("circuit:%#v", spec), func() func() *circuits.Generated {
-			return sync.OnceValue(func() *circuits.Generated { return circuits.Generate(spec) })
+		// The circuit's artifacts read Gseq from the Generated, so it is
+		// built once per circuit.
+		t.gen = e.gens.getOrCreate(fmt.Sprintf("circuit:%#v", spec), func() func() (*circuits.Generated, *core.Artifacts) {
+			return sync.OnceValues(func() (*circuits.Generated, *core.Artifacts) {
+				g := circuits.Generate(spec)
+				return g, core.NewArtifacts(g.Design, g.SeqGraph)
+			})
 		})
 	default:
 		return nil, errors.New("hidap: job needs a Design or a Circuit")
@@ -735,8 +746,8 @@ func (e *Engine) execute(t *Ticket) (res *JobResult, err error) {
 // placer reads it, building the cached artifacts (and the autoclustered
 // variant) on first use, so indeda and handfp jobs pay for none of them.
 func (e *Engine) runDesignJob(ctx context.Context, t *Ticket, cfg *Config) (*JobResult, error) {
-	cfg.warm = &warmJob{cd: t.cd, eng: e}
-	pl, stats, err := t.placer.Place(ctx, t.cd.d, cfg)
+	cfg.warm = &warmJob{art: t.art, eng: e}
+	pl, stats, err := t.placer.Place(ctx, t.art.Design(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -746,8 +757,8 @@ func (e *Engine) runDesignJob(ctx context.Context, t *Ticket, cfg *Config) (*Job
 			return nil, err
 		}
 		// Measure against the design the placement was made on (the
-		// autoclustered variant shares cells, nets and Gseq with t.cd).
-		rep, err := eval.Evaluate(ctx, pl.D, pl, eval.Options{Graph: t.cd.graph()})
+		// autoclustered variant shares cells, nets and Gseq with t.art).
+		rep, err := eval.Evaluate(ctx, pl.D, pl, eval.Options{Graph: t.art.SeqGraph()})
 		if err != nil {
 			return nil, err
 		}
@@ -761,7 +772,7 @@ func (e *Engine) runDesignJob(ctx context.Context, t *Ticket, cfg *Config) (*Job
 // runCircuitJob generates (once) a synthetic circuit and runs the full flow
 // pipeline, yielding one Table III row.
 func (e *Engine) runCircuitJob(ctx context.Context, t *Ticket, cfg *Config) (*JobResult, error) {
-	g := t.gen()
+	g, art := t.gen()
 	fl := t.job.Flow
 	if fl == "" {
 		fl = FlowHiDaP
@@ -775,18 +786,13 @@ func (e *Engine) runCircuitJob(ctx context.Context, t *Ticket, cfg *Config) (*Jo
 	if len(t.job.Lambdas) > 0 {
 		fopt.Lambdas = t.job.Lambdas
 	}
-	if cfg.Autocluster != nil && fl == FlowHiDaP {
-		// Cluster up front (the Generated memoizes per params, so the flow's
-		// own lookup below is a hit) to tally the outcome into the engine
-		// counters before placement starts.
-		res, fresh, err := g.Autocluster(*cfg.Autocluster)
-		if err != nil {
+	if fl == FlowHiDaP {
+		var err error
+		if fopt.Artifacts, err = e.artifacts(art, cfg); err != nil {
 			return nil, err
 		}
-		e.noteAutocluster(res.Stats, fresh)
-		fopt.Autocluster = cfg.Autocluster
 	}
-	// Parallelism rides in from the config (executeJob pinned it to 1 on
+	// Parallelism rides in from the config (execute pinned it to 1 on
 	// multi-worker engines, so the Workers bound stays the whole story of a
 	// busy engine's parallelism; a single-worker engine lets the job's own
 	// scheduler use the machine).
@@ -805,72 +811,12 @@ func (e *Engine) runCircuitJob(ctx context.Context, t *Ticket, cfg *Config) (*Jo
 }
 
 // warmJob is the handle an Engine puts on a design job's config: the job's
-// cache entry (Gseq, hierarchy tree, bipartite graph, autoclustered
+// cached artifacts (Gseq, hierarchy tree, bipartite graph, autoclustered
 // variants) and the engine itself (scratch pool, autocluster counters). A
 // one-shot hidap Place builds a throwaway handle with a nil engine.
 type warmJob struct {
-	cd  *cachedDesign
+	art *core.Artifacts
 	eng *Engine
-}
-
-// cachedDesign is one design cache entry: the canonical parsed instance and
-// its lazily built derived artifacts — sequential graph, hierarchy tree and
-// cell–net bipartite graph — each built once, on first call, and shared
-// read-only by every job that references the design.
-type cachedDesign struct {
-	d         *Design
-	graph     func() *seqgraph.Graph
-	hierTree  func() *hier.Tree
-	bipartite func() *graph.Bipartite
-
-	// acMu guards the clustered-design variants, keyed by the autocluster
-	// knobs: the design cache is content-addressed, so one clustered variant
-	// per (design hash, params) serves every job that asks for it.
-	acMu sync.Mutex
-	ac   map[autocluster.Params]*clusteredEntry
-}
-
-func newCachedDesign(d *Design) *cachedDesign {
-	return &cachedDesign{
-		d:         d,
-		graph:     sync.OnceValue(func() *seqgraph.Graph { return seqgraph.Build(d, seqgraph.DefaultParams()) }),
-		hierTree:  sync.OnceValue(func() *hier.Tree { return hier.New(d) }),
-		bipartite: sync.OnceValue(func() *graph.Bipartite { return graph.BipartiteFromDesign(d) }),
-	}
-}
-
-// clusteredEntry is one autoclustered variant of a cached design. A no-op
-// synthesis points cd back at the original entry, so warm artifacts are
-// shared rather than rebuilt.
-type clusteredEntry struct {
-	cd    *cachedDesign
-	stats autocluster.Stats
-}
-
-// clustered returns (building once) the autoclustered variant of the design
-// under the given knobs. The clustered netlist shares cells and nets with
-// the original, so the variant inherits the original's sequential and
-// bipartite graphs — only the hierarchy tree is rebuilt.
-func (c *cachedDesign) clustered(p autocluster.Params) (*clusteredEntry, bool, error) {
-	c.acMu.Lock()
-	defer c.acMu.Unlock()
-	if ent, ok := c.ac[p]; ok {
-		return ent, false, nil
-	}
-	res, err := autocluster.ClusterUsing(c.d, p, c.graph())
-	if err != nil {
-		return nil, false, err
-	}
-	ent := &clusteredEntry{cd: c, stats: res.Stats}
-	if !res.Stats.NoOp {
-		ent.cd = newCachedDesign(res.Design)
-		ent.cd.graph, ent.cd.bipartite = c.graph, c.bipartite
-	}
-	if c.ac == nil {
-		c.ac = make(map[autocluster.Params]*clusteredEntry)
-	}
-	c.ac[p] = ent
-	return ent, true, nil
 }
 
 // hashDesign content-addresses a design: a truncated SHA-256 over every

@@ -791,3 +791,49 @@ func TestEngineAutocluster(t *testing.T) {
 		t.Errorf("indeda job touched the cluster cache: before %+v after %+v", before, st)
 	}
 }
+
+// TestCircuitAndDesignJobsAgree: a HiDaP circuit job at the one λ 0.5 and a
+// hidap design job on the same design at λ 0.5, with equal seed and effort,
+// place every macro alike, with and without autoclustering.
+func TestCircuitAndDesignJobsAgree(t *testing.T) {
+	p := hidap.DefaultAutocluster()
+	p.MaxNumInst = 300
+	p.MaxNumMacro = 3
+	p.MinNumMacro = 1
+	for _, tc := range []struct {
+		name string
+		flat bool
+		opts []hidap.Option
+	}{
+		{"plain", false, nil},
+		{"autocluster", true, []hidap.Option{hidap.WithAutocluster(p)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := loadSpecA()
+			spec.Flat = tc.flat
+			g := circuits.Generate(spec)
+			eng := hidap.NewEngine(nil, hidap.EngineOptions{Workers: 2})
+			defer eng.Close()
+			ctx := context.Background()
+			cfg := hidap.NewConfig(append([]hidap.Option{hidap.WithEffort(hidap.EffortLow),
+				hidap.WithSeed(3), hidap.WithLambda(0.5)}, tc.opts...)...)
+			run := func(job hidap.Job) *hidap.Placement {
+				t.Helper()
+				job.Config = cfg
+				res, err := eng.Run(ctx, job)
+				if err != nil {
+					t.Fatalf("job %q: %v", job.Label, err)
+				}
+				return res.Placement
+			}
+			ckt := run(hidap.Job{Circuit: &spec, Lambdas: []float64{0.5}, Label: "circuit"})
+			des := run(hidap.Job{Design: g.Design, Placer: "hidap", Label: "design"})
+			for _, m := range g.Design.Macros() {
+				if ckt.Pos[m] != des.Pos[m] || ckt.Orient[m] != des.Orient[m] {
+					t.Fatalf("macro %s: circuit job %v %v, design job %v %v", g.Design.Cell(m).Name,
+						ckt.Pos[m], ckt.Orient[m], des.Pos[m], des.Orient[m])
+				}
+			}
+		})
+	}
+}

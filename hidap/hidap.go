@@ -26,7 +26,8 @@
 // Placement is a batch workload — many jobs over few designs — so the
 // package's run model is the Engine: a long-lived object that runs at most
 // Workers jobs at a time, with a content-hash design cache (parsed netlists
-// plus their sequential graphs) and pooled annealing scratch. Back-to-back
+// plus their sequential graphs, hierarchy trees, bipartite graphs and
+// autoclustered variants) and pooled annealing scratch. Back-to-back
 // jobs on the same design run allocation-warm; concurrent jobs share the
 // caches race-free:
 //

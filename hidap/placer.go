@@ -182,24 +182,17 @@ func placeHiDaP(ctx context.Context, d *Design, cfg *Config) (*Placement, Stats,
 	// The handle describes the job's design; a plug-in wrapping this placer
 	// on another design places that one cold.
 	w := cfg.warm
-	if w == nil || w.cd.d != d {
-		w = &warmJob{cd: newCachedDesign(d)}
+	if w == nil || w.art.Design() != d {
+		w = &warmJob{art: core.NewArtifacts(d, nil)}
 	}
-	cd := w.cd
-	if cfg.Autocluster != nil {
-		ent, fresh, err := cd.clustered(*cfg.Autocluster)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		w.eng.noteAutocluster(ent.stats, fresh)
-		cd = ent.cd
+	art, err := w.eng.artifacts(w.art, cfg)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	d = cd.d
-	opt.SeqGraph, opt.Tree, opt.Bipartite = cd.graph(), cd.hierTree(), cd.bipartite()
 	if w.eng != nil {
 		opt.Pool = w.eng.pool
 	}
-	res, err := core.Place(ctx, d, opt)
+	res, err := art.Place(ctx, opt)
 	if err != nil {
 		return nil, Stats{}, err
 	}

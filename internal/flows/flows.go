@@ -11,10 +11,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/circuits"
-	"repro/internal/autocluster"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/handfp"
@@ -45,8 +45,8 @@ type Options struct {
 	Seed int64
 	// Effort selects the HiDaP annealing budget.
 	Effort layout.Effort
-	// Lambdas are the HiDaP blend values to try (paper: 0.2, 0.5, 0.8;
-	// the best post-placement wirelength wins).
+	// Lambdas are the HiDaP blend values to try (the best post-placement
+	// wirelength wins); empty means the paper's 0.2, 0.5 and 0.8.
 	Lambdas []float64
 	// Restarts runs this many independent annealing chains per
 	// floorplanning level inside each HiDaP placement, keeping the best
@@ -65,24 +65,26 @@ type Options struct {
 	// evaluators) across candidates and runs; a serving engine passes its
 	// per-engine pool here so back-to-back jobs run allocation-warm.
 	Pool *slicing.EvaluatorPool
-	// Autocluster, when set, runs the hierarchy-synthesis front-end on the
-	// design before HiDaP placement (flat or badly-shaped inputs get a
-	// synthesized physical hierarchy; well-shaped ones pass through as a
-	// no-op). The clustered design is cached on the Generated, so repeated
-	// runs share one synthesis. Only the HiDaP flow consumes the
-	// hierarchy; IndEDA and handFP ignore this option.
-	Autocluster *autocluster.Params
+	// Artifacts, when set, supply the design the HiDaP flow places and its
+	// Gseq, tree and bipartite graph: the artifacts of g.Design, or of its
+	// autoclustered variant (Artifacts.Cluster) to place on a synthesized
+	// hierarchy. Nil builds one set from g.Design and g.SeqGraph per Run,
+	// shared by every λ candidate. IndEDA and handFP ignore it.
+	Artifacts *core.Artifacts
 	// Place configures the shared standard-cell placer. Congestion and
 	// timing use the eval pipeline's defaults, with the wire delay
 	// calibrated to each die (see eval.CalibrateSTA).
 	Place place.Options
 }
 
+// paperLambdas are the λ values the paper's evaluation tries (§V).
+var paperLambdas = []float64{0.2, 0.5, 0.8}
+
 // DefaultOptions mirrors the paper's setup.
 func DefaultOptions() Options {
 	return Options{
 		Effort:  layout.EffortMedium,
-		Lambdas: []float64{0.2, 0.5, 0.8},
+		Lambdas: slices.Clone(paperLambdas),
 		Place:   place.DefaultOptions(),
 	}
 }
@@ -106,7 +108,7 @@ type Metrics struct {
 func Run(ctx context.Context, g *circuits.Generated, flow Flow, opt Options) (*Metrics, *placement.Placement, error) {
 	d := g.Design
 	if len(opt.Lambdas) == 0 {
-		opt.Lambdas = []float64{0.2, 0.5, 0.8}
+		opt.Lambdas = paperLambdas
 	}
 
 	start := time.Now()
@@ -131,7 +133,11 @@ func Run(ctx context.Context, g *circuits.Generated, flow Flow, opt Options) (*M
 			return nil, nil, err
 		}
 	case FlowHiDaP:
-		pl, bestLambda, err = runHiDaP(ctx, g, opt)
+		art := opt.Artifacts
+		if art == nil {
+			art = core.NewArtifacts(d, g.SeqGraph)
+		}
+		pl, bestLambda, err = runHiDaP(ctx, art, opt)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -154,18 +160,7 @@ func Run(ctx context.Context, g *circuits.Generated, flow Flow, opt Options) (*M
 // same scheduler — and keeps the lowest post-placement wirelength.
 // Selection scans candidates in λ order, so the result is identical at any
 // Parallelism.
-func runHiDaP(ctx context.Context, g *circuits.Generated, opt Options) (*placement.Placement, float64, error) {
-	d := g.Design
-	if opt.Autocluster != nil {
-		// Swap in the synthesized hierarchy before placement. Cells and nets
-		// are shared with g.Design, so the cached Gseq below and the eval
-		// pipeline (which reads g.Design) stay valid.
-		res, _, err := g.Autocluster(*opt.Autocluster)
-		if err != nil {
-			return nil, 0, err
-		}
-		d = res.Design
-	}
+func runHiDaP(ctx context.Context, art *core.Artifacts, opt Options) (*placement.Placement, float64, error) {
 	type candidate struct {
 		lambda float64
 		pl     *placement.Placement
@@ -193,12 +188,8 @@ func runHiDaP(ctx context.Context, g *circuits.Generated, opt Options) (*placeme
 		coreOpt.Effort = opt.Effort
 		coreOpt.Restarts = opt.Restarts
 		coreOpt.Sched = pool
-		// Every candidate places the same design: reuse the circuit's cached
-		// Gseq (built under the default params core assumes) and the
-		// shared scratch pool instead of rebuilding per candidate.
-		coreOpt.SeqGraph = g.SeqGraph()
 		coreOpt.Pool = opt.Pool
-		res, err := core.Place(ctx, d, coreOpt)
+		res, err := art.Place(ctx, coreOpt)
 		if err != nil {
 			c.err = err
 			return

@@ -8,6 +8,7 @@ import (
 
 	"repro/circuits"
 	"repro/internal/autocluster"
+	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/layout"
 	"repro/internal/sta"
@@ -303,8 +304,7 @@ func TestAutoclusterDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := fastOpts()
-	p := autocluster.DefaultParams()
-	opt.Autocluster = &p
+	opt.Artifacts = clusterArtifacts(t, g, autocluster.DefaultParams())
 	clustered, _, err := Run(context.Background(), g, FlowHiDaP, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +346,10 @@ func TestAutoclusterFlatFlow(t *testing.T) {
 	p.MaxNumInst = 300
 	p.MaxNumMacro = 3
 	p.MinNumMacro = 1
-	opt.Autocluster = &p
+	opt.Artifacts = clusterArtifacts(t, g, p)
+	if opt.Artifacts.Design() == g.Design {
+		t.Error("flat design must not be a no-op")
+	}
 	m, pl, err := Run(context.Background(), g, FlowHiDaP, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -360,11 +363,14 @@ func TestAutoclusterFlatFlow(t *testing.T) {
 	if ov := pl.MacroOverlapArea(); ov != 0 {
 		t.Errorf("macro overlap %d", ov)
 	}
-	res, fresh, err := g.Autocluster(p)
-	if err != nil || fresh {
-		t.Fatalf("flow must have populated the cluster cache (fresh=%v, err=%v)", fresh, err)
+}
+
+// clusterArtifacts returns the artifacts of g's design autoclustered under p.
+func clusterArtifacts(t *testing.T, g *circuits.Generated, p autocluster.Params) *core.Artifacts {
+	t.Helper()
+	art, _, _, err := core.NewArtifacts(g.Design, g.SeqGraph).Cluster(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Stats.NoOp {
-		t.Error("flat design must not be a no-op")
-	}
+	return art
 }
