@@ -56,7 +56,7 @@ func BenchmarkTableI(b *testing.B) {
 		d := g.Design
 		tr := hier.New(d)
 		sg := seqgraph.Build(d, seqgraph.DefaultParams())
-		decl := tr.Decluster(d.Root(), hier.DefaultParams())
+		decl := tr.Decluster(d.Root())
 		gdf := dataflow.Build(sg, decl)
 		sizes = [4]int{len(d.Hier), d.NumCells(), len(sg.Nodes), len(gdf.Nodes)}
 	}
@@ -200,7 +200,7 @@ func BenchmarkFig7(b *testing.B) {
 	g := circuits.Generate(benchSpec(b, "c1"))
 	d := g.Design
 	tr := hier.New(d)
-	decl := tr.Decluster(d.Root(), hier.DefaultParams())
+	decl := tr.Decluster(d.Root())
 	b.ResetTimer()
 	var bits int64
 	for i := 0; i < b.N; i++ {

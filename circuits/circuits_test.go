@@ -83,7 +83,7 @@ func TestGenerateHierarchyShape(t *testing.T) {
 	d := g.Design
 	tr := hier.New(d)
 	// Top declustering should find the subsystems as blocks.
-	res := tr.Decluster(d.Root(), hier.DefaultParams())
+	res := tr.Decluster(d.Root())
 	subBlocks := 0
 	for _, b := range res.Blocks {
 		if strings.HasPrefix(b.Name, "sub") {
@@ -170,7 +170,7 @@ func TestFig1Design(t *testing.T) {
 	}
 	// Top-level structure: left, right, x.
 	tr := hier.New(d)
-	res := tr.Decluster(d.Root(), hier.DefaultParams())
+	res := tr.Decluster(d.Root())
 	names := map[string]bool{}
 	for _, b := range res.Blocks {
 		names[b.Name] = true
@@ -182,7 +182,7 @@ func TestFig1Design(t *testing.T) {
 	}
 	// Second level: two 4-macro groups per side.
 	left := d.NodeByPath("left")
-	res2 := tr.Decluster(left, hier.DefaultParams())
+	res2 := tr.Decluster(left)
 	if len(res2.Blocks) != 2 {
 		t.Errorf("left declusters into %d blocks, want 2 groups", len(res2.Blocks))
 	}
@@ -206,7 +206,7 @@ func TestABCDX(t *testing.T) {
 		t.Fatalf("macros = %d, want 8", got)
 	}
 	tr := hier.New(d)
-	res := tr.Decluster(d.Root(), hier.DefaultParams())
+	res := tr.Decluster(d.Root())
 	names := map[string]int{}
 	for _, b := range res.Blocks {
 		names[b.Name] = b.MacroCount()
@@ -227,7 +227,7 @@ func TestABCDXFlows(t *testing.T) {
 	g := ABCDX()
 	d := g.Design
 	tr := hier.New(d)
-	decl := tr.Decluster(d.Root(), hier.DefaultParams())
+	decl := tr.Decluster(d.Root())
 	sg := seqgraph.Build(d, seqgraph.DefaultParams())
 
 	gdf := dataflowBuild(sg, decl)
@@ -320,7 +320,7 @@ func TestStarTopologyPlaces(t *testing.T) {
 	g := Generate(spec)
 	// The full flow must handle the star interconnect.
 	tr := hier.New(g.Design)
-	res := tr.Decluster(g.Design.Root(), hier.DefaultParams())
+	res := tr.Decluster(g.Design.Root())
 	if len(res.Blocks) < spec.Subsystems {
 		t.Errorf("blocks = %d, want >= %d subsystems", len(res.Blocks), spec.Subsystems)
 	}

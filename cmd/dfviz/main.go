@@ -56,7 +56,7 @@ func main() {
 	}
 
 	tr := hier.New(d)
-	decl := tr.Decluster(nh, hier.DefaultParams())
+	decl := tr.Decluster(nh)
 	sg := seqgraph.Build(d, seqgraph.DefaultParams())
 	gdf := dataflow.Build(sg, decl)
 	pairs := gdf.Pairs(dataflow.Params{Lambda: *lambda, K: *k})

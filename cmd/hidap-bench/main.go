@@ -30,10 +30,10 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/flows"
 	"repro/internal/geom"
-	"repro/internal/hier"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
 	"repro/internal/outfile"
+	"repro/internal/placement"
 	"repro/internal/render"
 )
 
@@ -106,12 +106,47 @@ func main() {
 	opt.Seed = *seed
 	opt.Effort = eff
 
-	if *table1 {
-		printTable1(specs[0])
+	var fig9Spec circuits.Spec
+	if *fig9 {
+		if fig9Spec, err = circuits.SuiteSpec(*fig9ckt); err != nil {
+			fatal(err)
+		}
+		fig9Spec.Scale = *scale
+	}
+	// Each circuit is generated once per invocation: Table I reads the
+	// first selected circuit, the suite runs every one, and -fig9 reuses
+	// its circuit's Table rows when the suite placed it.
+	var (
+		rows  []*flows.Metrics
+		fig9c *circuit
+		fig9r []flowRun
+	)
+	suite := *table2 || *table3
+	for i, spec := range specs {
+		if !suite && (i > 0 || !*table1) {
+			break
+		}
+		c := newCircuit(spec)
+		if i == 0 && *table1 {
+			printTable1(c)
+		}
+		var runs []flowRun
+		if suite {
+			st := c.g.Design.Stats()
+			fmt.Fprintf(os.Stderr, "# %s: %d cells, %d macros, die %.1fx%.1f mm\n",
+				spec.Name, st.Cells, st.MacroCells,
+				float64(c.g.Design.Die.W)/1e6, float64(c.g.Design.Die.H)/1e6)
+			runs = runFlows(ctx, c, opt)
+			for _, r := range runs {
+				rows = append(rows, r.m)
+			}
+		}
+		if *fig9 && spec.Name == fig9Spec.Name {
+			fig9c, fig9r = c, runs
+		}
 	}
 
-	if *table2 || *table3 {
-		rows := runSuite(ctx, specs, opt)
+	if suite {
 		flows.Normalize(rows)
 		if *table3 {
 			printTable3(rows)
@@ -128,7 +163,13 @@ func main() {
 	}
 
 	if *fig9 {
-		if err := emitFig9(ctx, *fig9ckt, *scale, opt, *outdir); err != nil {
+		if fig9c == nil {
+			fig9c = newCircuit(fig9Spec)
+		}
+		if fig9r == nil {
+			fig9r = runFlows(ctx, fig9c, opt)
+		}
+		if err := emitFig9(ctx, fig9c, fig9r, opt, *outdir); err != nil {
 			fatal(err)
 		}
 	}
@@ -158,39 +199,50 @@ func selectSpecs(names string, scale int) ([]circuits.Spec, error) {
 	return specs, nil
 }
 
-func runSuite(ctx context.Context, specs []circuits.Spec, opt flows.Options) []*flows.Metrics {
-	var rows []*flows.Metrics
-	for _, spec := range specs {
-		g := circuits.Generate(spec)
-		st := g.Design.Stats()
-		fmt.Fprintf(os.Stderr, "# %s: %d cells, %d macros, die %.1fx%.1f mm\n",
-			spec.Name, st.Cells, st.MacroCells,
-			float64(g.Design.Die.W)/1e6, float64(g.Design.Die.H)/1e6)
-		for _, f := range []flows.Flow{flows.FlowIndEDA, flows.FlowHiDaP, flows.FlowHandFP} {
-			m, _, err := flows.Run(ctx, g, f, opt)
-			if err != nil {
-				fatal(fmt.Errorf("%s/%s: %w", spec.Name, f, err))
-			}
-			rows = append(rows, m)
+// circuit is one generated suite circuit with the artifacts every HiDaP
+// placement of it shares.
+type circuit struct {
+	g   *circuits.Generated
+	art *core.Artifacts
+}
+
+func newCircuit(spec circuits.Spec) *circuit {
+	g := circuits.Generate(spec)
+	return &circuit{g: g, art: core.NewArtifacts(g.Design, g.SeqGraph)}
+}
+
+// flowRun is one flow's Table row and the placement it measured.
+type flowRun struct {
+	m  *flows.Metrics
+	pl *placement.Placement
+}
+
+// runFlows runs the three flows on c, in Table order.
+func runFlows(ctx context.Context, c *circuit, opt flows.Options) []flowRun {
+	opt.Artifacts = c.art
+	var runs []flowRun
+	for _, f := range []flows.Flow{flows.FlowIndEDA, flows.FlowHiDaP, flows.FlowHandFP} {
+		m, pl, err := flows.Run(ctx, c.g, f, opt)
+		if err != nil {
+			fatal(fmt.Errorf("%s/%s: %w", c.g.Spec.Name, f, err))
 		}
+		runs = append(runs, flowRun{m, pl})
 	}
-	return rows
+	return runs
 }
 
 // printTable1 mirrors the paper's Table I: sizes of the circuit
 // abstractions (HT, Gnet, Gseq, Gdf) for one suite circuit.
-func printTable1(spec circuits.Spec) {
-	g := circuits.Generate(spec)
-	art := core.NewArtifacts(g.Design, g.SeqGraph)
-	d := g.Design
+func printTable1(c *circuit) {
+	d := c.g.Design
 	st := d.Stats()
-	sg := art.SeqGraph()
+	sg := c.art.SeqGraph()
 	sgst := sg.Stats()
-	decl := art.Tree().Decluster(d.Root(), hier.DefaultParams())
+	decl := c.art.Tree().Decluster(d.Root())
 	gdf := dataflow.Build(sg, decl)
 	gst := gdf.Stats()
 
-	fmt.Printf("TABLE I: circuit abstractions for %s (scale 1/%d)\n", spec.Name, spec.Scale)
+	fmt.Printf("TABLE I: circuit abstractions for %s (scale 1/%d)\n", c.g.Spec.Name, c.g.Spec.Scale)
 	fmt.Printf("%-6s %-10s %s\n", "Graph", "Size", "Vertices")
 	fmt.Printf("%-6s %-10d hierarchy nodes\n", "HT", st.HierNodes)
 	fmt.Printf("%-6s %-10d macros, ports, sequential and combinational cells (%d nets)\n",
@@ -234,28 +286,18 @@ func printTable2(rows []*flows.Metrics) {
 }
 
 // emitFig9 renders the density maps of one circuit under the three flows
-// plus the top-level Gdf block floorplan (Fig. 9a-d).
-func emitFig9(ctx context.Context, name string, scale int, opt flows.Options, outdir string) error {
-	spec, err := circuits.SuiteSpec(name)
-	if err != nil {
-		return err
-	}
-	spec.Scale = scale
-	g := circuits.Generate(spec)
+// (runs, in Table order) plus the top-level Gdf block floorplan
+// (Fig. 9a-d).
+func emitFig9(ctx context.Context, c *circuit, runs []flowRun, opt flows.Options, outdir string) error {
 	if err := os.MkdirAll(outdir, 0o755); err != nil {
 		return err
 	}
-	art := core.NewArtifacts(g.Design, g.SeqGraph)
-	opt.Artifacts = art
-
+	name := c.g.Spec.Name
 	var lambda float64 // the HiDaP row's chosen λ
-	for _, f := range []flows.Flow{flows.FlowIndEDA, flows.FlowHiDaP, flows.FlowHandFP} {
-		m, pl, err := flows.Run(ctx, g, f, opt)
-		if err != nil {
-			return err
-		}
+	for _, r := range runs {
+		f, pl := r.m.Flow, r.pl
 		if f == flows.FlowHiDaP {
-			lambda = m.Lambda
+			lambda = r.m.Lambda
 		}
 		dm := metrics.Density(pl, 32)
 		path := filepath.Join(outdir, fmt.Sprintf("fig9_%s_%s_density.svg", name, f))
@@ -265,19 +307,19 @@ func emitFig9(ctx context.Context, name string, scale int, opt flows.Options, ou
 		}); err != nil {
 			return err
 		}
-		fmt.Printf("Fig9 %-7s WL=%.3fm peak-density=%.2f -> %s\n", f, m.WirelengthM, dm.Peak(), path)
+		fmt.Printf("Fig9 %-7s WL=%.3fm peak-density=%.2f -> %s\n", f, r.m.WirelengthM, dm.Peak(), path)
 		fmt.Println(render.DensityASCII(metrics.Density(pl, 24)))
 	}
 
 	// Fig 9d: top-level Gdf floorplan of the HiDaP row above, with the
 	// affinity at the row's λ.
-	res, err := traceHiDaP(ctx, art, opt, lambda)
+	res, err := traceHiDaP(ctx, c.art, opt, lambda)
 	if err != nil {
 		return err
 	}
-	d := g.Design
-	decl := art.Tree().Decluster(d.Root(), hier.DefaultParams())
-	gdf := dataflow.Build(art.SeqGraph(), decl)
+	d := c.g.Design
+	decl := c.art.Tree().Decluster(d.Root())
+	gdf := dataflow.Build(c.art.SeqGraph(), decl)
 	ap := dataflow.DefaultParams()
 	ap.Lambda = lambda
 	pairs := gdf.Pairs(ap)
@@ -305,9 +347,7 @@ func emitFig9(ctx context.Context, name string, scale int, opt flows.Options, ou
 func traceHiDaP(ctx context.Context, art *core.Artifacts, opt flows.Options, lambda float64) (*core.Result, error) {
 	coreOpt := core.DefaultOptions()
 	coreOpt.Lambda = lambda
-	coreOpt.Seed = opt.Seed
-	coreOpt.Effort = opt.Effort
-	coreOpt.Restarts = opt.Restarts
+	coreOpt.RunKnobs = opt.RunKnobs
 	coreOpt.Trace = true
 	return art.Place(ctx, coreOpt)
 }

@@ -105,9 +105,9 @@ func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
 // and keeps the best layout. The result is a pure function of (seed, k).
 func WithRestarts(k int) Option { return func(c *Config) { c.Restarts = k } }
 
-// WithParallelism sizes the work-stealing scheduler of the run (1 = fully
-// serial, <= 0 = all cores). It affects wall time only; the placement never
-// depends on it.
+// WithParallelism sizes the work-stealing scheduler of the run (1 = one lane
+// on the calling goroutine, <= 0 = all cores). It affects wall time only;
+// the placement never depends on it.
 func WithParallelism(n int) Option { return func(c *Config) { c.Parallelism = n } }
 
 // WithTrace records the per-level block floorplans into Stats.Trace.

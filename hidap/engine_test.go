@@ -794,7 +794,8 @@ func TestEngineAutocluster(t *testing.T) {
 
 // TestCircuitAndDesignJobsAgree: a HiDaP circuit job at the one λ 0.5 and a
 // hidap design job on the same design at λ 0.5, with equal seed and effort,
-// place every macro alike, with and without autoclustering.
+// place every macro alike, with and without autoclustering, and with three
+// restart chains per level.
 func TestCircuitAndDesignJobsAgree(t *testing.T) {
 	p := hidap.DefaultAutocluster()
 	p.MaxNumInst = 300
@@ -807,6 +808,7 @@ func TestCircuitAndDesignJobsAgree(t *testing.T) {
 	}{
 		{"plain", false, nil},
 		{"autocluster", true, []hidap.Option{hidap.WithAutocluster(p)}},
+		{"restarts", false, []hidap.Option{hidap.WithRestarts(3)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := loadSpecA()

@@ -26,7 +26,7 @@ type FlowEdge struct {
 // flow and macro flow edge lists, scored with decay exponent k.
 func DataflowEdges(d *Design, k float64) (blockFlow, macroFlow []FlowEdge) {
 	tr := hier.New(d)
-	decl := tr.Decluster(d.Root(), hier.DefaultParams())
+	decl := tr.Decluster(d.Root())
 	sg := seqgraph.Build(d, seqgraph.DefaultParams())
 	gdf := dataflow.Build(sg, decl)
 	conv := func(m map[dataflow.EdgeKey]*dataflow.Histogram) []FlowEdge {
@@ -99,7 +99,7 @@ func ShapeCurveFor(d *Design, path string) []ShapePoint {
 // declustering level produces — the partition of the paper's Fig. 1a.
 func TopBlocks(d *Design) (names []string, macroCounts []int) {
 	tr := hier.New(d)
-	decl := tr.Decluster(d.Root(), hier.DefaultParams())
+	decl := tr.Decluster(d.Root())
 	for i := range decl.Blocks {
 		names = append(names, decl.Blocks[i].Name)
 		macroCounts = append(macroCounts, decl.Blocks[i].MacroCount())

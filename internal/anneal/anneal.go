@@ -17,13 +17,9 @@ type Options struct {
 	// Seed initializes the random source. Equal seeds give equal runs.
 	Seed int64
 	// InitialTemp is the starting temperature; if 0 it is calibrated from a
-	// short random walk so that InitialAcceptance of uphill moves pass.
+	// short random walk so that 85% of uphill moves pass. The schedule
+	// stops once it has cooled to 1e-4 × the initial temperature.
 	InitialTemp float64
-	// InitialAcceptance is the target uphill acceptance used by
-	// calibration (default 0.85).
-	InitialAcceptance float64
-	// FinalTemp stops the schedule (default 1e-4 × initial).
-	FinalTemp float64
 	// Alpha is the geometric cooling factor per round (default 0.92).
 	Alpha float64
 	// MovesPerRound is the number of proposed moves per temperature step
@@ -36,10 +32,15 @@ type Options struct {
 	StallRounds int
 }
 
+const (
+	// initialAcceptance is the uphill acceptance calibration targets.
+	initialAcceptance = 0.85
+	// finalTempRatio stops the schedule once the temperature has cooled
+	// to this fraction of the initial one.
+	finalTempRatio = 1e-4
+)
+
 func (o Options) withDefaults() Options {
-	if o.InitialAcceptance <= 0 || o.InitialAcceptance >= 1 {
-		o.InitialAcceptance = 0.85
-	}
 	if o.Alpha <= 0 || o.Alpha >= 1 {
 		o.Alpha = 0.92
 	}
@@ -110,17 +111,14 @@ func RunModel(ctx context.Context, opt Options, m Model) Result {
 
 	temp := opt.InitialTemp
 	if temp <= 0 {
-		temp = calibrate(rng, opt, m)
+		temp = calibrate(rng, m)
 		cur = m.Cost() // calibration leaves the state perturbed; re-read
 		if cur < best {
 			best = cur
 			m.Snapshot()
 		}
 	}
-	finalTemp := opt.FinalTemp
-	if finalTemp <= 0 {
-		finalTemp = temp * 1e-4
-	}
+	finalTemp := temp * finalTempRatio
 
 	res := Result{InitTemp: temp}
 	stall := 0
@@ -163,7 +161,7 @@ func RunModel(ctx context.Context, opt Options, m Model) Result {
 
 // calibrate estimates an initial temperature from the uphill deltas of a
 // short random walk: T0 = mean(Δ⁺) / ln(1/p0).
-func calibrate(rng *rand.Rand, opt Options, m Model) float64 {
+func calibrate(rng *rand.Rand, m Model) float64 {
 	const samples = 32
 	cur := m.Cost()
 	var upSum float64
@@ -182,5 +180,5 @@ func calibrate(rng *rand.Rand, opt Options, m Model) float64 {
 		// Flat or monotone landscape; any small positive temperature works.
 		return 1e-6
 	}
-	return (upSum / float64(upCount)) / math.Log(1/opt.InitialAcceptance)
+	return (upSum / float64(upCount)) / math.Log(1/initialAcceptance)
 }

@@ -120,11 +120,11 @@ func TestPlaceDeterministic(t *testing.T) {
 
 func TestPlaceSeedMatters(t *testing.T) {
 	d := miniSoC(t)
-	a, err := Place(context.Background(), d, Options{Knobs: Knobs{Seed: 1, Lambda: 0.5, K: 2}})
+	a, err := Place(context.Background(), d, Options{Knobs: Knobs{Lambda: 0.5, K: 2, RunKnobs: RunKnobs{Seed: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Place(context.Background(), d, Options{Knobs: Knobs{Seed: 2, Lambda: 0.5, K: 2}})
+	b, err := Place(context.Background(), d, Options{Knobs: Knobs{Lambda: 0.5, K: 2, RunKnobs: RunKnobs{Seed: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestTargetAreasGlueAdoption(t *testing.T) {
 		tree: hier.New(d),
 		bp:   graphBipartite(d),
 	}
-	decl := st.tree.Decluster(d.Root(), hier.DefaultParams())
+	decl := st.tree.Decluster(d.Root())
 	if len(decl.Blocks) != 2 {
 		t.Fatalf("blocks = %d, want A and B", len(decl.Blocks))
 	}

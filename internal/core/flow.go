@@ -52,16 +52,10 @@ type Progress struct {
 // subtree task and replay at the join.
 type ProgressFunc func(Progress)
 
-// Knobs are the HiDaP parameters a caller sets: the paper's λ, k, effort
-// and seed plus the run controls. Options embeds them and hidap.Config
-// embeds the same struct, so each knob is declared once.
-type Knobs struct {
-	// Lambda blends block flow (λ) against macro flow (1−λ); the paper
-	// evaluates λ ∈ {0.2, 0.5, 0.8} and keeps the best wirelength.
-	Lambda float64
-	// K is the latency decay exponent of the affinity score (paper: 2; 0
-	// means 2).
-	K float64
+// RunKnobs are the run controls every HiDaP entry point shares: the
+// annealing budget, restart chains, scheduler size and seed. Knobs embeds
+// them, and so does flows.Options, so each is declared once.
+type RunKnobs struct {
 	// Effort selects the annealing budget per level.
 	Effort layout.Effort
 	// Restarts runs this many independent annealing chains per level solve,
@@ -71,15 +65,29 @@ type Knobs struct {
 	Restarts int
 	// Parallelism sizes the work-stealing scheduler the whole solve DAG —
 	// sibling subtrees of the hierarchy and the restart chains of every
-	// level — drains through: 1 keeps the run on the calling goroutine,
-	// <= 0 uses runtime.GOMAXPROCS(0), and anything else starts that many
-	// lanes. The placement is a pure function of (Seed, Lambda, Restarts,
-	// Effort) regardless of this value: tasks are indexed, seeded from
-	// stable task paths (sched.Derive), and reduced in index order.
-	// Ignored when Options.Sched is set.
+	// level — drains through: 1 is a one-lane pool that runs every task on
+	// the calling goroutine, <= 0 uses runtime.GOMAXPROCS(0), and anything
+	// else starts that many lanes. The placement is a pure function of
+	// (Seed, Lambda, Restarts, Effort) regardless of this value: tasks are
+	// indexed, seeded from stable task paths (sched.Derive), and reduced in
+	// index order. Ignored when Options.Sched is set.
 	Parallelism int
 	// Seed drives all stochastic steps; equal seeds give equal floorplans.
 	Seed int64
+}
+
+// Knobs are the HiDaP parameters a caller sets: the paper's λ and k, the
+// run controls, and the trace, flat and progress switches. Options embeds
+// them and hidap.Config embeds the same struct, so each knob is declared
+// once.
+type Knobs struct {
+	// Lambda blends block flow (λ) against macro flow (1−λ); the paper
+	// evaluates λ ∈ {0.2, 0.5, 0.8} and keeps the best wirelength.
+	Lambda float64
+	// K is the latency decay exponent of the affinity score (paper: 2; 0
+	// means 2).
+	K float64
+	RunKnobs
 	// Trace records the per-level block floorplans (Fig. 1 evolution).
 	Trace bool
 	// Flat disables the multi-level recursion: every macro becomes its own
@@ -94,13 +102,14 @@ type Knobs struct {
 
 // DefaultKnobs are the paper's defaults: λ=0.5, k=2, medium effort, seed 0.
 func DefaultKnobs() Knobs {
-	return Knobs{Lambda: 0.5, K: 2, Effort: layout.EffortMedium}
+	return Knobs{Lambda: 0.5, K: 2, RunKnobs: RunKnobs{Effort: layout.EffortMedium}}
 }
 
 // Options configures the HiDaP flow: the caller-facing Knobs plus the
 // prebuilt artifacts a harness or engine supplies. The model parameters are
-// the paper's: hier.DefaultParams for declustering, seqgraph.DefaultParams
-// for Gseq and slicing.DefaultEvalParams for the level layouts.
+// the paper's: hier's 1% open_area and 40% min_area for declustering,
+// seqgraph.DefaultParams for Gseq and slicing.DefaultEvalParams for the
+// level layouts.
 type Options struct {
 	Knobs
 	// SeqGraph optionally supplies a prebuilt sequential graph for the
@@ -344,7 +353,7 @@ func Place(ctx context.Context, d *netlist.Design, opt Options) (*Result, error)
 		res:  &Result{},
 	}
 	st.sched = opt.Sched
-	if st.sched == nil && opt.Parallelism != 1 {
+	if st.sched == nil {
 		st.sched = sched.NewPool(opt.Parallelism)
 		defer st.sched.Close()
 	}
@@ -401,7 +410,7 @@ func (st *flowState) recurse(ctx context.Context, nh netlist.HierID, region geom
 		return err
 	}
 	d := st.d
-	decl := st.tree.Decluster(nh, hier.DefaultParams())
+	decl := st.tree.Decluster(nh)
 	if len(decl.Blocks) < 2 {
 		st.tree.Release(decl)
 	}
@@ -464,7 +473,7 @@ func (st *flowState) recurse(ctx context.Context, nh netlist.HierID, region geom
 	// serially in block order (these are cheap corner placements), then the
 	// multi-macro blocks — the expensive recursive subproblems — run as
 	// sibling tasks, each on a fork of the view as it stands right here.
-	// Forking even in the serial case keeps the semantics identical at any
+	// Forking even on a one-lane pool keeps the semantics identical at any
 	// Parallelism: a sibling never sees another sibling's deeper
 	// refinements, only the block centers this level just computed.
 	var children []int
@@ -493,21 +502,14 @@ func (st *flowState) recurse(ctx context.Context, nh netlist.HierID, region geom
 	for k := range children {
 		subs[k] = &subRun{view: v.fork()}
 	}
-	if st.sched == nil {
-		for k, i := range children {
-			sub := subs[k]
-			sub.err = st.recurse(ctx, decl.Blocks[i].Node, sol.Rects[i], depth+1, sub)
-		}
-	} else {
-		g := st.sched.Group(ctx)
-		for k, i := range children {
-			sub, b, r := subs[k], &decl.Blocks[i], sol.Rects[i]
-			g.Go(func(ctx context.Context) {
-				sub.err = st.recurse(ctx, b.Node, r, depth+1, sub)
-			})
-		}
-		g.Wait() // a cancelled ctx still drains; errors are read per-child below
+	g := st.sched.Group(ctx)
+	for k, i := range children {
+		sub, b, r := subs[k], &decl.Blocks[i], sol.Rects[i]
+		g.Go(func(ctx context.Context) {
+			sub.err = st.recurse(ctx, b.Node, r, depth+1, sub)
+		})
 	}
+	g.Wait() // a cancelled ctx still drains; errors are read per-child below
 	// Merge the children in block order: level numbers shift by the levels
 	// accumulated so far, traces and events concatenate, and each child's
 	// view writes back over exactly its block's macros (disjoint across

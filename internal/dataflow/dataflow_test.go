@@ -49,7 +49,7 @@ func fig7Toy(t *testing.T) (*seqgraph.Graph, *hier.Result, *netlist.Design) {
 	sg := seqgraph.Build(d, seqgraph.DefaultParams())
 
 	tr := hier.New(d)
-	decl := tr.Decluster(d.Root(), hier.DefaultParams())
+	decl := tr.Decluster(d.Root())
 	return sg, decl, d
 }
 
@@ -332,7 +332,7 @@ func TestMultiLatencyHistogram(t *testing.T) {
 	d := b.MustBuild()
 	sg := seqgraph.Build(d, seqgraph.DefaultParams())
 	tr := hier.New(d)
-	decl := tr.Decluster(d.Root(), hier.DefaultParams())
+	decl := tr.Decluster(d.Root())
 	g := Build(sg, decl)
 
 	A := blockIdx(t, decl, "A")

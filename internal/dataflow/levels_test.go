@@ -99,11 +99,11 @@ func recursionLevels(tree *hier.Tree) []*hier.Result {
 		out = append(out, decl)
 		for i := range decl.Blocks {
 			if b := &decl.Blocks[i]; b.MacroCount() >= 2 {
-				walk(tree.Decluster(b.Node, hier.DefaultParams()))
+				walk(tree.Decluster(b.Node))
 			}
 		}
 	}
-	walk(tree.Decluster(tree.D.Root(), hier.DefaultParams()))
+	walk(tree.Decluster(tree.D.Root()))
 	return out
 }
 
@@ -171,7 +171,7 @@ func TestBuildConcurrentFirstUse(t *testing.T) {
 	}
 	spec.Scale = 400
 	gen := circuits.Generate(spec)
-	decl := hier.New(gen.Design).Decluster(gen.Design.Root(), hier.DefaultParams())
+	decl := hier.New(gen.Design).Decluster(gen.Design.Root())
 	want := Build(seqgraph.Build(gen.Design, seqgraph.DefaultParams()), decl)
 
 	shared := seqgraph.Build(gen.Design, seqgraph.DefaultParams())

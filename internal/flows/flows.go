@@ -41,26 +41,17 @@ const (
 
 // Options configures a flow run.
 type Options struct {
-	// Seed drives every stochastic stage.
-	Seed int64
-	// Effort selects the HiDaP annealing budget.
-	Effort layout.Effort
+	// RunKnobs are HiDaP's seed, effort, restarts and parallelism. Seed
+	// drives every flow's stochastic stages. Parallelism sizes the one
+	// work-stealing scheduler the whole HiDaP solve DAG drains through:
+	// candidates (one per λ), sibling hierarchy subtrees inside each
+	// placement, and per-level restart chains are all tasks of the same
+	// pool, so the machine stays busy without any layer multiplying
+	// goroutines into another.
+	core.RunKnobs
 	// Lambdas are the HiDaP blend values to try (the best post-placement
 	// wirelength wins); empty means the paper's 0.2, 0.5 and 0.8.
 	Lambdas []float64
-	// Restarts runs this many independent annealing chains per
-	// floorplanning level inside each HiDaP placement, keeping the best
-	// (core.Knobs.Restarts).
-	Restarts int
-	// Parallelism sizes the one work-stealing scheduler the whole HiDaP
-	// solve DAG drains through: candidates (one per λ), sibling hierarchy
-	// subtrees inside each placement, and per-level restart chains are all
-	// tasks of the same pool, so the machine stays busy
-	// without any layer multiplying goroutines into another. 1 runs
-	// everything on the calling goroutine; <= 0 means
-	// runtime.GOMAXPROCS(0). Results never depend on it: tasks are
-	// indexed, seeded by stable task paths, and reduced in index order.
-	Parallelism int
 	// Pool, when set, shares annealing scratch (incremental slicing
 	// evaluators) across candidates and runs; a serving engine passes its
 	// per-engine pool here so back-to-back jobs run allocation-warm.
@@ -71,10 +62,6 @@ type Options struct {
 	// hierarchy. Nil builds one set from g.Design and g.SeqGraph per Run,
 	// shared by every λ candidate. IndEDA and handFP ignore it.
 	Artifacts *core.Artifacts
-	// Place configures the shared standard-cell placer. Congestion and
-	// timing use the eval pipeline's defaults, with the wire delay
-	// calibrated to each die (see eval.CalibrateSTA).
-	Place place.Options
 }
 
 // paperLambdas are the λ values the paper's evaluation tries (§V).
@@ -83,9 +70,8 @@ var paperLambdas = []float64{0.2, 0.5, 0.8}
 // DefaultOptions mirrors the paper's setup.
 func DefaultOptions() Options {
 	return Options{
-		Effort:  layout.EffortMedium,
-		Lambdas: slices.Clone(paperLambdas),
-		Place:   place.DefaultOptions(),
+		RunKnobs: core.RunKnobs{Effort: layout.EffortMedium},
+		Lambdas:  slices.Clone(paperLambdas),
 	}
 }
 
@@ -121,7 +107,7 @@ func Run(ctx context.Context, g *circuits.Generated, flow Flow, opt Options) (*M
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := cellPlace(ctx, pl, opt); err != nil {
+		if err := place.Run(ctx, pl, place.DefaultOptions()); err != nil {
 			return nil, nil, err
 		}
 	case FlowHandFP:
@@ -129,7 +115,7 @@ func Run(ctx context.Context, g *circuits.Generated, flow Flow, opt Options) (*M
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := cellPlace(ctx, pl, opt); err != nil {
+		if err := place.Run(ctx, pl, place.DefaultOptions()); err != nil {
 			return nil, nil, err
 		}
 	case FlowHiDaP:
@@ -184,9 +170,7 @@ func runHiDaP(ctx context.Context, art *core.Artifacts, opt Options) (*placement
 		}
 		coreOpt := core.DefaultOptions()
 		coreOpt.Lambda = c.lambda
-		coreOpt.Seed = opt.Seed
-		coreOpt.Effort = opt.Effort
-		coreOpt.Restarts = opt.Restarts
+		coreOpt.RunKnobs = opt.RunKnobs
 		coreOpt.Sched = pool
 		coreOpt.Pool = opt.Pool
 		res, err := art.Place(ctx, coreOpt)
@@ -195,7 +179,7 @@ func runHiDaP(ctx context.Context, art *core.Artifacts, opt Options) (*placement
 			return
 		}
 		c.pl = res.Placement
-		if err := cellPlace(ctx, c.pl, opt); err != nil {
+		if err := place.Run(ctx, c.pl, place.DefaultOptions()); err != nil {
 			c.err = err
 			return
 		}
@@ -219,14 +203,9 @@ func runHiDaP(ctx context.Context, art *core.Artifacts, opt Options) (*placement
 	return cands[best].pl, cands[best].lambda, nil
 }
 
-// cellPlace runs the shared standard-cell placer (place.Run defaults a zero
-// opt.Place).
-func cellPlace(ctx context.Context, pl *placement.Placement, opt Options) error {
-	return place.Run(ctx, pl, opt.Place)
-}
-
 // measure computes the Table III metric columns for a fully placed design
-// through the shared eval pipeline.
+// through the shared eval pipeline: congestion and timing at its defaults,
+// with the wire delay calibrated to each die (see eval.CalibrateSTA).
 func measure(ctx context.Context, g *circuits.Generated, flow Flow, pl *placement.Placement) (*Metrics, error) {
 	rep, err := eval.Evaluate(ctx, g.Design, pl, eval.Options{Graph: g.SeqGraph()})
 	if err != nil {

@@ -25,7 +25,6 @@ func fastOpts() Options {
 	o := DefaultOptions()
 	o.Effort = layout.EffortLow
 	o.Lambdas = []float64{0.5}
-	o.Place.Iterations = 3
 	return o
 }
 

@@ -30,7 +30,6 @@ func TestFlowsGolden(t *testing.T) {
 	g := circuits.Generate(spec)
 	opt := DefaultOptions()
 	opt.Effort = layout.EffortLow
-	opt.Place.Iterations = 3
 	var sb strings.Builder
 	for _, f := range []Flow{FlowIndEDA, FlowHiDaP, FlowHandFP} {
 		m, pl, err := Run(context.Background(), g, f, opt)

@@ -152,9 +152,6 @@ func (r Rect) ClampInside(outer Rect) Rect {
 	return r
 }
 
-// DistTo returns the Manhattan distance between the centers of r and s.
-func (r Rect) DistTo(s Rect) int64 { return r.Center().ManhattanDist(s.Center()) }
-
 func (r Rect) String() string {
 	return fmt.Sprintf("[%d,%d %dx%d]", r.X, r.Y, r.W, r.H)
 }

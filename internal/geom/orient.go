@@ -51,9 +51,6 @@ func (o Orient) Swapped() bool {
 	return false
 }
 
-// OutlinePreserving reports whether applying o keeps a w×h outline w×h.
-func (o Orient) OutlinePreserving() bool { return !o.Swapped() }
-
 // Dims returns the placed outline of a cell whose library outline is w×h.
 func (o Orient) Dims(w, h int64) (int64, int64) {
 	if o.Swapped() {

@@ -1,9 +1,8 @@
 // Package graph provides the compact connectivity structures used to
-// traverse Gnet: directed cell-level fanout/fanin adjacency and a bipartite
-// cell–net incidence, both in CSR (compressed sparse row) form, plus the
-// reusable multi-source BFS used for glue-logic area assignment (paper
-// §IV-C, which cites Then et al., "The more the merrier", for the traversal
-// pattern).
+// traverse Gnet: a bipartite cell–net incidence in CSR (compressed sparse
+// row) form, plus the reusable multi-source BFS used for glue-logic area
+// assignment (paper §IV-C, which cites Then et al., "The more the merrier",
+// for the traversal pattern).
 //
 // High-fanout nets make a materialized cell-to-cell clique quadratic; the
 // bipartite form keeps every traversal linear in the number of pins.
@@ -42,72 +41,6 @@ func buildCSR(count []int32, fill func(place func(src, dst int32))) CSR {
 		cursor[src]++
 	})
 	return CSR{Offsets: offsets, Targets: targets}
-}
-
-// Directed is the cell-level directed view of Gnet. Fanout lists, for each
-// cell, every sink cell of every net the cell drives; Fanin is the reverse.
-// Both are linear in the pin count because every net has at most one driver.
-type Directed struct {
-	Fanout CSR
-	Fanin  CSR
-}
-
-// DirectedFromDesign builds the directed adjacency of a design.
-func DirectedFromDesign(d *netlist.Design) *Directed {
-	n := len(d.Cells)
-	outCount := make([]int32, n)
-	inCount := make([]int32, n)
-	for i := range d.Nets {
-		net := &d.Nets[i]
-		driver := netlist.CellID(netlist.None)
-		sinks := 0
-		for _, pid := range net.Pins {
-			p := d.Pin(pid)
-			if p.Dir == netlist.DirOut {
-				driver = p.Cell
-			} else {
-				sinks++
-			}
-		}
-		if driver == netlist.None || sinks == 0 {
-			continue
-		}
-		outCount[driver] += int32(sinks)
-		for _, pid := range net.Pins {
-			p := d.Pin(pid)
-			if p.Dir == netlist.DirIn {
-				inCount[p.Cell]++
-			}
-		}
-	}
-	fillBoth := func(place func(src, dst int32), reverse bool) {
-		for i := range d.Nets {
-			net := &d.Nets[i]
-			driver := netlist.CellID(netlist.None)
-			for _, pid := range net.Pins {
-				if p := d.Pin(pid); p.Dir == netlist.DirOut {
-					driver = p.Cell
-				}
-			}
-			if driver == netlist.None {
-				continue
-			}
-			for _, pid := range net.Pins {
-				p := d.Pin(pid)
-				if p.Dir == netlist.DirIn {
-					if reverse {
-						place(int32(p.Cell), int32(driver))
-					} else {
-						place(int32(driver), int32(p.Cell))
-					}
-				}
-			}
-		}
-	}
-	return &Directed{
-		Fanout: buildCSR(outCount, func(place func(src, dst int32)) { fillBoth(place, false) }),
-		Fanin:  buildCSR(inCount, func(place func(src, dst int32)) { fillBoth(place, true) }),
-	}
 }
 
 // Bipartite is the cell–net incidence of Gnet, direction-blind.

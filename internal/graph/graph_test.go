@@ -26,29 +26,6 @@ func chainDesign(t *testing.T) (*netlist.Design, map[string]netlist.CellID) {
 	return b.MustBuild(), ids
 }
 
-func TestDirectedAdjacency(t *testing.T) {
-	d, ids := chainDesign(t)
-	g := DirectedFromDesign(d)
-	// b drives c and s0..s4 -> fanout 6.
-	fo := g.Fanout.Row(int32(ids["b"]))
-	if len(fo) != 6 {
-		t.Errorf("fanout(b) = %d, want 6", len(fo))
-	}
-	// c's fanin is exactly b.
-	fi := g.Fanin.Row(int32(ids["c"]))
-	if len(fi) != 1 || fi[0] != int32(ids["b"]) {
-		t.Errorf("fanin(c) = %v, want [b]", fi)
-	}
-	// Port p has no fanin.
-	if len(g.Fanin.Row(int32(ids["p"]))) != 0 {
-		t.Error("port should have no fanin")
-	}
-	// Total edges linear in pins.
-	if got, want := len(g.Fanout.Targets), len(g.Fanin.Targets); got != want {
-		t.Errorf("fanout edges %d != fanin edges %d", got, want)
-	}
-}
-
 func TestBipartiteIncidence(t *testing.T) {
 	d, ids := chainDesign(t)
 	bp := BipartiteFromDesign(d)
@@ -128,13 +105,13 @@ func TestMultiSourceDuplicateSeeds(t *testing.T) {
 
 func TestCSRRowBounds(t *testing.T) {
 	d, _ := chainDesign(t)
-	g := DirectedFromDesign(d)
+	c := BipartiteFromDesign(d).CellNets
 	total := 0
-	for v := int32(0); v < int32(g.Fanout.NumVertices()); v++ {
-		total += len(g.Fanout.Row(v))
+	for v := int32(0); v < int32(c.NumVertices()); v++ {
+		total += len(c.Row(v))
 	}
-	if total != len(g.Fanout.Targets) {
-		t.Errorf("row partition broken: %d vs %d", total, len(g.Fanout.Targets))
+	if total != len(c.Targets) {
+		t.Errorf("row partition broken: %d vs %d", total, len(c.Targets))
 	}
 }
 

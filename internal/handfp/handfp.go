@@ -24,17 +24,33 @@ type Intent map[string]geom.Rect
 // Options tunes the refinement.
 type Options struct {
 	Seed int64
-	// RefineRounds is the annealing budget of the local refinement
-	// (default 80 rounds).
-	RefineRounds int
 }
+
+// refineRounds is the annealing budget of the local refinement.
+const refineRounds = 80
 
 // Place realizes the handcrafted floorplan. A cancelled ctx aborts the
 // refinement anneal and returns ctx.Err().
 func Place(ctx context.Context, d *netlist.Design, intent Intent, opt Options) (*placement.Placement, error) {
-	pl := placement.New(d)
+	pl, err := pinIntent(d, intent)
+	if err != nil {
+		return nil, err
+	}
 	macros := d.Macros()
-	for _, m := range macros {
+	refine(ctx, pl, macros, opt)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	legalize.Macros(pl, d.Die)
+	pl.FlipMacros(macros, nil, nil, 1)
+	return pl, nil
+}
+
+// pinIntent places every macro at its intended outline, rotated when the
+// outline is the macro's transpose, and legalizes the result.
+func pinIntent(d *netlist.Design, intent Intent) (*placement.Placement, error) {
+	pl := placement.New(d)
+	for _, m := range d.Macros() {
 		r, ok := intent[d.Cell(m).Name]
 		if !ok {
 			return nil, fmt.Errorf("handfp: no intent for macro %s", d.Cell(m).Name)
@@ -47,12 +63,6 @@ func Place(ctx context.Context, d *netlist.Design, intent Intent, opt Options) (
 		pl.PlaceOriented(m, geom.Pt(r.X, r.Y), o)
 	}
 	legalize.Macros(pl, d.Die)
-	refine(ctx, pl, macros, opt)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	legalize.Macros(pl, d.Die)
-	pl.FlipMacros(macros, nil, nil, 1)
 	return pl, nil
 }
 
@@ -61,15 +71,11 @@ func Place(ctx context.Context, d *netlist.Design, intent Intent, opt Options) (
 // expert's global structure is kept.
 func refine(ctx context.Context, pl *placement.Placement, macros []netlist.CellID, opt Options) {
 	die := pl.D.Die
-	rounds := opt.RefineRounds
-	if rounds <= 0 {
-		rounds = 80
-	}
-	mbonds.Refine(ctx, pl, macros, mbonds.Extract(pl.D, mbonds.DefaultParams()), mbonds.RefineParams{
+	mbonds.Refine(ctx, pl, macros, mbonds.Extract(pl.D), mbonds.RefineParams{
 		OverlapW: float64(die.W+die.H) / 32,
 		Step:     die.W / 16, // experts move things around freely
 		Slides:   3,
 	}, anneal.Options{
-		Seed: opt.Seed, MovesPerRound: 48, MaxRounds: rounds, Alpha: 0.95, StallRounds: 40,
+		Seed: opt.Seed, MovesPerRound: 48, MaxRounds: refineRounds, Alpha: 0.95, StallRounds: 40,
 	})
 }

@@ -80,13 +80,11 @@ func TestPlaceMissingIntentFails(t *testing.T) {
 
 func TestRefineImprovesOrKeepsWL(t *testing.T) {
 	d, intent := design(t)
-	// Unrefined: rounds=0 is replaced by default, so compare against a
-	// placement pinned exactly at intent.
-	pinned, err := Place(context.Background(), d, intent, Options{Seed: 1, RefineRounds: 1})
+	pinned, err := pinIntent(d, intent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := Place(context.Background(), d, intent, Options{Seed: 1, RefineRounds: 120})
+	refined, err := Place(context.Background(), d, intent, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,15 +120,14 @@ type Result struct {
 	pooled *cellBlock // CellBlock's buffer, when it came from a Tree's pool
 }
 
-// Params controls declustering. Fractions are relative to the area of the
-// declustered node, matching the paper's 1% open_area and 40% min_area.
-type Params struct {
-	OpenAreaFrac float64
-	MinAreaFrac  float64
-}
-
-// DefaultParams are the values used in the paper's experiments.
-func DefaultParams() Params { return Params{OpenAreaFrac: 0.01, MinAreaFrac: 0.40} }
+// The declustering thresholds of the paper's experiments, as fractions of
+// the area of the declustered node: a macro-free subtree above open_area
+// is opened up, and one that stays closed becomes a block only above
+// min_area (else it is glue).
+const (
+	openAreaFrac = 0.01
+	minAreaFrac  = 0.40
+)
 
 // Decluster computes the blocks for floorplanning the subtree of nh.
 //
@@ -141,10 +140,10 @@ func DefaultParams() Params { return Params{OpenAreaFrac: 0.01, MinAreaFrac: 0.4
 //
 // CellBlock comes from the tree's pool; a caller that is done with it
 // passes the result to Release so the next Decluster reuses the buffer.
-func (t *Tree) Decluster(nh netlist.HierID, p Params) *Result {
+func (t *Tree) Decluster(nh netlist.HierID) *Result {
 	d := t.D
-	openArea := int64(p.OpenAreaFrac * float64(t.SubArea[nh]))
-	minArea := int64(p.MinAreaFrac * float64(t.SubArea[nh]))
+	openArea := int64(openAreaFrac * float64(t.SubArea[nh]))
+	minArea := int64(minAreaFrac * float64(t.SubArea[nh]))
 
 	cb, _ := t.cellBlocks.Get().(*cellBlock)
 	if cb == nil {

@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/netlist"
@@ -14,6 +15,11 @@ import (
 //	└── x      (big standard cell block, leaf)
 func fig1Style(t *testing.T) *netlist.Design {
 	t.Helper()
+	return fig1Builder().MustBuild()
+}
+
+// fig1Builder is fig1Style before Build, for tests that add cells to it.
+func fig1Builder() *netlist.Builder {
 	b := netlist.NewBuilder("fig1")
 	for _, side := range []string{"left", "right"} {
 		for i := 0; i < 8; i++ {
@@ -26,7 +32,7 @@ func fig1Style(t *testing.T) *netlist.Design {
 	// The x block: pure standard cells, sized to dominate min_area checks.
 	b.AddComb("x/logic0", 30_000_000, "x")
 	b.AddComb("x/logic1", 30_000_000, "x")
-	return b.MustBuild()
+	return b
 }
 
 func TestAggregates(t *testing.T) {
@@ -69,7 +75,7 @@ func TestMacrosUnder(t *testing.T) {
 func TestDeclusterTopLevel(t *testing.T) {
 	d := fig1Style(t)
 	tr := New(d)
-	res := tr.Decluster(d.Root(), DefaultParams())
+	res := tr.Decluster(d.Root())
 	// Expect exactly three blocks: left, right (macros) and x (area > 40%).
 	if len(res.Blocks) != 3 {
 		names := []string{}
@@ -94,7 +100,7 @@ func TestDeclusterRecursionLevel(t *testing.T) {
 	d := fig1Style(t)
 	tr := New(d)
 	left := d.NodeByPath("left")
-	res := tr.Decluster(left, DefaultParams())
+	res := tr.Decluster(left)
 	// Each ram wrapper has a macro -> 8 blocks; glue cell is small.
 	if len(res.Blocks) != 8 {
 		t.Fatalf("blocks = %d, want 8", len(res.Blocks))
@@ -117,7 +123,7 @@ func TestDeclusterLeafWithDirectMacros(t *testing.T) {
 	b.AddComb("grp/c", 50, "grp")
 	d := b.MustBuild()
 	tr := New(d)
-	res := tr.Decluster(d.NodeByPath("grp"), DefaultParams())
+	res := tr.Decluster(d.NodeByPath("grp"))
 	if len(res.Blocks) != 2 {
 		t.Fatalf("blocks = %d, want 2 bare macros", len(res.Blocks))
 	}
@@ -140,7 +146,7 @@ func TestDeclusterWrapperCollapse(t *testing.T) {
 	}
 	d := b.MustBuild()
 	tr := New(d)
-	res := tr.Decluster(d.Root(), DefaultParams())
+	res := tr.Decluster(d.Root())
 	if len(res.Blocks) != 2 {
 		names := []string{}
 		for _, blk := range res.Blocks {
@@ -157,7 +163,7 @@ func TestDeclusterPartition(t *testing.T) {
 	d := fig1Style(t)
 	tr := New(d)
 	left := d.NodeByPath("left")
-	res := tr.Decluster(left, DefaultParams())
+	res := tr.Decluster(left)
 
 	underLeft := map[netlist.CellID]bool{}
 	for _, cid := range d.SubtreeCells(left, nil) {
@@ -212,7 +218,7 @@ func TestDeclusterPartition(t *testing.T) {
 func TestDeclusterBlockAreas(t *testing.T) {
 	d := fig1Style(t)
 	tr := New(d)
-	res := tr.Decluster(d.Root(), DefaultParams())
+	res := tr.Decluster(d.Root())
 	for _, b := range res.Blocks {
 		var sum int64
 		for _, cid := range b.Cells {
@@ -227,8 +233,8 @@ func TestDeclusterBlockAreas(t *testing.T) {
 func TestDeclusterDeterministic(t *testing.T) {
 	d := fig1Style(t)
 	tr := New(d)
-	a := tr.Decluster(d.Root(), DefaultParams())
-	b := tr.Decluster(d.Root(), DefaultParams())
+	a := tr.Decluster(d.Root())
+	b := tr.Decluster(d.Root())
 	if len(a.Blocks) != len(b.Blocks) {
 		t.Fatal("nondeterministic block count")
 	}
@@ -240,17 +246,22 @@ func TestDeclusterDeterministic(t *testing.T) {
 }
 
 func TestMinAreaControlsSoftBlocks(t *testing.T) {
-	// With a huge min_area fraction, x (33% of total) drops to glue.
-	d := fig1Style(t)
+	// A soft leaf y of ~16% of the design falls under min_area (40%) and
+	// drops to glue, while x (~47%) stays a block.
+	b := fig1Builder()
+	b.AddComb("y/logic", 20_000_000, "y")
+	d := b.MustBuild()
 	tr := New(d)
-	res := tr.Decluster(d.Root(), Params{OpenAreaFrac: 0.01, MinAreaFrac: 0.95})
+	res := tr.Decluster(d.Root())
+	var names []string
 	for _, b := range res.Blocks {
-		if b.Name == "x" {
-			t.Error("x should be glue when min_area is 95%")
-		}
+		names = append(names, b.Name)
 	}
-	if res.GlueArea < tr.Area(d.NodeByPath("x")) {
-		t.Errorf("GlueArea = %d, want >= area of x", res.GlueArea)
+	if len(names) != 3 || !slices.Contains(names, "x") || slices.Contains(names, "y") {
+		t.Errorf("blocks = %v, want left, right and x (y under min_area is glue)", names)
+	}
+	if y := tr.Area(d.NodeByPath("y")); res.GlueArea < y {
+		t.Errorf("GlueArea = %d, want >= area of y (%d)", res.GlueArea, y)
 	}
 }
 

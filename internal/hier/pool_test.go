@@ -45,8 +45,8 @@ func TestDeclusterReleaseReuse(t *testing.T) {
 	tr, ref := New(d), New(d) // ref never releases, so it never reuses
 	for n := range d.Hier {
 		nh := netlist.HierID(n)
-		res := tr.Decluster(nh, DefaultParams())
-		sameResult(t, nh, res, ref.Decluster(nh, DefaultParams()))
+		res := tr.Decluster(nh)
+		sameResult(t, nh, res, ref.Decluster(nh))
 		buf := res.pooled
 		tr.Release(res)
 		if res.CellBlock != nil {
@@ -75,7 +75,7 @@ func TestDeclusterReleaseConcurrent(t *testing.T) {
 	nodes := min(len(d.Hier), 48)
 	want := make([]*Result, nodes)
 	for n := range want {
-		want[n] = ref.Decluster(netlist.HierID(n), DefaultParams())
+		want[n] = ref.Decluster(netlist.HierID(n))
 	}
 	tr := New(d)
 	var wg sync.WaitGroup
@@ -85,7 +85,7 @@ func TestDeclusterReleaseConcurrent(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 3*nodes; k++ {
 				n := (k*7 + w*11) % nodes
-				res := tr.Decluster(netlist.HierID(n), DefaultParams())
+				res := tr.Decluster(netlist.HierID(n))
 				sameResult(t, netlist.HierID(n), res, want[n])
 				tr.Release(res)
 			}
@@ -118,12 +118,12 @@ func TestDeclusterAllocs(t *testing.T) {
 	if small == netlist.None {
 		t.Fatal("design has no leaf node with cells")
 	}
-	tr.Release(tr.Decluster(small, DefaultParams())) // warm the pool
+	tr.Release(tr.Decluster(small)) // warm the pool
 	const runs = 64
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		tr.Release(tr.Decluster(small, DefaultParams()))
+		tr.Release(tr.Decluster(small))
 	}
 	runtime.ReadMemStats(&after)
 	perOp := float64(after.TotalAlloc-before.TotalAlloc) / runs

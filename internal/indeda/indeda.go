@@ -132,7 +132,7 @@ func packPeriphery(pl *placement.Placement, macros []netlist.CellID) {
 // RTL-blind floorplanner optimizes before cell placement.
 func refine(ctx context.Context, pl *placement.Placement, macros []netlist.CellID, opt Options) {
 	die := pl.D.Die
-	bonds := mbonds.Extract(pl.D, mbonds.DefaultParams())
+	bonds := mbonds.Extract(pl.D)
 	meanBondW := 1.0
 	if len(bonds) > 0 {
 		var t float64

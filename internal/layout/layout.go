@@ -103,10 +103,10 @@ type Options struct {
 	// Sched, when set, runs the restart chains as tasks on the shared
 	// work-stealing pool, so sibling level solves and their chains all
 	// drain one scheduler instead of stacking private worker pools. Nil
-	// runs the chains on the calling goroutine. The returned result is a
-	// pure function of (Seed, Restarts): chains are seeded by index
-	// (sched.Derive) and compared in index order, so scheduling affects
-	// wall time only, never the solution.
+	// runs the chains on a one-lane pool, on the calling goroutine. The
+	// returned result is a pure function of (Seed, Restarts): chains are
+	// seeded by index (sched.Derive) and compared in index order, so
+	// scheduling affects wall time only, never the solution.
 	Sched *sched.Pool
 }
 
@@ -162,23 +162,22 @@ func Solve(ctx context.Context, p *Problem, opt Options) *Result {
 	var shared pairIndex
 	shared.build(p)
 	results := make([]*Result, opt.Restarts)
-	if opt.Sched == nil {
-		for i := range results {
-			results[i] = solveChain(ctx, p, opt, chainSeed(opt.Seed, i), &shared)
-		}
-	} else {
-		// Each chain is one task on the shared pool; a cancelled ctx still
-		// drains every task (the chains observe the cancellation and stop
-		// annealing early), so every slot is filled before the scan below.
-		g := opt.Sched.Group(ctx)
-		for i := range results {
-			i := i
-			g.Go(func(ctx context.Context) {
-				results[i] = solveChain(ctx, p, opt, chainSeed(opt.Seed, i), &shared)
-			})
-		}
-		g.Wait() // ctx errors surface through the caller's ctx.Err() checks
+	pool := opt.Sched
+	if pool == nil {
+		pool = sched.NewPool(1)
+		defer pool.Close()
 	}
+	// Each chain is one task on the pool; a cancelled ctx still drains
+	// every task (the chains observe the cancellation and stop annealing
+	// early), so every slot is filled before the scan below.
+	g := pool.Group(ctx)
+	for i := range results {
+		i := i
+		g.Go(func(ctx context.Context) {
+			results[i] = solveChain(ctx, p, opt, chainSeed(opt.Seed, i), &shared)
+		})
+	}
+	g.Wait() // ctx errors surface through the caller's ctx.Err() checks
 	best := results[0]
 	for _, r := range results[1:] {
 		if r.Cost < best.Cost {

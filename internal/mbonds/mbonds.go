@@ -28,22 +28,13 @@ type Bond struct {
 	W float64
 }
 
-// Params bounds the extraction.
-type Params struct {
-	// MaxHops is the BFS depth over Gseq (default 4: macro wrappers put
-	// one or two register stages between macros).
-	MaxHops int32
-}
-
-// DefaultParams returns the standard hop budget.
-func DefaultParams() Params { return Params{MaxHops: 4} }
+// maxHops is the BFS depth of the extraction over Gseq: macro wrappers put
+// one or two register stages between macros.
+const maxHops = 4
 
 // Extract computes the bond list of a design. Deterministic: bonds are
 // sorted by (A, B).
-func Extract(d *netlist.Design, p Params) []Bond {
-	if p.MaxHops <= 0 {
-		p.MaxHops = 4
-	}
+func Extract(d *netlist.Design) []Bond {
 	// Gseq with no width filtering: a plain netlist tool sees everything.
 	sg := seqgraph.Build(d, seqgraph.Params{MinBits: 0})
 
@@ -98,7 +89,7 @@ func Extract(d *netlist.Design, p Params) []Bond {
 		dist[si] = 0
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
-			if dist[u] >= p.MaxHops {
+			if dist[u] >= maxHops {
 				continue
 			}
 			for _, e := range adj[u] {

@@ -39,7 +39,7 @@ func chainWithPort(t testing.TB, width int) (*netlist.Design, []netlist.CellID) 
 
 func TestExtractFindsChain(t *testing.T) {
 	d, macros := chainWithPort(t, 8)
-	bonds := Extract(d, DefaultParams())
+	bonds := Extract(d)
 	byPair := map[[2]netlist.CellID]float64{}
 	portBonds := 0
 	for _, bo := range bonds {
@@ -60,21 +60,52 @@ func TestExtractFindsChain(t *testing.T) {
 	}
 }
 
+// pipeline builds m0 -> stages 4-bit register stages -> m1, a path of
+// stages+1 sequential hops between the two macros.
+func pipeline(t testing.TB, stages int) (*netlist.Design, []netlist.CellID) {
+	t.Helper()
+	b := netlist.NewBuilder("pipe")
+	b.SetDie(geom.RectXYWH(0, 0, 100_000, 100_000))
+	macros := []netlist.CellID{
+		b.AddMacro("m0", 10_000, 10_000, ""),
+		b.AddMacro("m1", 10_000, 10_000, ""),
+	}
+	for bit := 0; bit < 4; bit++ {
+		prev := macros[0]
+		for s := 0; s < stages; s++ {
+			r := b.AddFlop(fmt.Sprintf("s%d[%d]", s, bit), "")
+			b.Wire(fmt.Sprintf("n%d_%d", s, bit), prev, r)
+			prev = r
+		}
+		b.Wire(fmt.Sprintf("n%d_%d", stages, bit), prev, macros[1])
+	}
+	return b.MustBuild(), macros
+}
+
 func TestExtractHopLimit(t *testing.T) {
-	d, macros := chainWithPort(t, 4)
-	// With 1 hop, macro-reg-macro (2 hops) is invisible.
-	bonds := Extract(d, Params{MaxHops: 1})
-	for _, bo := range bonds {
-		if bo.A == macros[0] && bo.B == macros[1] {
-			t.Error("1-hop extraction should not reach through a register")
+	// The hop budget is 4: macros 4 hops apart (3 register stages) bond,
+	// macros 5 hops apart (4 stages) do not.
+	for _, tc := range []struct {
+		stages int
+		bond   bool
+	}{{3, true}, {4, false}} {
+		d, macros := pipeline(t, tc.stages)
+		found := false
+		for _, bo := range Extract(d) {
+			if bo.A == macros[0] && bo.B == macros[1] {
+				found = true
+			}
+		}
+		if found != tc.bond {
+			t.Errorf("%d register stages: m0-m1 bond found = %v, want %v", tc.stages, found, tc.bond)
 		}
 	}
 }
 
 func TestExtractDeterministic(t *testing.T) {
 	d, _ := chainWithPort(t, 4)
-	a := Extract(d, DefaultParams())
-	b := Extract(d, DefaultParams())
+	a := Extract(d)
+	b := Extract(d)
 	if len(a) != len(b) {
 		t.Fatal("bond count differs")
 	}
@@ -87,7 +118,7 @@ func TestExtractDeterministic(t *testing.T) {
 
 func TestWLRespondsToDistance(t *testing.T) {
 	d, macros := chainWithPort(t, 4)
-	bonds := Extract(d, DefaultParams())
+	bonds := Extract(d)
 	near := placement.New(d)
 	far := placement.New(d)
 	for i, m := range macros {

@@ -18,7 +18,7 @@ func TestRefineAllocs(t *testing.T) {
 	for i, m := range macros {
 		pl.Place(m, geom.Pt(int64(i)*20_000, 40_000))
 	}
-	rf := newRefiner(pl, macros, Extract(d, DefaultParams()), RefineParams{
+	rf := newRefiner(pl, macros, Extract(d), RefineParams{
 		OverlapW: 1, Step: 5_000, Slides: 2, WallW: 0.5,
 	})
 	rf.Cost()
@@ -39,7 +39,7 @@ func TestRefineAllocs(t *testing.T) {
 // the bond cost of a spread-out chain without touching any orientation.
 func TestRefineKeepsOrientationsAndReducesCost(t *testing.T) {
 	d, macros := chainWithPort(t, 8)
-	bonds := Extract(d, DefaultParams())
+	bonds := Extract(d)
 	pl := placement.New(d)
 	for i, m := range macros {
 		pl.PlaceOriented(m, geom.Pt(int64(i)*40_000, int64(i%2)*80_000), geom.MX)

@@ -86,7 +86,7 @@ func TestDensityMapSVGAndASCII(t *testing.T) {
 func TestDataflowSVG(t *testing.T) {
 	g, pl := placedABCDX(t)
 	tr := hier.New(g.Design)
-	decl := tr.Decluster(g.Design.Root(), hier.DefaultParams())
+	decl := tr.Decluster(g.Design.Root())
 	sg := seqgraph.Build(g.Design, seqgraph.DefaultParams())
 	gdf := dataflow.Build(sg, decl)
 	pairs := gdf.Pairs(dataflow.DefaultParams())

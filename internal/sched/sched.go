@@ -15,8 +15,9 @@
 //     change an outcome.
 //   - A Group's Wait helps: it executes queued tasks (its own or stolen)
 //     instead of blocking, so nested fork-join recursion cannot deadlock
-//     and a Pool with zero background workers degenerates to plain
-//     depth-first serial execution on the caller's goroutine.
+//     and a Pool with zero background workers degenerates to serial
+//     execution on the caller's goroutine (in submission order: a task
+//     forked by a helper queues behind the tasks injected before it).
 //   - Cancellation drains: a cancelled ctx does not drop queued tasks —
 //     every task still runs (bodies are expected to observe ctx and exit
 //     quickly), counters still balance, and Wait returns after the group

@@ -16,21 +16,25 @@ type Block struct {
 	TargetArea int64
 }
 
-// EvalParams weights the graded penalties. The defaults order severity as
-// the paper prescribes: yielding target area is cheap, eating into minimum
-// area is expensive, violating macro feasibility is prohibitive.
+// The weights of the graded penalties, ordered by severity as the paper
+// prescribes: yielding target area is cheap, eating into minimum area is
+// expensive, violating macro feasibility is prohibitive.
+const (
+	penaltyAt    = 0.5
+	penaltyAm    = 4
+	penaltyMacro = 32
+)
+
+// EvalParams tunes the evaluation.
 type EvalParams struct {
-	PenaltyAt    float64
-	PenaltyAm    float64
-	PenaltyMacro float64
 	// CompactPoints thins composed shape curves to this corner budget
 	// during bottom-up composition (speed/accuracy knob).
 	CompactPoints int
 }
 
-// DefaultEvalParams returns the standard weights.
+// DefaultEvalParams returns the corner budget of the level layouts.
 func DefaultEvalParams() EvalParams {
-	return EvalParams{PenaltyAt: 0.5, PenaltyAm: 4, PenaltyMacro: 32, CompactPoints: 12}
+	return EvalParams{CompactPoints: 12}
 }
 
 // Eval is the outcome of evaluating one expression against a budget.

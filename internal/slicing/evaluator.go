@@ -612,7 +612,7 @@ func (ev *Evaluator) Eval(budget geom.Rect) *Eval {
 	}
 	vAt, vAm, vMacro := ev.assign(ev.root, budget, out)
 	out.ViolationAt, out.ViolationAm, out.ViolationMacro = vAt, vAm, vMacro
-	out.Penalty = 1 + ev.p.PenaltyAt*vAt + ev.p.PenaltyAm*vAm + ev.p.PenaltyMacro*vMacro
+	out.Penalty = 1 + penaltyAt*vAt + penaltyAm*vAm + penaltyMacro*vMacro
 	return out
 }
 

@@ -88,7 +88,7 @@ func Evaluate(e *Expr, blocks []Block, budget geom.Rect, p EvalParams) *Eval {
 	}
 	ev.ViolationAt, ev.ViolationAm, ev.ViolationMacro = assign(root, budget)
 
-	ev.Penalty = 1 + p.PenaltyAt*ev.ViolationAt + p.PenaltyAm*ev.ViolationAm + p.PenaltyMacro*ev.ViolationMacro
+	ev.Penalty = 1 + penaltyAt*ev.ViolationAt + penaltyAm*ev.ViolationAm + penaltyMacro*ev.ViolationMacro
 	return ev
 }
 

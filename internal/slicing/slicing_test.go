@@ -249,9 +249,9 @@ func TestEvaluateSingleBlock(t *testing.T) {
 }
 
 func TestPenaltySeverityOrdering(t *testing.T) {
-	p := DefaultEvalParams()
-	if !(p.PenaltyAt < p.PenaltyAm && p.PenaltyAm < p.PenaltyMacro) {
-		t.Errorf("penalty severities must increase: %v %v %v", p.PenaltyAt, p.PenaltyAm, p.PenaltyMacro)
+	at, am, macro := float64(penaltyAt), float64(penaltyAm), float64(penaltyMacro)
+	if !(at < am && am < macro) {
+		t.Errorf("penalty severities must increase: %v %v %v", at, am, macro)
 	}
 }
 
