@@ -21,11 +21,10 @@ import (
 	"repro/circuits"
 	"repro/internal/core"
 	"repro/internal/dataflow"
+	"repro/internal/flows"
 	"repro/internal/geom"
-	"repro/internal/hier"
 	"repro/internal/outfile"
 	"repro/internal/render"
-	"repro/internal/seqgraph"
 )
 
 func main() {
@@ -55,27 +54,27 @@ func main() {
 		}
 	}
 
-	tr := hier.New(d)
-	decl := tr.Decluster(nh)
-	sg := seqgraph.Build(d, seqgraph.DefaultParams())
-	gdf := dataflow.Build(sg, decl)
+	// The Gdf and the placement below read one Gseq and hierarchy tree.
+	art := core.NewArtifacts(d, g.SeqGraph)
+	decl := art.Tree().Decluster(nh)
+	gdf := dataflow.Build(art.SeqGraph(), decl)
 	pairs := gdf.Pairs(dataflow.Params{Lambda: *lambda, K: *k})
 
 	// Block positions from a traced HiDaP run (the floorplan of Fig. 9d).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	opt := core.DefaultOptions()
+	opt := flows.DefaultOptions()
 	opt.Lambda = *lambda
 	opt.K = *k
 	opt.Seed = *seed
 	opt.Trace = true
-	res, err := core.Place(ctx, d, opt)
+	_, run, err := flows.Place(ctx, art, flows.FlowHiDaP, nil, opt)
 	if err != nil {
 		fatal(err)
 	}
 	var rects []geom.Rect
 	region := d.Die
-	for _, lv := range res.Trace {
+	for _, lv := range run.Trace {
 		if (lv.Path == "" && *node == "") || lv.Path == *node {
 			region = lv.Region
 			for _, b := range lv.Blocks {

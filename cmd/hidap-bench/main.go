@@ -313,7 +313,7 @@ func emitFig9(ctx context.Context, c *circuit, runs []flowRun, opt flows.Options
 
 	// Fig 9d: top-level Gdf floorplan of the HiDaP row above, with the
 	// affinity at the row's λ.
-	res, err := traceHiDaP(ctx, c.art, opt, lambda)
+	_, st, err := traceHiDaP(ctx, c.art, opt, lambda)
 	if err != nil {
 		return err
 	}
@@ -323,8 +323,8 @@ func emitFig9(ctx context.Context, c *circuit, runs []flowRun, opt flows.Options
 	ap := dataflow.DefaultParams()
 	ap.Lambda = lambda
 	pairs := gdf.Pairs(ap)
-	if len(res.Trace) > 0 {
-		top := res.Trace[0]
+	if len(st.Trace) > 0 {
+		top := st.Trace[0]
 		rs := make([]geom.Rect, 0, len(top.Blocks))
 		for _, b := range top.Blocks {
 			rs = append(rs, b.Rect)
@@ -342,14 +342,12 @@ func emitFig9(ctx context.Context, c *circuit, runs []flowRun, opt flows.Options
 }
 
 // traceHiDaP re-runs the HiDaP placement flows.Run kept for the row — the
-// candidate at lambda, with the run's seed, effort and restarts — with the
-// level trace on, so the traced floorplan is the row's placement.
-func traceHiDaP(ctx context.Context, art *core.Artifacts, opt flows.Options, lambda float64) (*core.Result, error) {
-	coreOpt := core.DefaultOptions()
-	coreOpt.Lambda = lambda
-	coreOpt.RunKnobs = opt.RunKnobs
-	coreOpt.Trace = true
-	return art.Place(ctx, coreOpt)
+// candidate at lambda, with the run's knobs — with the level trace on, so
+// the traced floorplan is the row's placement.
+func traceHiDaP(ctx context.Context, art *core.Artifacts, opt flows.Options, lambda float64) (*placement.Placement, flows.Stats, error) {
+	opt.Lambda = lambda
+	opt.Trace = true
+	return flows.Place(ctx, art, flows.FlowHiDaP, nil, opt)
 }
 
 // emitFlat writes a synthetic flat netlist of insts instances in the design

@@ -108,17 +108,17 @@ func TestFig9TraceMatchesRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := traceHiDaP(ctx, opt.Artifacts, opt, m.Lambda)
+	tpl, st, err := traceHiDaP(ctx, opt.Artifacts, opt, m.Lambda)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace) == 0 {
+	if len(st.Trace) == 0 {
 		t.Fatal("trace is empty")
 	}
 	for _, mc := range g.Design.Macros() {
-		if res.Placement.Pos[mc] != pl.Pos[mc] || res.Placement.Orient[mc] != pl.Orient[mc] {
+		if tpl.Pos[mc] != pl.Pos[mc] || tpl.Orient[mc] != pl.Orient[mc] {
 			t.Fatalf("macro %s traced at %v %v, row has %v %v", g.Design.Cell(mc).Name,
-				res.Placement.Pos[mc], res.Placement.Orient[mc], pl.Pos[mc], pl.Orient[mc])
+				tpl.Pos[mc], tpl.Orient[mc], pl.Pos[mc], pl.Orient[mc])
 		}
 	}
 }

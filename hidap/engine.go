@@ -94,10 +94,9 @@ type Job struct {
 	Flow Flow
 	// Lambdas overrides the HiDaP λ sweep for circuit jobs (default: the
 	// paper's {0.2, 0.5, 0.8}, best wirelength wins). A single value pins
-	// λ. Circuit jobs read Config.RunKnobs (Seed, Effort, Restarts,
-	// Parallelism) and, for the HiDaP flow, Config.Autocluster; they ignore
-	// Lambda, K, Flat, Trace and Progress. The IndEDA flow always runs at
-	// high effort.
+	// λ. Circuit jobs read Config.Knobs but ignore its Lambda (the sweep
+	// replaces it), Trace and Progress; the HiDaP flow also reads
+	// Config.Autocluster. The IndEDA flow always runs at high effort.
 	Lambdas []float64
 
 	// Config overrides the engine's default Config for this job.
@@ -778,7 +777,7 @@ func (e *Engine) runCircuitJob(ctx context.Context, t *Ticket, cfg *Config) (*Jo
 		fl = FlowHiDaP
 	}
 	fopt := flows.DefaultOptions()
-	fopt.RunKnobs = cfg.RunKnobs
+	fopt.Knobs = cfg.Knobs
 	fopt.Pool = e.pool
 	if len(t.job.Lambdas) > 0 {
 		fopt.Lambdas = t.job.Lambdas

@@ -792,23 +792,34 @@ func TestEngineAutocluster(t *testing.T) {
 	}
 }
 
-// TestCircuitAndDesignJobsAgree: a HiDaP circuit job at the one λ 0.5 and a
-// hidap design job on the same design at λ 0.5, with equal seed and effort,
-// place every macro alike, with and without autoclustering, and with three
-// restart chains per level.
+// TestCircuitAndDesignJobsAgree: a circuit job and a design job on the same
+// design, with equal seed, place every macro alike. For HiDaP the circuit
+// job runs at the one λ 0.5 and the design job at λ 0.5, with and without
+// autoclustering, with three restart chains per level, at k 4 and flat
+// (a circuit job that dropped any of those knobs places differently). The
+// IndEDA circuit job, which always runs at high effort, matches an indeda
+// design job at high effort, and the handFP one a handfp design job given
+// the circuit's intent.
 func TestCircuitAndDesignJobsAgree(t *testing.T) {
 	p := hidap.DefaultAutocluster()
 	p.MaxNumInst = 300
 	p.MaxNumMacro = 3
 	p.MinNumMacro = 1
+	intent := circuits.Generate(loadSpecA()).Intent
 	for _, tc := range []struct {
-		name string
-		flat bool
-		opts []hidap.Option
+		name   string
+		flat   bool
+		flow   hidap.Flow
+		placer string
+		opts   []hidap.Option
 	}{
-		{"plain", false, nil},
-		{"autocluster", true, []hidap.Option{hidap.WithAutocluster(p)}},
-		{"restarts", false, []hidap.Option{hidap.WithRestarts(3)}},
+		{"plain", false, hidap.FlowHiDaP, "hidap", nil},
+		{"autocluster", true, hidap.FlowHiDaP, "hidap", []hidap.Option{hidap.WithAutocluster(p)}},
+		{"restarts", false, hidap.FlowHiDaP, "hidap", []hidap.Option{hidap.WithRestarts(3)}},
+		{"k4", false, hidap.FlowHiDaP, "hidap", []hidap.Option{hidap.WithK(4)}},
+		{"flat", false, hidap.FlowHiDaP, "hidap", []hidap.Option{hidap.WithFlat()}},
+		{"indeda", false, hidap.FlowIndEDA, "indeda", []hidap.Option{hidap.WithEffort(hidap.EffortHigh)}},
+		{"handfp", false, hidap.FlowHandFP, "handfp", []hidap.Option{hidap.WithIntent(intent)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := loadSpecA()
@@ -828,8 +839,8 @@ func TestCircuitAndDesignJobsAgree(t *testing.T) {
 				}
 				return res.Placement
 			}
-			ckt := run(hidap.Job{Circuit: &spec, Lambdas: []float64{0.5}, Label: "circuit"})
-			des := run(hidap.Job{Design: g.Design, Placer: "hidap", Label: "design"})
+			ckt := run(hidap.Job{Circuit: &spec, Flow: tc.flow, Lambdas: []float64{0.5}, Label: "circuit"})
+			des := run(hidap.Job{Design: g.Design, Placer: tc.placer, Label: "design"})
 			for _, m := range g.Design.Macros() {
 				if ckt.Pos[m] != des.Pos[m] || ckt.Orient[m] != des.Orient[m] {
 					t.Fatalf("macro %s: circuit job %v %v, design job %v %v", g.Design.Cell(m).Name,

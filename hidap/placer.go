@@ -6,49 +6,18 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/handfp"
-	"repro/internal/indeda"
+	"repro/internal/flows"
 	"repro/internal/seqgraph"
 )
 
 // SeqStats is the sequential-graph size summary (Table I).
 type SeqStats = seqgraph.Stats
 
-// Stats is the bookkeeping of one Placer run.
-type Stats struct {
-	// Placer names the flow that produced the placement.
-	Placer string
-	// MacroSeconds is the macro-placement wall time.
-	MacroSeconds float64
-	// Levels counts floorplanned recursion levels (hidap flow).
-	Levels int
-	// Flips counts orientation changes of the flipping post-process.
-	Flips int
-	// Lambda is the dataflow blend of the run (hidap flow).
-	Lambda float64
-	// SeqStats reports the Gseq size (hidap flow).
-	SeqStats SeqStats
-	// Trace lists the per-level block floorplans when Config.Trace is set.
-	Trace []LevelTrace
-}
-
-// Annotate copies the run bookkeeping onto a measurement report, fusing
-// "what the placer did" with "how good the placement is" into the single
-// record a server or the bench harness emits.
-func (s Stats) Annotate(r *Report) {
-	r.Placer = s.Placer
-	r.MacroSeconds = s.MacroSeconds
-	r.Levels = s.Levels
-	r.Flips = s.Flips
-	r.Lambda = s.Lambda
-	if s.SeqStats.Nodes > 0 {
-		r.SeqNodes = s.SeqStats.Nodes
-		r.SeqEdges = s.SeqStats.Edges
-	}
-}
+// Stats is the bookkeeping of one Placer run; Stats.Annotate copies it
+// onto a Report.
+type Stats = flows.Stats
 
 // Placer is a macro-placement flow behind the uniform entry point. The
 // package registers its three flows ("hidap", "indeda", "handfp"); third
@@ -166,74 +135,40 @@ func Placers() []string {
 }
 
 func init() {
-	MustRegister(PlacerFunc("hidap", placeHiDaP))
-	MustRegister(PlacerFunc("indeda", placeIndEDA))
-	MustRegister(PlacerFunc("handfp", placeHandFP))
+	MustRegister(flowPlacer("hidap", FlowHiDaP))
+	MustRegister(flowPlacer("indeda", FlowIndEDA))
+	MustRegister(flowPlacer("handfp", FlowHandFP))
 }
 
-// placeHiDaP runs the paper's flow: hierarchy tree, shape curves, recursive
-// dataflow-driven block floorplanning, and macro flipping. On an Engine job
-// it reads the job's cached artifacts (and autoclustered variant) and the
-// engine's scratch pool; one-shot, a throwaway handle builds them cold.
-func placeHiDaP(ctx context.Context, d *Design, cfg *Config) (*Placement, Stats, error) {
-	start := time.Now()
-	opt := core.DefaultOptions()
-	opt.Knobs = cfg.Knobs
-	// The handle describes the job's design; a plug-in wrapping this placer
-	// on another design places that one cold.
-	w := cfg.warm
-	if w == nil || w.art.Design() != d {
-		w = &warmJob{art: core.NewArtifacts(d, nil)}
-	}
-	art, err := w.eng.artifacts(w.art, cfg)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	if w.eng != nil {
-		opt.Pool = w.eng.pool
-	}
-	res, err := art.Place(ctx, opt)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return res.Placement, Stats{
-		Placer:       "hidap",
-		MacroSeconds: time.Since(start).Seconds(),
-		Levels:       res.Levels,
-		Flips:        res.Flips,
-		Lambda:       cfg.Lambda,
-		SeqStats:     res.SeqStats,
-		Trace:        res.Trace,
-	}, nil
-}
-
-// placeIndEDA runs the industrial-baseline macro placer (hierarchy- and
-// dataflow-blind; wall-packing plus netlist annealing). It runs at high
-// effort unless cfg.Effort is low, while circuit jobs (flows.Run) always run
-// IndEDA at high effort.
-func placeIndEDA(ctx context.Context, d *Design, cfg *Config) (*Placement, Stats, error) {
-	start := time.Now()
-	pl, err := indeda.Place(ctx, d, indeda.Options{
-		Seed:       cfg.Seed,
-		HighEffort: cfg.Effort != EffortLow,
-		WallWeight: 0.4,
+// flowPlacer is the placer called name that places through flows.Place
+// with flow: "hidap" runs the paper's flow (hierarchy tree, shape curves,
+// recursive dataflow-driven block floorplanning, macro flipping), "indeda"
+// the industrial baseline at high effort unless cfg.Effort is low (circuit
+// jobs always run it at high effort), and "handfp" realizes the designer
+// intent supplied via WithIntent. On an Engine job the hidap flow reads the
+// job's cached artifacts (and autoclustered variant) and the engine's
+// scratch pool; one-shot, a throwaway handle builds them cold.
+func flowPlacer(name string, flow Flow) Placer {
+	return PlacerFunc(name, func(ctx context.Context, d *Design, cfg *Config) (*Placement, Stats, error) {
+		// The handle describes the job's design; a plug-in wrapping this
+		// placer on another design places that one cold.
+		w := cfg.warm
+		if w == nil || w.art.Design() != d {
+			w = &warmJob{art: core.NewArtifacts(d, nil)}
+		}
+		art := w.art
+		if flow == FlowHiDaP {
+			var err error
+			if art, err = w.eng.artifacts(w.art, cfg); err != nil {
+				return nil, Stats{}, err
+			}
+		}
+		opt := flows.Options{Knobs: cfg.Knobs}
+		if w.eng != nil {
+			opt.Pool = w.eng.pool
+		}
+		pl, st, err := flows.Place(ctx, art, flow, cfg.Intent, opt)
+		st.Placer = name
+		return pl, st, err
 	})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return pl, Stats{Placer: "indeda", MacroSeconds: time.Since(start).Seconds()}, nil
-}
-
-// placeHandFP realizes a handcrafted floorplan from the designer intent
-// supplied via WithIntent and refines it locally.
-func placeHandFP(ctx context.Context, d *Design, cfg *Config) (*Placement, Stats, error) {
-	if cfg.Intent == nil {
-		return nil, Stats{}, fmt.Errorf("hidap: placer \"handfp\" needs a designer intent (use WithIntent)")
-	}
-	start := time.Now()
-	pl, err := handfp.Place(ctx, d, cfg.Intent, handfp.Options{Seed: cfg.Seed})
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return pl, Stats{Placer: "handfp", MacroSeconds: time.Since(start).Seconds()}, nil
 }

@@ -195,16 +195,11 @@ func Needed(d *netlist.Design, p Params) bool {
 	return maxDepth > maxGoodDepth(p)
 }
 
-// Cluster synthesizes a physical hierarchy for d. When the existing
+// ClusterUsing synthesizes a physical hierarchy for d. When the existing
 // hierarchy already fits the bounds the input design is returned unchanged
 // with Stats.NoOp set, which guarantees bit-identical downstream results
-// for well-shaped inputs.
-func Cluster(d *netlist.Design, p Params) (*Result, error) {
-	return ClusterUsing(d, p, nil)
-}
-
-// ClusterUsing is Cluster with a caller-provided sequential graph of d
-// (for engines that already cache Gseq). The graph depends only on cells,
+// for well-shaped inputs. sg is a sequential graph of d (for engines that
+// already cache Gseq). The graph depends only on cells,
 // nets and names — not on the hierarchy — so a graph built from any
 // ReplaceHier variant of the same connectivity is acceptable. A nil graph
 // is built internally.

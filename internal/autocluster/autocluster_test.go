@@ -24,7 +24,7 @@ func flatSpec() circuits.Spec {
 
 func mustCluster(t testing.TB, d *netlist.Design, p autocluster.Params) *autocluster.Result {
 	t.Helper()
-	r, err := autocluster.Cluster(d, p)
+	r, err := autocluster.ClusterUsing(d, p, nil)
 	if err != nil {
 		t.Fatalf("Cluster: %v", err)
 	}
@@ -56,7 +56,7 @@ func TestValidateKnobBounds(t *testing.T) {
 	}
 	d := goldenDesign(t)
 	for i, p := range bad {
-		if _, err := autocluster.Cluster(d, p); err == nil {
+		if _, err := autocluster.ClusterUsing(d, p, nil); err == nil {
 			t.Errorf("case %d (%+v): expected rejection", i, p)
 		}
 	}
@@ -134,7 +134,7 @@ func TestDeterminism(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, err := autocluster.Cluster(g.Design, p)
+			r, err := autocluster.ClusterUsing(g.Design, p, nil)
 			if err != nil {
 				return
 			}
@@ -313,7 +313,7 @@ func BenchmarkClusterFlat(b *testing.B) {
 	p.MaxNumInst = 1000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := autocluster.Cluster(g.Design, p); err != nil {
+		if _, err := autocluster.ClusterUsing(g.Design, p, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

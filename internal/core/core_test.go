@@ -120,11 +120,11 @@ func TestPlaceDeterministic(t *testing.T) {
 
 func TestPlaceSeedMatters(t *testing.T) {
 	d := miniSoC(t)
-	a, err := Place(context.Background(), d, Options{Knobs: Knobs{Lambda: 0.5, K: 2, RunKnobs: RunKnobs{Seed: 1}}})
+	a, err := Place(context.Background(), d, Options{Knobs: Knobs{Lambda: 0.5, K: 2, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Place(context.Background(), d, Options{Knobs: Knobs{Lambda: 0.5, K: 2, RunKnobs: RunKnobs{Seed: 2}}})
+	b, err := Place(context.Background(), d, Options{Knobs: Knobs{Lambda: 0.5, K: 2, Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

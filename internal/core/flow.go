@@ -52,10 +52,17 @@ type Progress struct {
 // subtree task and replay at the join.
 type ProgressFunc func(Progress)
 
-// RunKnobs are the run controls every HiDaP entry point shares: the
-// annealing budget, restart chains, scheduler size and seed. Knobs embeds
-// them, and so does flows.Options, so each is declared once.
-type RunKnobs struct {
+// Knobs are the HiDaP parameters a caller sets: the paper's λ and k, the
+// run controls, and the trace, flat and progress switches. Options embeds
+// them, and so do hidap.Config and flows.Options, so each knob is declared
+// once.
+type Knobs struct {
+	// Lambda blends block flow (λ) against macro flow (1−λ); the paper
+	// evaluates λ ∈ {0.2, 0.5, 0.8} and keeps the best wirelength.
+	Lambda float64
+	// K is the latency decay exponent of the affinity score (paper: 2; 0
+	// means 2).
+	K float64
 	// Effort selects the annealing budget per level.
 	Effort layout.Effort
 	// Restarts runs this many independent annealing chains per level solve,
@@ -74,20 +81,6 @@ type RunKnobs struct {
 	Parallelism int
 	// Seed drives all stochastic steps; equal seeds give equal floorplans.
 	Seed int64
-}
-
-// Knobs are the HiDaP parameters a caller sets: the paper's λ and k, the
-// run controls, and the trace, flat and progress switches. Options embeds
-// them and hidap.Config embeds the same struct, so each knob is declared
-// once.
-type Knobs struct {
-	// Lambda blends block flow (λ) against macro flow (1−λ); the paper
-	// evaluates λ ∈ {0.2, 0.5, 0.8} and keeps the best wirelength.
-	Lambda float64
-	// K is the latency decay exponent of the affinity score (paper: 2; 0
-	// means 2).
-	K float64
-	RunKnobs
 	// Trace records the per-level block floorplans (Fig. 1 evolution).
 	Trace bool
 	// Flat disables the multi-level recursion: every macro becomes its own
@@ -102,7 +95,7 @@ type Knobs struct {
 
 // DefaultKnobs are the paper's defaults: λ=0.5, k=2, medium effort, seed 0.
 func DefaultKnobs() Knobs {
-	return Knobs{Lambda: 0.5, K: 2, RunKnobs: RunKnobs{Effort: layout.EffortMedium}}
+	return Knobs{Lambda: 0.5, K: 2, Effort: layout.EffortMedium}
 }
 
 // Options configures the HiDaP flow: the caller-facing Knobs plus the

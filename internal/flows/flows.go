@@ -1,9 +1,10 @@
 // Package flows runs the three macro-placement flows of the paper's
 // evaluation end to end — macro placement, standard-cell placement,
 // wirelength / congestion / timing measurement — and assembles the rows of
-// Tables II and III. All flows share the same cell placer and the eval
-// measurement pipeline, mirroring §V ("Metrics are taken after placement of
-// standard cells using the same tool as IndEDA").
+// Tables II and III. All flows place their macros through Place and share
+// the same cell placer and the eval measurement pipeline, mirroring §V
+// ("Metrics are taken after placement of standard cells using the same tool
+// as IndEDA").
 package flows
 
 import (
@@ -24,6 +25,7 @@ import (
 	"repro/internal/place"
 	"repro/internal/placement"
 	"repro/internal/sched"
+	"repro/internal/seqgraph"
 	"repro/internal/slicing"
 )
 
@@ -41,22 +43,25 @@ const (
 
 // Options configures a flow run.
 type Options struct {
-	// RunKnobs are HiDaP's seed, effort, restarts and parallelism. Seed
-	// drives every flow's stochastic stages. Parallelism sizes the one
+	// Knobs are HiDaP's λ, k, seed, effort, restarts, parallelism, trace,
+	// flat and progress switches. Seed drives every flow's stochastic
+	// stages; IndEDA reads Effort too. Place places at Lambda; Run sweeps
+	// Lambdas instead and returns neither a trace nor progress, so it
+	// ignores Lambda, Trace and Progress. Parallelism sizes the one
 	// work-stealing scheduler the whole HiDaP solve DAG drains through:
 	// candidates (one per λ), sibling hierarchy subtrees inside each
 	// placement, and per-level restart chains are all tasks of the same
 	// pool, so the machine stays busy without any layer multiplying
 	// goroutines into another.
-	core.RunKnobs
-	// Lambdas are the HiDaP blend values to try (the best post-placement
+	core.Knobs
+	// Lambdas are the HiDaP blend values Run tries (the best post-placement
 	// wirelength wins); empty means the paper's 0.2, 0.5 and 0.8.
 	Lambdas []float64
 	// Pool, when set, shares annealing scratch (incremental slicing
 	// evaluators) across candidates and runs; a serving engine passes its
 	// per-engine pool here so back-to-back jobs run allocation-warm.
 	Pool *slicing.EvaluatorPool
-	// Artifacts, when set, supply the design the HiDaP flow places and its
+	// Artifacts, when set, supply the design Run's HiDaP flow places and its
 	// Gseq, tree and bipartite graph: the artifacts of g.Design, or of its
 	// autoclustered variant (Artifacts.Cluster) to place on a synthesized
 	// hierarchy. Nil builds one set from g.Design and g.SeqGraph per Run,
@@ -70,8 +75,41 @@ var paperLambdas = []float64{0.2, 0.5, 0.8}
 // DefaultOptions mirrors the paper's setup.
 func DefaultOptions() Options {
 	return Options{
-		RunKnobs: core.RunKnobs{Effort: layout.EffortMedium},
-		Lambdas:  slices.Clone(paperLambdas),
+		Knobs:   core.DefaultKnobs(),
+		Lambdas: slices.Clone(paperLambdas),
+	}
+}
+
+// Stats is the bookkeeping of one macro placement.
+type Stats struct {
+	// Placer names the flow that produced the placement.
+	Placer string
+	// MacroSeconds is the macro-placement wall time.
+	MacroSeconds float64
+	// Levels counts floorplanned recursion levels (HiDaP).
+	Levels int
+	// Flips counts orientation changes of the flipping post-process.
+	Flips int
+	// Lambda is the dataflow blend of the run (HiDaP).
+	Lambda float64
+	// SeqStats reports the Gseq size (HiDaP).
+	SeqStats seqgraph.Stats
+	// Trace lists the per-level block floorplans when Knobs.Trace is set.
+	Trace []core.LevelTrace
+}
+
+// Annotate copies the run bookkeeping onto a measurement report, fusing
+// "what the placer did" with "how good the placement is" into the single
+// record a server or the bench harness emits.
+func (s Stats) Annotate(r *eval.Report) {
+	r.Placer = s.Placer
+	r.MacroSeconds = s.MacroSeconds
+	r.Levels = s.Levels
+	r.Flips = s.Flips
+	r.Lambda = s.Lambda
+	if s.SeqStats.Nodes > 0 {
+		r.SeqNodes = s.SeqStats.Nodes
+		r.SeqEdges = s.SeqStats.Edges
 	}
 }
 
@@ -86,49 +124,88 @@ type Metrics struct {
 	WLnorm float64 `json:"wl_norm,omitempty"`
 }
 
+// Place places the macros of art's design with one flow, leaving standard
+// cells to the cell placer. HiDaP places at opt.Lambda under the rest of
+// opt.Knobs, reading Gseq, the tree and the bipartite graph from art and
+// annealing scratch from opt.Pool; IndEDA runs at high effort unless
+// opt.Effort is low; handFP realizes intent, and fails without one. All
+// three read opt.Seed. A cancelled ctx aborts the run and returns
+// ctx.Err().
+func Place(ctx context.Context, art *core.Artifacts, flow Flow, intent handfp.Intent, opt Options) (*placement.Placement, Stats, error) {
+	return placeOn(ctx, art, flow, intent, opt, nil)
+}
+
+// placeOn is Place with HiDaP's solve DAG forked onto pool (nil: a pool of
+// opt.Parallelism lanes for this call).
+func placeOn(ctx context.Context, art *core.Artifacts, flow Flow, intent handfp.Intent, opt Options, pool *sched.Pool) (*placement.Placement, Stats, error) {
+	start := time.Now()
+	st := Stats{Placer: string(flow)}
+	var pl *placement.Placement
+	var err error
+	switch flow {
+	case FlowHiDaP:
+		var res *core.Result
+		res, err = art.Place(ctx, core.Options{Knobs: opt.Knobs, Pool: opt.Pool, Sched: pool})
+		if err == nil {
+			pl = res.Placement
+			st.Levels, st.Flips, st.Lambda = res.Levels, res.Flips, opt.Lambda
+			st.SeqStats, st.Trace = res.SeqStats, res.Trace
+		}
+	case FlowIndEDA:
+		pl, err = indeda.Place(ctx, art.Design(), indeda.Options{
+			Seed:       opt.Seed,
+			HighEffort: opt.Effort != layout.EffortLow,
+			WallWeight: 0.4,
+		})
+	case FlowHandFP:
+		if intent == nil {
+			return nil, Stats{}, fmt.Errorf("flows: %s needs a designer intent", flow)
+		}
+		pl, err = handfp.Place(ctx, art.Design(), intent, handfp.Options{Seed: opt.Seed})
+	default:
+		return nil, Stats{}, fmt.Errorf("flows: unknown flow %q", flow)
+	}
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	st.MacroSeconds = time.Since(start).Seconds()
+	return pl, st, nil
+}
+
 // Run executes one flow on a generated circuit and measures it. IndEDA
-// always runs at the paper's high effort, whatever opt.Effort says (the
-// hidap "indeda" placer follows its Config's Effort instead). A cancelled
-// ctx aborts macro placement, candidate evaluation and cell placement
-// promptly and returns ctx.Err().
+// always runs at the paper's high effort, whatever opt.Effort says (Place
+// follows opt.Effort instead). HiDaP places once per opt.Lambdas entry and
+// keeps the lowest post-placement wirelength, so Run ignores opt.Lambda;
+// it returns no trace and streams no progress, so it ignores opt.Trace and
+// opt.Progress too. A cancelled ctx aborts macro placement, candidate
+// evaluation and cell placement promptly and returns ctx.Err().
 func Run(ctx context.Context, g *circuits.Generated, flow Flow, opt Options) (*Metrics, *placement.Placement, error) {
-	d := g.Design
 	if len(opt.Lambdas) == 0 {
 		opt.Lambdas = paperLambdas
+	}
+	opt.Trace, opt.Progress = false, nil
+	if flow == FlowIndEDA {
+		opt.Effort = layout.EffortHigh
 	}
 
 	start := time.Now()
 	var pl *placement.Placement
 	var bestLambda float64
 	var err error
-	switch flow {
-	case FlowIndEDA:
-		pl, err = indeda.Place(ctx, d, indeda.Options{Seed: opt.Seed, HighEffort: true, WallWeight: 0.4})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := place.Run(ctx, pl, place.DefaultOptions()); err != nil {
-			return nil, nil, err
-		}
-	case FlowHandFP:
-		pl, err = handfp.Place(ctx, d, g.Intent, handfp.Options{Seed: opt.Seed})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := place.Run(ctx, pl, place.DefaultOptions()); err != nil {
-			return nil, nil, err
-		}
-	case FlowHiDaP:
+	if flow == FlowHiDaP {
 		art := opt.Artifacts
 		if art == nil {
-			art = core.NewArtifacts(d, g.SeqGraph)
+			art = core.NewArtifacts(g.Design, g.SeqGraph)
 		}
 		pl, bestLambda, err = runHiDaP(ctx, art, opt)
-		if err != nil {
-			return nil, nil, err
+	} else {
+		pl, _, err = Place(ctx, core.NewArtifacts(g.Design, g.SeqGraph), flow, g.Intent, opt)
+		if err == nil {
+			err = place.Run(ctx, pl, place.DefaultOptions())
 		}
-	default:
-		return nil, nil, fmt.Errorf("flows: unknown flow %q", flow)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	elapsed := time.Since(start).Seconds()
 
@@ -168,19 +245,12 @@ func runHiDaP(ctx context.Context, art *core.Artifacts, opt Options) (*placement
 		if c.err = ctx.Err(); c.err != nil {
 			return
 		}
-		coreOpt := core.DefaultOptions()
-		coreOpt.Lambda = c.lambda
-		coreOpt.RunKnobs = opt.RunKnobs
-		coreOpt.Sched = pool
-		coreOpt.Pool = opt.Pool
-		res, err := art.Place(ctx, coreOpt)
-		if err != nil {
-			c.err = err
+		o := opt
+		o.Lambda = c.lambda
+		if c.pl, _, c.err = placeOn(ctx, art, FlowHiDaP, nil, o, pool); c.err != nil {
 			return
 		}
-		c.pl = res.Placement
-		if err := place.Run(ctx, c.pl, place.DefaultOptions()); err != nil {
-			c.err = err
+		if c.err = place.Run(ctx, c.pl, place.DefaultOptions()); c.err != nil {
 			return
 		}
 		c.wl = metrics.WirelengthMeters(c.pl)
@@ -239,7 +309,8 @@ type Summary struct {
 	WLGeoMean float64 `json:"wl_geomean"`
 	// WNSMean is the arithmetic mean of WNS% over the suite.
 	WNSMean float64 `json:"wns_mean_pct"`
-	// Effort describes the solution cost (paper wording plus measured CPU).
+	// Effort describes the solution cost: the paper's wording plus the
+	// flow's summed MacroSeconds, measured as wall time here.
 	Effort string `json:"effort"`
 }
 
@@ -262,7 +333,7 @@ func Summarize(rows []*Metrics) []Summary {
 			// A circuit without a handFP reference row leaves WLnorm unset
 			// (0). Feeding that zero into the geometric mean would collapse
 			// the whole aggregate to 0, so unset norms are skipped; the row
-			// still contributes to the WNS mean and CPU totals.
+			// still contributes to the WNS mean and wall-time total.
 			if r.WLnorm > 0 {
 				norms = append(norms, r.WLnorm)
 			}
@@ -277,7 +348,7 @@ func Summarize(rows []*Metrics) []Summary {
 			Flow:      f,
 			WLGeoMean: metrics.GeoMean(norms),
 			WNSMean:   wnsSum / float64(n),
-			Effort:    fmt.Sprintf("%.1fs CPU here; %s", secs, effortNote[f]),
+			Effort:    fmt.Sprintf("%.1fs wall here; %s", secs, effortNote[f]),
 		})
 	}
 	return out

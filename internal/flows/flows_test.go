@@ -194,6 +194,23 @@ func TestSummarizeAllNormsUnset(t *testing.T) {
 	}
 }
 
+// TestSummarizeEffortIsWallTime: Table II's effort column sums the rows'
+// MacroSeconds, which Run measures as wall time across its scheduler lanes,
+// so the label must not call it CPU time.
+func TestSummarizeEffortIsWallTime(t *testing.T) {
+	rows := []*Metrics{
+		{Circuit: "a", Flow: FlowHiDaP, Report: eval.Report{MacroSeconds: 1.5}},
+		{Circuit: "b", Flow: FlowHiDaP, Report: eval.Report{MacroSeconds: 2}},
+	}
+	sums := Summarize(rows)
+	if len(sums) != 1 {
+		t.Fatalf("sums = %+v", sums)
+	}
+	if want := "3.5s wall here; "; !strings.HasPrefix(sums[0].Effort, want) {
+		t.Errorf("effort = %q, want prefix %q", sums[0].Effort, want)
+	}
+}
+
 func TestSummarizeEmptyRows(t *testing.T) {
 	if sums := Summarize(nil); len(sums) != 0 {
 		t.Errorf("summaries of no rows = %+v", sums)

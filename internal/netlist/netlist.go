@@ -10,7 +10,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/geom"
 )
@@ -322,14 +321,4 @@ func (d *Design) Validate() error {
 		}
 	}
 	return nil
-}
-
-// SortedNetNames returns all net names sorted; useful for stable output.
-func (d *Design) SortedNetNames() []string {
-	names := make([]string, len(d.Nets))
-	for i := range d.Nets {
-		names[i] = d.Nets[i].Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -239,16 +239,6 @@ func TestStatsCellArea(t *testing.T) {
 	}
 }
 
-func TestSortedNetNames(t *testing.T) {
-	d := buildTiny(t)
-	names := d.SortedNetNames()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] > names[i] {
-			t.Fatalf("names not sorted: %v", names)
-		}
-	}
-}
-
 func TestKindAndDirStrings(t *testing.T) {
 	if KindMacro.String() != "macro" || KindComb.String() != "comb" {
 		t.Error("CellKind.String broken")

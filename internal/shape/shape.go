@@ -244,20 +244,6 @@ func (c Curve) Thin(k int) Curve {
 	return Curve{pts: thinInPlace(cp, k)}
 }
 
-// Rotate returns the curve of the same contents rotated by 90 degrees
-// (every corner transposed).
-func (c Curve) Rotate() Curve {
-	pts := make([]Point, len(c.pts))
-	for i, p := range c.pts {
-		pts[i] = Point{p.H, p.W}
-	}
-	return FromPoints(pts)
-}
-
-// WithRotations returns the union of the curve and its rotation: the shape
-// curve when the contents may be placed in either orientation.
-func (c Curve) WithRotations() Curve { return Union(c, c.Rotate()) }
-
 // Union returns the curve that fits a box iff any input curve fits it
 // (alternative realizations of the same contents).
 func Union(curves ...Curve) Curve {

@@ -124,16 +124,17 @@ func TestMinWidthForHeight(t *testing.T) {
 }
 
 // TestTransposeDuality: MinWidthForHeight on the curve equals
-// MinHeightForWidth on the rotated curve.
+// MinHeightForWidth on the curve of its transposed corners.
 func TestTransposeDuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 100; trial++ {
 		pts := make([]Point, 1+rng.Intn(8))
+		rot := make([]Point, len(pts))
 		for i := range pts {
 			pts[i] = Point{int64(rng.Intn(50) + 1), int64(rng.Intn(50) + 1)}
+			rot[i] = Point{pts[i].H, pts[i].W}
 		}
-		c := FromPoints(pts)
-		r := c.Rotate()
+		c, r := FromPoints(pts), FromPoints(rot)
 		for q := int64(1); q <= 55; q++ {
 			w1, ok1 := c.MinWidthForHeight(q)
 			w2, ok2 := r.MinHeightForWidth(q)
@@ -265,13 +266,6 @@ func TestUnion(t *testing.T) {
 	}
 	if u.Fits(10, 10) {
 		t.Error("union too optimistic")
-	}
-}
-
-func TestWithRotations(t *testing.T) {
-	c := FromBox(30, 10).WithRotations()
-	if !c.Fits(10, 30) {
-		t.Error("WithRotations should allow the transposed box")
 	}
 }
 
