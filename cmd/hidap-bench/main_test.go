@@ -86,10 +86,10 @@ func TestWriteFileErrors(t *testing.T) {
 }
 
 // TestFig9TraceMatchesRow: the Fig. 9d floorplan is traced from the HiDaP
-// row's own placement — its λ, seed, effort and restarts — so the traced
-// macros sit exactly where the row's macros do. The λ list leaves out the
-// default 0.5 and the effort, seed and restarts are not the defaults; on c2
-// a trace that ignored any one of them places differently.
+// row's own placement — its λ, seed, effort and k — so the traced macros
+// sit exactly where the row's macros do. The λ list leaves out the default
+// 0.5 and the effort, seed and k are not the defaults; on c2 a trace that
+// ignored any one of them places differently.
 func TestFig9TraceMatchesRow(t *testing.T) {
 	ctx := context.Background()
 	spec, err := circuits.SuiteSpec("c2")
@@ -101,7 +101,7 @@ func TestFig9TraceMatchesRow(t *testing.T) {
 	opt := flows.DefaultOptions()
 	opt.Seed = 3
 	opt.Effort = hidap.EffortLow
-	opt.Restarts = 2
+	opt.K = 3
 	opt.Lambdas = []float64{0.2, 0.8}
 	opt.Artifacts = core.NewArtifacts(g.Design, g.SeqGraph)
 	m, pl, err := flows.Run(ctx, g, flows.FlowHiDaP, opt)

@@ -136,8 +136,7 @@ type jobRequest struct {
 	Evaluate *bool           `json:"evaluate"`
 	Seed     int64           `json:"seed"`
 	Lambda   *float64        `json:"lambda"`
-	Effort   string          `json:"effort"`   // low | medium | high
-	Restarts int             `json:"restarts"` // annealing chains per level (best wins)
+	Effort   string          `json:"effort"` // low | medium | high
 	// Parallelism sizes the job's internal work-stealing scheduler; 0
 	// defers to the engine (serial inside a worker slot on multi-worker
 	// engines). Placements never depend on it.
@@ -186,12 +185,9 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, jobStatus{ID: id, Label: t.Label(), State: t.State()})
 }
 
-// Bounds on a request's restarts and parallelism, well above what any
+// maxParallelism bounds a request's parallelism, well above what any
 // client has reason to ask for.
-const (
-	maxRestarts    = 64
-	maxParallelism = 256
-)
+const maxParallelism = 256
 
 func (req *jobRequest) toJob() (hidap.Job, error) {
 	var opts []hidap.Option
@@ -199,14 +195,8 @@ func (req *jobRequest) toJob() (hidap.Job, error) {
 	if req.Lambda != nil {
 		opts = append(opts, hidap.WithLambda(*req.Lambda))
 	}
-	// Both sizes allocate up front (a chain result per restart, a scheduler
-	// goroutine per lane), so they are bounded before anything is built.
-	if req.Restarts < 0 || req.Restarts > maxRestarts {
-		return hidap.Job{}, fmt.Errorf("restarts %d outside [0, %d]", req.Restarts, maxRestarts)
-	}
-	if req.Restarts > 0 {
-		opts = append(opts, hidap.WithRestarts(req.Restarts))
-	}
+	// Each lane is a scheduler goroutine started up front, so the width is
+	// bounded before anything is built.
 	if req.Parallelism < 0 || req.Parallelism > maxParallelism {
 		return hidap.Job{}, fmt.Errorf("parallelism %d outside [0, %d]", req.Parallelism, maxParallelism)
 	}

@@ -223,8 +223,6 @@ func TestServeValidation(t *testing.T) {
 		"bad design":           `{"design": {"die": "not-a-rect"}}`,
 		"no macros":            `{"circuit": {"name": "not-a-suite-circuit"}}`,
 		"both inputs":          `{"circuit": {"name": "x"}, "design": {"name": "y"}}`,
-		"negative restarts":    `{"restarts": -1, "circuit": {"name": "c1"}}`,
-		"too many restarts":    `{"restarts": 1000000000, "circuit": {"name": "c1"}}`,
 		"negative parallelism": `{"parallelism": -1, "circuit": {"name": "c1"}}`,
 		"too much parallelism": `{"parallelism": 1000000000, "circuit": {"name": "c1"}}`,
 		"too many cells":       `{"circuit": {"name": "c1", "cells": 1000000000000, "scale": 1}}`,
@@ -248,9 +246,10 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
-// TestServeIgnoresLegacyBatchField: older clients still send the removed
-// "batch" knob. The decoder ignores unknown fields, so such a request must be
-// accepted and place exactly as the same request without the field.
+// TestServeIgnoresLegacyBatchField: older clients still send knobs that
+// were removed, such as "batch". The decoder ignores unknown fields, so such
+// a request must be accepted and place exactly as the same request without
+// the field.
 func TestServeIgnoresLegacyBatchField(t *testing.T) {
 	s, ts, eng := newTestServer(t, 1)
 	defer eng.Close()
@@ -277,11 +276,13 @@ func TestServeIgnoresLegacyBatchField(t *testing.T) {
 		return res
 	}
 	want := place("")
-	got := place(`, "batch": 8`)
-	for _, m := range circuits.ABCDX().Design.Macros() {
-		if got.Placement.Pos[m] != want.Placement.Pos[m] || got.Placement.Orient[m] != want.Placement.Orient[m] {
-			t.Fatalf("macro %d: placed %v %v with \"batch\", %v %v without", m,
-				got.Placement.Pos[m], got.Placement.Orient[m], want.Placement.Pos[m], want.Placement.Orient[m])
+	for _, extra := range []string{`, "batch": 8`, `, "restarts": 4`} {
+		got := place(extra)
+		for _, m := range circuits.ABCDX().Design.Macros() {
+			if got.Placement.Pos[m] != want.Placement.Pos[m] || got.Placement.Orient[m] != want.Placement.Orient[m] {
+				t.Fatalf("macro %d: placed %v %v with %q, %v %v without", m,
+					got.Placement.Pos[m], got.Placement.Orient[m], extra, want.Placement.Pos[m], want.Placement.Orient[m])
+			}
 		}
 	}
 }
@@ -293,7 +294,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	_, ts, eng := newTestServer(t, 2)
 	defer eng.Close()
 
-	st, code := postJob(t, ts, `{"label":"m1","circuit":{"name":"c1","scale":400},"effort":"low","restarts":2}`)
+	st, code := postJob(t, ts, `{"label":"m1","circuit":{"name":"c1","scale":400},"effort":"low","parallelism":2}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}

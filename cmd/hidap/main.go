@@ -46,7 +46,6 @@ func main() {
 		lambda   = flag.Float64("lambda", 0.5, "block-flow vs macro-flow blend λ")
 		k        = flag.Float64("k", 2, "latency decay exponent")
 		effort   = flag.String("effort", "medium", "annealing effort: low|medium|high")
-		restarts = flag.Int("restarts", 1, "independent annealing chains per level (best layout wins)")
 		par      = flag.Int("parallelism", 0, "work-stealing scheduler lanes: 1 = serial, 0 = all cores; never changes the placement")
 		seed     = flag.Int64("seed", 1, "random seed")
 		cells    = flag.Bool("cells", false, "also run standard-cell placement and report metrics")
@@ -110,7 +109,6 @@ func main() {
 		hidap.WithLambda(*lambda),
 		hidap.WithK(*k),
 		hidap.WithSeed(*seed),
-		hidap.WithRestarts(*restarts),
 		hidap.WithParallelism(*par),
 		hidap.WithEffort(eff),
 	}

@@ -34,9 +34,10 @@ const (
 	StageFlips = core.StageFlips
 )
 
-// Knobs are the HiDaP parameters — λ, k, effort, restarts, parallelism,
-// seed, trace, flat and progress — declared once in the internal flow and
-// embedded in Config.
+// Knobs are the HiDaP parameters — λ, k, effort, parallelism, seed, trace,
+// flat and progress — declared once in the internal flow and embedded in
+// Config. Parallelism sizes the scheduler that a placement's sibling
+// hierarchy subtrees (and a circuit job's λ candidates) run on.
 type Knobs = core.Knobs
 
 // Config parameterizes a Placer run. Build one with NewConfig and functional
@@ -100,10 +101,6 @@ func ParseEffort(s string) (Effort, error) {
 
 // WithSeed seeds every stochastic step of the run.
 func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
-
-// WithRestarts runs k independent annealing chains per floorplanning level
-// and keeps the best layout. The result is a pure function of (seed, k).
-func WithRestarts(k int) Option { return func(c *Config) { c.Restarts = k } }
 
 // WithParallelism sizes the work-stealing scheduler of the run (1 = one lane
 // on the calling goroutine, <= 0 = all cores). It affects wall time only;

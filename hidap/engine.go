@@ -636,7 +636,7 @@ func (e *Engine) prepare(ctx context.Context, job Job) (*Ticket, error) {
 	case job.Design != nil:
 		name := job.Placer
 		if name == "" {
-			name = "hidap"
+			name = FlowHiDaP.Name()
 		}
 		p, err := Lookup(name)
 		if err != nil {
@@ -800,7 +800,7 @@ func (e *Engine) runCircuitJob(ctx context.Context, t *Ticket, cfg *Config) (*Jo
 	return &JobResult{
 		Label:     t.job.Label,
 		Placement: pl,
-		Stats:     Stats{Placer: string(fl), MacroSeconds: m.MacroSeconds, Lambda: m.Lambda},
+		Stats:     Stats{Placer: fl.Name(), MacroSeconds: m.MacroSeconds, Lambda: m.Lambda},
 		Report:    &m.Report,
 		Metrics:   m,
 	}, nil

@@ -577,13 +577,14 @@ func TestEngineJobValidation(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrentMultiStart exercises per-level multi-start inside
-// concurrent engine jobs: several identical jobs run WithRestarts(3) on a
-// shared cached design (shared Gseq, hierarchy tree and bipartite graph)
-// with their solve DAGs fanned out WithParallelism(2), and every result
-// must be identical — the multi-start selection is deterministic
-// regardless of worker scheduling. Run under -race in CI, this also proves
-// the scheduler fan-out and the shared artifacts are race-free.
+// TestEngineConcurrentMultiStart starts several identical engine jobs at
+// once on a shared cached design (shared Gseq, hierarchy tree and
+// bipartite graph) with their solve DAGs fanned out WithParallelism(2).
+// Every result must be identical, and identical to a direct Placer.Place
+// call with the same config: placement is deterministic regardless of
+// worker scheduling, and the engine's warm path places like the cold one.
+// Run under -race in CI, this also proves the scheduler fan-out and the
+// shared artifacts are race-free.
 func TestEngineConcurrentMultiStart(t *testing.T) {
 	g := circuits.Generate(loadSpecA())
 	eng := hidap.NewEngine(nil, hidap.EngineOptions{Workers: 4})
@@ -592,7 +593,6 @@ func TestEngineConcurrentMultiStart(t *testing.T) {
 	cfg := hidap.NewConfig(
 		hidap.WithEffort(hidap.EffortLow),
 		hidap.WithSeed(7),
-		hidap.WithRestarts(3),
 		hidap.WithParallelism(2),
 	)
 	const jobs = 6
@@ -607,20 +607,29 @@ func TestEngineConcurrentMultiStart(t *testing.T) {
 		}
 		tickets = append(tickets, tk)
 	}
-	var want string
+	key := func(pl *hidap.Placement) string {
+		var sb strings.Builder
+		for _, m := range g.Design.Macros() {
+			fmt.Fprintf(&sb, "%v/%v;", pl.Rect(m), pl.Orient[m])
+		}
+		return sb.String()
+	}
+	p, err := hidap.Lookup("hidap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, _, err := p.Place(context.Background(), g.Design, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := key(direct)
 	for i, tk := range tickets {
 		res, err := tk.Wait(context.Background())
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)
 		}
-		var sb strings.Builder
-		for _, m := range g.Design.Macros() {
-			fmt.Fprintf(&sb, "%v/%v;", res.Placement.Rect(m), res.Placement.Orient[m])
-		}
-		if i == 0 {
-			want = sb.String()
-		} else if sb.String() != want {
-			t.Fatalf("job %d placement differs from job 0 under concurrent multi-start", i)
+		if key(res.Placement) != want {
+			t.Fatalf("job %d placement differs from the direct Place call", i)
 		}
 	}
 	st := eng.Stats()
@@ -629,70 +638,6 @@ func TestEngineConcurrentMultiStart(t *testing.T) {
 	}
 	if st.Completed != jobs || st.Failed != 0 || st.Canceled != 0 {
 		t.Errorf("stats = %+v, want %d clean completions", st, jobs)
-	}
-}
-
-// TestEngineRestartsReachSolver pins the engine's restart plumbing end to
-// end: across a handful of seeds, a job WithRestarts(4) must place
-// differently from the single-chain run for at least one of them (the knob
-// reaches the level solver), identically at any Parallelism value, and
-// exactly like a direct Placer.Place call with the same config.
-func TestEngineRestartsReachSolver(t *testing.T) {
-	// Bigger levels than loadSpecA/B: on tiny levels every chain converges
-	// to the same optimum and the divergence check below would be vacuous.
-	g := circuits.Generate(circuits.Spec{
-		Name: "engMS", Cells: 400_000, Macros: 18, Subsystems: 3,
-		BusWidth: 32, PipelineDepth: 2, Scale: 300, Seed: 11,
-	})
-	eng := hidap.NewEngine(nil, hidap.EngineOptions{Workers: 2})
-	defer eng.Close()
-
-	run := func(cfg *hidap.Config) *hidap.JobResult {
-		t.Helper()
-		res, err := eng.Run(context.Background(), hidap.Job{Design: g.Design, Placer: "hidap", Config: cfg})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return res
-	}
-	// Scan a few seeds: for at least one, the best of 4 chains must differ
-	// from chain 0 alone. If the Restarts plumbing were dropped anywhere in
-	// the chain, every seed would match.
-	differs := false
-	for seed := int64(1); seed <= 6 && !differs; seed++ {
-		single := run(hidap.NewConfig(hidap.WithEffort(hidap.EffortLow), hidap.WithSeed(seed)))
-		multi := run(hidap.NewConfig(hidap.WithEffort(hidap.EffortLow), hidap.WithSeed(seed), hidap.WithRestarts(4)))
-		for _, m := range g.Design.Macros() {
-			if multi.Placement.Rect(m) != single.Placement.Rect(m) {
-				differs = true
-			}
-		}
-	}
-	if !differs {
-		t.Fatal("WithRestarts(4) placed identically to the single-chain run for every seed: the knob did not reach the level solver")
-	}
-
-	multiA := run(hidap.NewConfig(hidap.WithEffort(hidap.EffortLow), hidap.WithSeed(3), hidap.WithRestarts(4)))
-	multiB := run(hidap.NewConfig(hidap.WithEffort(hidap.EffortLow), hidap.WithSeed(3), hidap.WithRestarts(4), hidap.WithParallelism(4)))
-	for _, m := range g.Design.Macros() {
-		if multiA.Placement.Rect(m) != multiB.Placement.Rect(m) {
-			t.Fatalf("macro %d: restart placement depends on Parallelism", m)
-		}
-	}
-
-	p, err := hidap.Lookup("hidap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, _, err := p.Place(context.Background(),
-		g.Design, hidap.NewConfig(hidap.WithEffort(hidap.EffortLow), hidap.WithSeed(3), hidap.WithRestarts(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range g.Design.Macros() {
-		if direct.Rect(m) != multiA.Placement.Rect(m) {
-			t.Fatalf("macro %d: engine job and direct Place disagree under restarts", m)
-		}
 	}
 }
 
@@ -793,10 +738,10 @@ func TestEngineAutocluster(t *testing.T) {
 }
 
 // TestCircuitAndDesignJobsAgree: a circuit job and a design job on the same
-// design, with equal seed, place every macro alike. For HiDaP the circuit
-// job runs at the one λ 0.5 and the design job at λ 0.5, with and without
-// autoclustering, with three restart chains per level, at k 4 and flat
-// (a circuit job that dropped any of those knobs places differently). The
+// design, with equal seed, place every macro alike and report the same
+// Placer. For HiDaP the circuit job runs at the one λ 0.5 and the design
+// job at λ 0.5, with and without autoclustering, at k 4 and flat (a
+// circuit job that dropped any of those knobs places differently). The
 // IndEDA circuit job, which always runs at high effort, matches an indeda
 // design job at high effort, and the handFP one a handfp design job given
 // the circuit's intent.
@@ -815,7 +760,6 @@ func TestCircuitAndDesignJobsAgree(t *testing.T) {
 	}{
 		{"plain", false, hidap.FlowHiDaP, "hidap", nil},
 		{"autocluster", true, hidap.FlowHiDaP, "hidap", []hidap.Option{hidap.WithAutocluster(p)}},
-		{"restarts", false, hidap.FlowHiDaP, "hidap", []hidap.Option{hidap.WithRestarts(3)}},
 		{"k4", false, hidap.FlowHiDaP, "hidap", []hidap.Option{hidap.WithK(4)}},
 		{"flat", false, hidap.FlowHiDaP, "hidap", []hidap.Option{hidap.WithFlat()}},
 		{"indeda", false, hidap.FlowIndEDA, "indeda", []hidap.Option{hidap.WithEffort(hidap.EffortHigh)}},
@@ -830,22 +774,28 @@ func TestCircuitAndDesignJobsAgree(t *testing.T) {
 			ctx := context.Background()
 			cfg := hidap.NewConfig(append([]hidap.Option{hidap.WithEffort(hidap.EffortLow),
 				hidap.WithSeed(3), hidap.WithLambda(0.5)}, tc.opts...)...)
-			run := func(job hidap.Job) *hidap.Placement {
+			run := func(job hidap.Job) *hidap.JobResult {
 				t.Helper()
 				job.Config = cfg
 				res, err := eng.Run(ctx, job)
 				if err != nil {
 					t.Fatalf("job %q: %v", job.Label, err)
 				}
-				return res.Placement
+				return res
 			}
 			ckt := run(hidap.Job{Circuit: &spec, Flow: tc.flow, Lambdas: []float64{0.5}, Label: "circuit"})
-			des := run(hidap.Job{Design: g.Design, Placer: tc.placer, Label: "design"})
+			des := run(hidap.Job{Design: g.Design, Placer: tc.placer, Evaluate: true, Label: "design"})
 			for _, m := range g.Design.Macros() {
-				if ckt.Pos[m] != des.Pos[m] || ckt.Orient[m] != des.Orient[m] {
+				if ckt.Placement.Pos[m] != des.Placement.Pos[m] || ckt.Placement.Orient[m] != des.Placement.Orient[m] {
 					t.Fatalf("macro %s: circuit job %v %v, design job %v %v", g.Design.Cell(m).Name,
-						ckt.Pos[m], ckt.Orient[m], des.Pos[m], des.Orient[m])
+						ckt.Placement.Pos[m], ckt.Placement.Orient[m], des.Placement.Pos[m], des.Placement.Orient[m])
 				}
+			}
+			if ckt.Stats.Placer != tc.placer || des.Stats.Placer != tc.placer {
+				t.Errorf("Stats.Placer: circuit job %q, design job %q, want %q", ckt.Stats.Placer, des.Stats.Placer, tc.placer)
+			}
+			if ckt.Report.Placer != tc.placer || des.Report.Placer != tc.placer {
+				t.Errorf("Report.Placer: circuit job %q, design job %q, want %q", ckt.Report.Placer, des.Report.Placer, tc.placer)
 			}
 		})
 	}

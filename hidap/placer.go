@@ -135,21 +135,21 @@ func Placers() []string {
 }
 
 func init() {
-	MustRegister(flowPlacer("hidap", FlowHiDaP))
-	MustRegister(flowPlacer("indeda", FlowIndEDA))
-	MustRegister(flowPlacer("handfp", FlowHandFP))
+	MustRegister(flowPlacer(FlowHiDaP))
+	MustRegister(flowPlacer(FlowIndEDA))
+	MustRegister(flowPlacer(FlowHandFP))
 }
 
-// flowPlacer is the placer called name that places through flows.Place
-// with flow: "hidap" runs the paper's flow (hierarchy tree, shape curves,
-// recursive dataflow-driven block floorplanning, macro flipping), "indeda"
-// the industrial baseline at high effort unless cfg.Effort is low (circuit
-// jobs always run it at high effort), and "handfp" realizes the designer
-// intent supplied via WithIntent. On an Engine job the hidap flow reads the
+// flowPlacer is the placer, registered under flow.Name(), that places
+// through flows.Place with flow: "hidap" runs the paper's flow (hierarchy
+// tree, shape curves, recursive dataflow-driven block floorplanning, macro
+// flipping), "indeda" the industrial baseline at high effort unless
+// cfg.Effort is low (circuit jobs always run it at high effort), and
+// "handfp" realizes the designer intent supplied via WithIntent. On an Engine job the hidap flow reads the
 // job's cached artifacts (and autoclustered variant) and the engine's
 // scratch pool; one-shot, a throwaway handle builds them cold.
-func flowPlacer(name string, flow Flow) Placer {
-	return PlacerFunc(name, func(ctx context.Context, d *Design, cfg *Config) (*Placement, Stats, error) {
+func flowPlacer(flow Flow) Placer {
+	return PlacerFunc(flow.Name(), func(ctx context.Context, d *Design, cfg *Config) (*Placement, Stats, error) {
 		// The handle describes the job's design; a plug-in wrapping this
 		// placer on another design places that one cold.
 		w := cfg.warm
@@ -167,8 +167,6 @@ func flowPlacer(name string, flow Flow) Placer {
 		if w.eng != nil {
 			opt.Pool = w.eng.pool
 		}
-		pl, st, err := flows.Place(ctx, art, flow, cfg.Intent, opt)
-		st.Placer = name
-		return pl, st, err
+		return flows.Place(ctx, art, flow, cfg.Intent, opt)
 	})
 }

@@ -21,7 +21,6 @@ func fingerprint(t *testing.T, par int, flat bool) string {
 	opt := DefaultOptions()
 	opt.Seed = 42
 	opt.Trace = true
-	opt.Restarts = 3 // chain tasks join subtree tasks in the same pool
 	opt.Parallelism = par
 	opt.Flat = flat
 	var sb strings.Builder
@@ -79,7 +78,7 @@ const placeGolden = "f49413f1e0ea8ba17ac2063946e5abd4b074f136be5e164419056d4c16e
 
 // flatGolden pins the same run with Flat set, covering the single-level
 // ablation that TestPlaceGolden never enters.
-const flatGolden = "aab70eaa56e837966831c719dacafde05816c6ac9b5efcd2954e4febd855e58d"
+const flatGolden = "39a5c3f40183874e8b09121ffbb40f1b385b34109b9f6935c18f4c9f78710e8b"
 
 func TestPlaceGolden(t *testing.T) {
 	fp := fingerprint(t, 1, false)
@@ -107,7 +106,6 @@ func TestPlaceSchedBorrowedPool(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Seed = 42
 	opt.Trace = true
-	opt.Restarts = 3
 	opt.Sched = pool
 	var sb strings.Builder
 	opt.Progress = func(ev Progress) { writeProgress(&sb, ev) }

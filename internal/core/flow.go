@@ -65,19 +65,13 @@ type Knobs struct {
 	K float64
 	// Effort selects the annealing budget per level.
 	Effort layout.Effort
-	// Restarts runs this many independent annealing chains per level solve,
-	// keeping the best (see layout.Options.Restarts; <= 1 means one chain).
-	// The placement is a pure function of (Seed, Restarts) regardless of
-	// Parallelism.
-	Restarts int
-	// Parallelism sizes the work-stealing scheduler the whole solve DAG —
-	// sibling subtrees of the hierarchy and the restart chains of every
-	// level — drains through: 1 is a one-lane pool that runs every task on
-	// the calling goroutine, <= 0 uses runtime.GOMAXPROCS(0), and anything
-	// else starts that many lanes. The placement is a pure function of
-	// (Seed, Lambda, Restarts, Effort) regardless of this value: tasks are
-	// indexed, seeded from stable task paths (sched.Derive), and reduced in
-	// index order. Ignored when Options.Sched is set.
+	// Parallelism sizes the work-stealing scheduler the sibling subtrees of
+	// the hierarchy drain through: 1 is a one-lane pool that runs every
+	// task on the calling goroutine, <= 0 uses runtime.GOMAXPROCS(0), and
+	// anything else starts that many lanes. The placement is a pure
+	// function of (Seed, Lambda, Effort) regardless of this value: tasks
+	// are indexed, seeded from stable task paths (sched.Derive), and
+	// reduced in index order. Ignored when Options.Sched is set.
 	Parallelism int
 	// Seed drives all stochastic steps; equal seeds give equal floorplans.
 	Seed int64
@@ -126,7 +120,7 @@ type Options struct {
 	Pool *slicing.EvaluatorPool
 	// Sched, when set, borrows an existing work-stealing pool instead of
 	// creating one per Place call; a multi-candidate sweep passes its pool
-	// here so candidates, subtrees and chains share one set of lanes.
+	// here so candidates and their subtrees share one set of lanes.
 	Sched *sched.Pool
 }
 
@@ -637,10 +631,7 @@ func (st *flowState) solveLevel(ctx context.Context, decl *hier.Result, region g
 			Pos:  st.terminalPos(gdf, i, v),
 		})
 	}
-	sol := layout.Solve(ctx, prob, layout.Options{
-		Seed: seed, Effort: st.opt.Effort, Pool: st.opt.Pool,
-		Restarts: st.opt.Restarts, Sched: st.sched,
-	})
+	sol := layout.Solve(ctx, prob, layout.Options{Seed: seed, Effort: st.opt.Effort, Pool: st.opt.Pool})
 	return gdf, aff, sol, ctx.Err()
 }
 

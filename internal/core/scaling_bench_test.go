@@ -26,9 +26,9 @@ const (
 // benchmark's deep_solve design (400 macros, high effort, λ 0.5) through
 // core.Place in 3 interleaved pairs, at Parallelism 1 and at GOMAXPROCS,
 // whatever b.N is, and keeps each setting's best time. Every run must
-// place every macro identically. With Restarts <= 1 the only parallel
-// work is the fork of sibling subtrees in the recursion, so the reported
-// speedup is that fan-out's. Below minScalingSpeedup it fails, but only
+// place every macro identically. The only parallel work is the fork of
+// sibling subtrees in the recursion, so the reported speedup is that
+// fan-out's. Below minScalingSpeedup it fails, but only
 // where minScalingCores cores exist to show it; elsewhere it logs a note.
 //
 // It is a benchmark, not a test, so that it never runs in tier-1 or under

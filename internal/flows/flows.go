@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"time"
 
 	"repro/circuits"
@@ -41,18 +42,21 @@ const (
 	FlowHandFP Flow = "handFP"
 )
 
+// Name is the flow's registry name — "indeda", "hidap" or "handfp" — and
+// the Placer its Stats and measured Reports carry.
+func (f Flow) Name() string { return strings.ToLower(string(f)) }
+
 // Options configures a flow run.
 type Options struct {
-	// Knobs are HiDaP's λ, k, seed, effort, restarts, parallelism, trace,
-	// flat and progress switches. Seed drives every flow's stochastic
-	// stages; IndEDA reads Effort too. Place places at Lambda; Run sweeps
-	// Lambdas instead and returns neither a trace nor progress, so it
-	// ignores Lambda, Trace and Progress. Parallelism sizes the one
-	// work-stealing scheduler the whole HiDaP solve DAG drains through:
-	// candidates (one per λ), sibling hierarchy subtrees inside each
-	// placement, and per-level restart chains are all tasks of the same
-	// pool, so the machine stays busy without any layer multiplying
-	// goroutines into another.
+	// Knobs are HiDaP's λ, k, seed, effort, parallelism, trace, flat and
+	// progress switches. Seed drives every flow's stochastic stages; IndEDA
+	// reads Effort too. Place places at Lambda; Run sweeps Lambdas instead
+	// and returns neither a trace nor progress, so it ignores Lambda, Trace
+	// and Progress. Parallelism sizes the one work-stealing scheduler the
+	// whole HiDaP solve DAG drains through: candidates (one per λ) and the
+	// sibling hierarchy subtrees inside each placement are tasks of the
+	// same pool, so the machine stays busy without one layer multiplying
+	// goroutines into the other.
 	core.Knobs
 	// Lambdas are the HiDaP blend values Run tries (the best post-placement
 	// wirelength wins); empty means the paper's 0.2, 0.5 and 0.8.
@@ -82,9 +86,11 @@ func DefaultOptions() Options {
 
 // Stats is the bookkeeping of one macro placement.
 type Stats struct {
-	// Placer names the flow that produced the placement.
+	// Placer names the flow that produced the placement (Flow.Name).
 	Placer string
-	// MacroSeconds is the macro-placement wall time.
+	// MacroSeconds is the wall time of macro placement alone: cell
+	// placement and measurement are not in it. A Run HiDaP row sums its λ
+	// candidates' placements, each a full macro placement the row paid for.
 	MacroSeconds float64
 	// Levels counts floorplanned recursion levels (HiDaP).
 	Levels int
@@ -139,7 +145,7 @@ func Place(ctx context.Context, art *core.Artifacts, flow Flow, intent handfp.In
 // opt.Parallelism lanes for this call).
 func placeOn(ctx context.Context, art *core.Artifacts, flow Flow, intent handfp.Intent, opt Options, pool *sched.Pool) (*placement.Placement, Stats, error) {
 	start := time.Now()
-	st := Stats{Placer: string(flow)}
+	st := Stats{Placer: flow.Name()}
 	var pl *placement.Placement
 	var err error
 	switch flow {
@@ -188,18 +194,17 @@ func Run(ctx context.Context, g *circuits.Generated, flow Flow, opt Options) (*M
 		opt.Effort = layout.EffortHigh
 	}
 
-	start := time.Now()
 	var pl *placement.Placement
-	var bestLambda float64
+	var st Stats
 	var err error
 	if flow == FlowHiDaP {
 		art := opt.Artifacts
 		if art == nil {
 			art = core.NewArtifacts(g.Design, g.SeqGraph)
 		}
-		pl, bestLambda, err = runHiDaP(ctx, art, opt)
+		pl, st, err = runHiDaP(ctx, art, opt)
 	} else {
-		pl, _, err = Place(ctx, core.NewArtifacts(g.Design, g.SeqGraph), flow, g.Intent, opt)
+		pl, st, err = Place(ctx, core.NewArtifacts(g.Design, g.SeqGraph), flow, g.Intent, opt)
 		if err == nil {
 			err = place.Run(ctx, pl, place.DefaultOptions())
 		}
@@ -207,26 +212,27 @@ func Run(ctx context.Context, g *circuits.Generated, flow Flow, opt Options) (*M
 	if err != nil {
 		return nil, nil, err
 	}
-	elapsed := time.Since(start).Seconds()
 
 	m, err := measure(ctx, g, flow, pl)
 	if err != nil {
 		return nil, nil, err
 	}
-	m.MacroSeconds = elapsed
-	m.Lambda = bestLambda
+	m.MacroSeconds = st.MacroSeconds
+	m.Lambda = st.Lambda
 	return m, pl, nil
 }
 
 // runHiDaP evaluates every λ candidate on one shared work-stealing pool —
-// candidates, hierarchy subtrees and restart chains are all tasks of the
-// same scheduler — and keeps the lowest post-placement wirelength.
-// Selection scans candidates in λ order, so the result is identical at any
-// Parallelism.
-func runHiDaP(ctx context.Context, art *core.Artifacts, opt Options) (*placement.Placement, float64, error) {
+// candidates and their hierarchy subtrees are all tasks of the same
+// scheduler — and keeps the lowest post-placement wirelength. Selection
+// scans candidates in λ order, so the result is identical at any
+// Parallelism. The returned Stats carry the winner's λ and the summed
+// MacroSeconds of every candidate.
+func runHiDaP(ctx context.Context, art *core.Artifacts, opt Options) (*placement.Placement, Stats, error) {
 	type candidate struct {
 		lambda float64
 		pl     *placement.Placement
+		secs   float64
 		wl     float64
 		err    error
 	}
@@ -234,9 +240,9 @@ func runHiDaP(ctx context.Context, art *core.Artifacts, opt Options) (*placement
 	for i, lambda := range opt.Lambdas {
 		cands[i].lambda = lambda
 	}
-	// One pool for the whole run: candidate tasks fork subtree and chain
-	// tasks onto the same lanes, so an idle lane always finds work in some
-	// layer instead of waiting for its own layer to produce more.
+	// One pool for the whole run: candidate tasks fork subtree tasks onto
+	// the same lanes, so an idle lane always finds work in some layer
+	// instead of waiting for its own layer to produce more.
 	pool := sched.NewPool(opt.Parallelism)
 	defer pool.Close()
 
@@ -247,9 +253,11 @@ func runHiDaP(ctx context.Context, art *core.Artifacts, opt Options) (*placement
 		}
 		o := opt
 		o.Lambda = c.lambda
-		if c.pl, _, c.err = placeOn(ctx, art, FlowHiDaP, nil, o, pool); c.err != nil {
+		var st Stats
+		if c.pl, st, c.err = placeOn(ctx, art, FlowHiDaP, nil, o, pool); c.err != nil {
 			return
 		}
+		c.secs = st.MacroSeconds
 		if c.err = place.Run(ctx, c.pl, place.DefaultOptions()); c.err != nil {
 			return
 		}
@@ -262,15 +270,17 @@ func runHiDaP(ctx context.Context, art *core.Artifacts, opt Options) (*placement
 	}
 	grp.Wait() // a cancelled ctx drains; per-candidate errors are scanned below
 	best := -1
+	var secs float64
 	for i := range cands {
 		if cands[i].err != nil {
-			return nil, 0, cands[i].err
+			return nil, Stats{}, cands[i].err
 		}
+		secs += cands[i].secs
 		if best < 0 || cands[i].wl < cands[best].wl {
 			best = i
 		}
 	}
-	return cands[best].pl, cands[best].lambda, nil
+	return cands[best].pl, Stats{MacroSeconds: secs, Lambda: cands[best].lambda}, nil
 }
 
 // measure computes the Table III metric columns for a fully placed design
@@ -281,7 +291,7 @@ func measure(ctx context.Context, g *circuits.Generated, flow Flow, pl *placemen
 	if err != nil {
 		return nil, err
 	}
-	rep.Placer = string(flow)
+	rep.Placer = flow.Name()
 	return &Metrics{Circuit: g.Spec.Name, Flow: flow, Report: *rep}, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/circuits"
 	"repro/internal/autocluster"
@@ -389,4 +390,25 @@ func clusterArtifacts(t *testing.T, g *circuits.Generated, p autocluster.Params)
 		t.Fatal(err)
 	}
 	return art
+}
+
+// TestRunMacroSecondsExcludesCellPlacement: a Run row's MacroSeconds is the
+// wall time of macro placement alone. On a circuit whose few macros place
+// in a moment while its cells take most of the run, a handFP row must
+// report well under half of the Run call's wall time.
+func TestRunMacroSecondsExcludesCellPlacement(t *testing.T) {
+	g := circuits.Generate(circuits.Spec{
+		Name: "cells", Cells: 600_000, Macros: 2, Subsystems: 2,
+		BusWidth: 8, PipelineDepth: 1, Scale: 20, Seed: 5,
+	})
+	start := time.Now()
+	m, _, err := Run(context.Background(), g, FlowHandFP, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start).Seconds()
+	t.Logf("macro %.4fs of %.4fs", m.MacroSeconds, wall)
+	if m.MacroSeconds <= 0 || m.MacroSeconds >= wall/2 {
+		t.Errorf("MacroSeconds = %.4fs of a %.4fs Run, want in (0, %.4f)", m.MacroSeconds, wall, wall/2)
+	}
 }

@@ -19,7 +19,7 @@ func TestMoverProposeUndoAllocs(t *testing.T) {
 		blocks[i] = p.Blocks[i].Block
 	}
 	var cs costState
-	cs.init(p, nil)
+	cs.init(p)
 	var expr, best slicing.Expr
 	expr.SetBalanced(nb)
 	inc := slicing.NewEvaluator(&expr, blocks, slicing.DefaultEvalParams())

@@ -82,21 +82,3 @@ func BenchmarkLayoutSolve24(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkLayoutSolveRestarts measures the multi-start fan-out: four
-// independent chains on pooled evaluators, all cores available.
-func BenchmarkLayoutSolveRestarts(b *testing.B) {
-	p := benchProblem(12)
-	opt := DefaultOptions()
-	opt.Seed = 7
-	opt.Restarts = 4
-	opt.Pool = &slicing.EvaluatorPool{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := Solve(context.Background(), p, opt)
-		if len(r.Rects) != len(p.Blocks) {
-			b.Fatal("bad result")
-		}
-	}
-}

@@ -14,10 +14,8 @@
 // recomposes and re-assigns only the tree path a move touched, and the
 // wirelength term is maintained as per-pair contributions under a
 // fixed-shape summation tree, so one proposal costs O(depth + degree of the
-// moved blocks) instead of O(n + pairs). Solve optionally runs several
-// independent annealing chains (Options.Restarts) on pooled scratch and
-// keeps the best, deterministically for a fixed seed regardless of how the
-// chains are scheduled (Options.Sched).
+// moved blocks) instead of O(n + pairs). Solve anneals one chain per level
+// on pooled scratch; a fixed seed gives a fixed layout.
 package layout
 
 import (
@@ -28,7 +26,6 @@ import (
 	"repro/internal/anneal"
 	"repro/internal/dataflow"
 	"repro/internal/geom"
-	"repro/internal/sched"
 	"repro/internal/slicing"
 )
 
@@ -96,18 +93,6 @@ type Options struct {
 	// engine) reuse annealing scratch instead of reallocating it. Results
 	// are identical with or without a pool.
 	Pool *slicing.EvaluatorPool
-	// Restarts runs this many independent annealing chains from distinct
-	// seeds derived from Seed and keeps the lowest-cost result (<= 1 means
-	// one chain, seeded with Seed exactly — the single-chain behavior).
-	Restarts int
-	// Sched, when set, runs the restart chains as tasks on the shared
-	// work-stealing pool, so sibling level solves and their chains all
-	// drain one scheduler instead of stacking private worker pools. Nil
-	// runs the chains on a one-lane pool, on the calling goroutine. The
-	// returned result is a pure function of (Seed, Restarts): chains are
-	// seeded by index (sched.Derive) and compared in index order, so
-	// scheduling affects wall time only, never the solution.
-	Sched *sched.Pool
 }
 
 // DefaultOptions returns medium effort. Levels are always evaluated under
@@ -134,6 +119,18 @@ type Result struct {
 	Legal bool
 }
 
+// solver is the annealing scratch of one level solve: the block slice, the
+// delta cost state and the expression pair. Pooled so repeated level
+// solves reuse the buffers instead of reallocating them.
+type solver struct {
+	blocks []slicing.Block
+	cost   costState
+	expr   slicing.Expr
+	best   slicing.Expr
+}
+
+var solverPool = sync.Pool{New: func() any { return new(solver) }}
+
 // Solve floorplans one level. A cancelled ctx stops the annealing schedules
 // early and returns the best layout reached so far; the caller is expected
 // to check ctx.Err() and abandon the result. A one-block level anneals
@@ -149,71 +146,6 @@ func Solve(ctx context.Context, p *Problem, opt Options) *Result {
 		p = &q
 	}
 
-	if opt.Restarts <= 1 {
-		return solveChain(ctx, p, opt, opt.Seed, nil)
-	}
-
-	// Multi-start: independent chains, each with its own pooled solver and
-	// evaluator, seeded by chain index. The pair index (pairs + adjacency)
-	// is a pure function of the problem, so it is built once here and
-	// shared read-only by every chain. The results slice is indexed and the
-	// best is picked by a strict-< scan in chain order, so the outcome does
-	// not depend on which worker ran which chain.
-	var shared pairIndex
-	shared.build(p)
-	results := make([]*Result, opt.Restarts)
-	pool := opt.Sched
-	if pool == nil {
-		pool = sched.NewPool(1)
-		defer pool.Close()
-	}
-	// Each chain is one task on the pool; a cancelled ctx still drains
-	// every task (the chains observe the cancellation and stop annealing
-	// early), so every slot is filled before the scan below.
-	g := pool.Group(ctx)
-	for i := range results {
-		i := i
-		g.Go(func(ctx context.Context) {
-			results[i] = solveChain(ctx, p, opt, chainSeed(opt.Seed, i), &shared)
-		})
-	}
-	g.Wait() // ctx errors surface through the caller's ctx.Err() checks
-	best := results[0]
-	for _, r := range results[1:] {
-		if r.Cost < best.Cost {
-			best = r
-		}
-	}
-	return best
-}
-
-// chainSeed derives the seed of one restart chain from its stable task
-// path (the chain index). Chain 0 uses the caller's seed unchanged, so
-// Restarts=1 reproduces the single-chain run.
-func chainSeed(seed int64, chain int) int64 {
-	if chain == 0 {
-		return seed
-	}
-	return sched.Derive(seed, int64(chain))
-}
-
-// solver is the per-chain annealing scratch: the block slice, the delta
-// cost state and the expression pair. Pooled so repeated level solves (and
-// restart chains) reuse the buffers instead of reallocating them.
-type solver struct {
-	blocks []slicing.Block
-	cost   costState
-	expr   slicing.Expr
-	best   slicing.Expr
-}
-
-var solverPool = sync.Pool{New: func() any { return new(solver) }}
-
-// solveChain anneals one chain from the given seed and evaluates its best
-// expression from scratch (bit-identical to the annealed costs, per the
-// evaluator's differential contract). A non-nil idx supplies a prebuilt
-// pair index shared read-only with other chains.
-func solveChain(ctx context.Context, p *Problem, opt Options, seed int64, idx *pairIndex) *Result {
 	s := solverPool.Get().(*solver)
 	defer solverPool.Put(s)
 	nb := len(p.Blocks)
@@ -221,7 +153,7 @@ func solveChain(ctx context.Context, p *Problem, opt Options, seed int64, idx *p
 	for i := range p.Blocks {
 		s.blocks[i] = p.Blocks[i].Block
 	}
-	s.cost.init(p, idx)
+	s.cost.init(p)
 	s.expr.SetBalanced(nb)
 
 	params := slicing.DefaultEvalParams()
@@ -233,7 +165,7 @@ func solveChain(ctx context.Context, p *Problem, opt Options, seed int64, idx *p
 		inc = slicing.NewEvaluator(&s.expr, s.blocks, params)
 	}
 	m := mover{inc: inc, cs: &s.cost, region: p.Region, expr: &s.expr, best: &s.best}
-	anneal.RunModel(ctx, opt.Effort.schedule(seed), &m)
+	anneal.RunModel(ctx, opt.Effort.schedule(opt.Seed), &m)
 
 	// Final evaluation of the winner reuses the incremental evaluator's
 	// arena (Reset + Eval is bit-identical to a from-scratch evaluation, per
@@ -304,9 +236,8 @@ func densePairs(aff [][]float64, n int) []dataflow.Pair {
 }
 
 // pairIndex is the immutable half of the cost model: the affinity pairs
-// with at least one movable endpoint and their CSR adjacency by block. It
-// is a pure function of the Problem, so restart chains share one instance
-// read-only.
+// with at least one movable endpoint and their CSR adjacency by block, a
+// pure function of the Problem.
 type pairIndex struct {
 	pairs   []dataflow.Pair
 	adjOff  []int32
@@ -368,8 +299,7 @@ func (px *pairIndex) build(p *Problem) {
 // move deep, restoring centers and contributions exactly.
 type costState struct {
 	nb  int
-	idx *pairIndex   // shared read-only across the chains of one Solve
-	own pairIndex    // backing storage when no shared index is supplied
+	idx pairIndex
 	pts []geom.Point // block centers, then fixed terminal positions
 
 	contrib []float64 // per-pair dist·weight
@@ -383,24 +313,18 @@ type costState struct {
 	jCenter  []geom.Point
 }
 
-// init rebuilds the state for one problem, reusing every buffer. A non-nil
-// idx supplies the prebuilt pair index (multi-start); otherwise the state
-// builds its own.
-func (cs *costState) init(p *Problem, idx *pairIndex) {
+// init rebuilds the state for one problem, reusing every buffer.
+func (cs *costState) init(p *Problem) {
 	nb := len(p.Blocks)
 	n := nb + len(p.Terminals)
 	cs.nb = nb
-	if idx == nil {
-		cs.own.build(p)
-		idx = &cs.own
-	}
-	cs.idx = idx
+	cs.idx.build(p)
 	cs.pts = resizeSlice(cs.pts, n)
 	for i := range p.Terminals {
 		cs.pts[nb+i] = p.Terminals[i].Pos
 	}
 
-	np := len(idx.pairs)
+	np := len(cs.idx.pairs)
 	cs.contrib = resizeSlice(cs.contrib, np)
 	cs.pairGen = resizeSlice(cs.pairGen, np)
 	for i := range cs.pairGen {

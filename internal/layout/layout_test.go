@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dataflow"
 	"repro/internal/geom"
-	"repro/internal/sched"
 	"repro/internal/shape"
 	"repro/internal/slicing"
 )
@@ -290,7 +289,7 @@ func TestDeltaCostMatchesFullRecompute(t *testing.T) {
 	expr := slicing.NewBalanced(nb)
 	inc := slicing.NewEvaluator(&expr, blocks, slicing.DefaultEvalParams())
 	var cs, ref costState
-	cs.init(p, nil)
+	cs.init(p)
 	ev := inc.Eval(p.Region)
 	sum := cs.rebuild(ev.Rects)
 
@@ -299,7 +298,7 @@ func TestDeltaCostMatchesFullRecompute(t *testing.T) {
 		inc.Perturb(rng)
 		ev := inc.Eval(p.Region)
 		sum = cs.update(ev.Rects, inc.Changed())
-		ref.init(p, nil)
+		ref.init(p)
 		want := ref.rebuild(ev.Rects)
 		if sum != want {
 			t.Fatalf("step %d: delta sum %v != full rebuild %v (bit mismatch)", step, sum, want)
@@ -313,62 +312,11 @@ func TestDeltaCostMatchesFullRecompute(t *testing.T) {
 			cs.undo()
 			inc.Undo()
 			ev2 := inc.Eval(p.Region)
-			ref.init(p, nil)
+			ref.init(p)
 			if got, want := cs.sum(), ref.rebuild(ev2.Rects); got != want {
 				t.Fatalf("step %d: after undo, delta sum %v != full rebuild %v", step, got, want)
 			}
 		}
-	}
-}
-
-// TestSolveRestartsDeterministicAcrossWorkers is the multi-start contract:
-// a seeded Solve with Restarts=4 must return byte-identical results whether
-// the chains run on the calling goroutine (Sched nil) or on a shared
-// work-stealing pool of any width.
-func TestSolveRestartsDeterministicAcrossWorkers(t *testing.T) {
-	p := benchProblem(10)
-	solve := func(workers int) *Result {
-		opt := DefaultOptions()
-		opt.Seed = 21
-		opt.Effort = EffortLow
-		opt.Restarts = 4
-		if workers > 0 {
-			pool := sched.NewPool(workers)
-			defer pool.Close()
-			opt.Sched = pool
-		}
-		return Solve(context.Background(), p, opt)
-	}
-	a := solve(0) // serial reference: no scheduler at all
-	for _, w := range []int{1, 2, 4} {
-		b := solve(w)
-		if math.Float64bits(a.Cost) != math.Float64bits(b.Cost) ||
-			math.Float64bits(a.Penalty) != math.Float64bits(b.Penalty) ||
-			a.Legal != b.Legal || a.Expr.String() != b.Expr.String() {
-			t.Fatalf("workers=%d: result differs: cost %v/%v expr %s/%s",
-				w, a.Cost, b.Cost, a.Expr.String(), b.Expr.String())
-		}
-		for i := range a.Rects {
-			if a.Rects[i] != b.Rects[i] {
-				t.Fatalf("workers=%d: rect %d = %v, want %v", w, i, b.Rects[i], a.Rects[i])
-			}
-		}
-	}
-}
-
-// TestSolveRestartsNeverWorse pins the selection rule: chain 0 reproduces
-// the single-chain run, so the best of K restarts can never cost more than
-// Restarts=1 with the same seed.
-func TestSolveRestartsNeverWorse(t *testing.T) {
-	p := benchProblem(9)
-	opt := DefaultOptions()
-	opt.Seed = 8
-	opt.Effort = EffortLow
-	single := Solve(context.Background(), p, opt)
-	opt.Restarts = 5
-	multi := Solve(context.Background(), p, opt)
-	if multi.Cost > single.Cost {
-		t.Fatalf("restarts=5 cost %v worse than single-chain %v", multi.Cost, single.Cost)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Seed derivation: every task's RNG seed is a pure function of the base
-// seed and the task's stable path (hierarchy node id, chain index,
-// candidate index — never a worker id or a completion order), so
+// seed and the task's stable path (a hierarchy node id or a named stream
+// — never a worker id or a completion order), so
 // annealing sequences survive any refactor of task ordering. The golden
 // tests in derive_test.go pin the exact values; changing this function
 // changes every seeded placement and must be a deliberate decision.
@@ -9,8 +9,8 @@ package sched
 // Derive mixes a base seed with a stable task path into an independent
 // RNG seed. Components are folded left to right through a
 // splitmix64-style finalizer, so Derive(s, a, b) == Derive(Derive(s, a), b)
-// and nearby paths (sibling subtrees, adjacent chains) get statistically
-// unrelated streams.
+// and nearby paths (sibling subtrees) get statistically unrelated
+// streams.
 func Derive(seed int64, path ...int64) int64 {
 	h := uint64(seed)
 	for _, c := range path {

@@ -1,12 +1,11 @@
 // Package sched is the work-stealing fork-join scheduler behind every
-// parallel stage of a solve: restart chains inside one level
-// (internal/layout), independent sibling subtrees of the hierarchy
-// recursion (internal/core), and λ-candidates of a sweep
-// (internal/flows) all become tasks on one shared Pool.
+// parallel stage of a solve: independent sibling subtrees of the hierarchy
+// recursion (internal/core) and λ-candidates of a sweep (internal/flows)
+// all become tasks on one shared Pool.
 //
 // The design goal is determinism, not raw queue throughput: tasks are
-// coarse (an annealing chain or a whole level solve, microseconds to
-// seconds each), so every queue operation runs under one pool mutex and
+// coarse (a whole subtree or candidate solve, microseconds to seconds
+// each), so every queue operation runs under one pool mutex and
 // the classic lock-free deque is not needed. What the scheduler does
 // guarantee:
 //

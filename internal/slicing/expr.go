@@ -52,8 +52,8 @@ func NewBalanced(n int) Expr {
 }
 
 // SetBalanced rebuilds e in place as the balanced expression NewBalanced
-// constructs, reusing e's element storage. Solvers that run many levels (or
-// restart chains) through one scratch expression avoid re-allocating it.
+// constructs, reusing e's element storage. Solvers that run many levels
+// through one scratch expression avoid re-allocating it.
 func (e *Expr) SetBalanced(n int) {
 	e.elems = e.elems[:0]
 	e.n = n
