@@ -89,8 +89,9 @@ type Stats struct {
 	// Placer names the flow that produced the placement (Flow.Name).
 	Placer string
 	// MacroSeconds is the wall time of macro placement alone: cell
-	// placement and measurement are not in it. A Run HiDaP row sums its λ
-	// candidates' placements, each a full macro placement the row paid for.
+	// placement and measurement are not in it. A Run HiDaP row times the
+	// macro placement of all its λ candidates, each a full placement the
+	// row paid for, before any of them is cell-placed.
 	MacroSeconds float64
 	// Levels counts floorplanned recursion levels (HiDaP).
 	Levels int
@@ -226,13 +227,16 @@ func Run(ctx context.Context, g *circuits.Generated, flow Flow, opt Options) (*M
 // candidates and their hierarchy subtrees are all tasks of the same
 // scheduler — and keeps the lowest post-placement wirelength. Selection
 // scans candidates in λ order, so the result is identical at any
-// Parallelism. The returned Stats carry the winner's λ and the summed
-// MacroSeconds of every candidate.
+// Parallelism. It runs in two groups on that pool: every candidate's macro
+// placement, then every candidate's cell placement and wirelength. The
+// returned Stats carry the winner's λ and, as MacroSeconds, the wall time
+// of the first group. Per-candidate timers would not do: a candidate
+// waiting on its subtrees helps run the other candidates' tasks inside its
+// own interval, so their sum counts work several times.
 func runHiDaP(ctx context.Context, art *core.Artifacts, opt Options) (*placement.Placement, Stats, error) {
 	type candidate struct {
 		lambda float64
 		pl     *placement.Placement
-		secs   float64
 		wl     float64
 		err    error
 	}
@@ -246,36 +250,39 @@ func runHiDaP(ctx context.Context, art *core.Artifacts, opt Options) (*placement
 	pool := sched.NewPool(opt.Parallelism)
 	defer pool.Close()
 
-	evalOne := func(ctx context.Context, i int) {
-		c := &cands[i]
-		if c.err = ctx.Err(); c.err != nil {
-			return
+	// forEach runs step on every candidate still without an error and waits;
+	// a cancelled ctx drains, and per-candidate errors are scanned below.
+	forEach := func(step func(ctx context.Context, c *candidate)) {
+		grp := pool.Group(ctx)
+		for i := range cands {
+			c := &cands[i]
+			grp.Go(func(ctx context.Context) {
+				if c.err == nil {
+					if c.err = ctx.Err(); c.err == nil {
+						step(ctx, c)
+					}
+				}
+			})
 		}
+		grp.Wait()
+	}
+	start := time.Now()
+	forEach(func(ctx context.Context, c *candidate) {
 		o := opt
 		o.Lambda = c.lambda
-		var st Stats
-		if c.pl, st, c.err = placeOn(ctx, art, FlowHiDaP, nil, o, pool); c.err != nil {
-			return
+		c.pl, _, c.err = placeOn(ctx, art, FlowHiDaP, nil, o, pool)
+	})
+	secs := time.Since(start).Seconds()
+	forEach(func(ctx context.Context, c *candidate) {
+		if c.err = place.Run(ctx, c.pl, place.DefaultOptions()); c.err == nil {
+			c.wl = metrics.WirelengthMeters(c.pl)
 		}
-		c.secs = st.MacroSeconds
-		if c.err = place.Run(ctx, c.pl, place.DefaultOptions()); c.err != nil {
-			return
-		}
-		c.wl = metrics.WirelengthMeters(c.pl)
-	}
-	grp := pool.Group(ctx)
-	for i := range cands {
-		i := i
-		grp.Go(func(ctx context.Context) { evalOne(ctx, i) })
-	}
-	grp.Wait() // a cancelled ctx drains; per-candidate errors are scanned below
+	})
 	best := -1
-	var secs float64
 	for i := range cands {
 		if cands[i].err != nil {
 			return nil, Stats{}, cands[i].err
 		}
-		secs += cands[i].secs
 		if best < 0 || cands[i].wl < cands[best].wl {
 			best = i
 		}
