@@ -68,7 +68,7 @@ func main() {
 	opt.K = *k
 	opt.Seed = *seed
 	opt.Trace = true
-	_, run, err := flows.Place(ctx, art, flows.FlowHiDaP, nil, opt)
+	_, run, err := flows.Place(ctx, art, flows.FlowHiDaP, nil, opt, nil)
 	if err != nil {
 		fatal(err)
 	}

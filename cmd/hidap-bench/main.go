@@ -347,7 +347,7 @@ func emitFig9(ctx context.Context, c *circuit, runs []flowRun, opt flows.Options
 func traceHiDaP(ctx context.Context, art *core.Artifacts, opt flows.Options, lambda float64) (*placement.Placement, flows.Stats, error) {
 	opt.Lambda = lambda
 	opt.Trace = true
-	return flows.Place(ctx, art, flows.FlowHiDaP, nil, opt)
+	return flows.Place(ctx, art, flows.FlowHiDaP, nil, opt, nil)
 }
 
 // emitFlat writes a synthetic flat netlist of insts instances in the design

@@ -20,6 +20,11 @@
 //	{"label":"t2", "placer":"hidap", "evaluate":true,
 //	 "design":{"name":"soc", "die":[0,0,500000,500000], ...}}
 //
+// Both become one engine job with one placer selector: a circuit's "flow"
+// names a paper flow and selects its placer, a design's "placer" names any
+// registered one. A circuit job always evaluates; a design job evaluates
+// unless "evaluate" is false.
+//
 // On SIGINT/SIGTERM the server stops accepting work, drains every accepted
 // job, and only aborts in-flight placements if the -grace budget expires.
 package main
@@ -129,13 +134,13 @@ func (s *server) handler() http.Handler {
 // jobRequest is the submission body. Exactly one of circuit/design.
 type jobRequest struct {
 	Label    string          `json:"label"`
-	Flow     string          `json:"flow"`    // circuit jobs: IndEDA | HiDaP | handFP
-	Circuit  *circuits.Spec  `json:"circuit"` // synthetic suite circuit
-	Placer   string          `json:"placer"`  // design jobs: registered placer name
-	Design   json.RawMessage `json:"design"`  // netlist JSON interchange form
-	Evaluate *bool           `json:"evaluate"`
+	Flow     string          `json:"flow"`     // circuit jobs: IndEDA | HiDaP | handFP, the job's placer
+	Circuit  *circuits.Spec  `json:"circuit"`  // synthetic suite circuit
+	Placer   string          `json:"placer"`   // design jobs: registered placer name
+	Design   json.RawMessage `json:"design"`   // netlist JSON interchange form
+	Evaluate *bool           `json:"evaluate"` // design jobs; default true (circuit jobs always evaluate)
 	Seed     int64           `json:"seed"`
-	Lambda   *float64        `json:"lambda"`
+	Lambda   *float64        `json:"lambda"` // pins λ; a circuit job otherwise sweeps the paper's three
 	Effort   string          `json:"effort"` // low | medium | high
 	// Parallelism sizes the job's internal work-stealing scheduler; 0
 	// defers to the engine (serial inside a worker slot on multi-worker
@@ -225,11 +230,9 @@ func (req *jobRequest) toJob() (hidap.Job, error) {
 			return hidap.Job{}, err
 		}
 		job.Circuit = &spec
-		flow, err := parseFlow(req.Flow)
-		if err != nil {
+		if job.Placer, err = parseFlow(req.Flow); err != nil {
 			return hidap.Job{}, err
 		}
-		job.Flow = flow
 		if req.Lambda != nil {
 			// Pin λ instead of the pipeline's best-of-three sweep.
 			job.Lambdas = []float64{*req.Lambda}
@@ -292,16 +295,13 @@ func resolveSpec(spec circuits.Spec) (circuits.Spec, error) {
 	return base, nil
 }
 
-func parseFlow(name string) (hidap.Flow, error) {
-	switch {
-	case name == "":
-		return hidap.FlowHiDaP, nil
-	case strings.EqualFold(name, string(hidap.FlowHiDaP)):
-		return hidap.FlowHiDaP, nil
-	case strings.EqualFold(name, string(hidap.FlowIndEDA)):
-		return hidap.FlowIndEDA, nil
-	case strings.EqualFold(name, string(hidap.FlowHandFP)):
-		return hidap.FlowHandFP, nil
+// parseFlow maps a circuit job's flow (any case; HiDaP when empty) to the
+// name of the placer that runs it.
+func parseFlow(name string) (string, error) {
+	for _, f := range []hidap.Flow{hidap.FlowHiDaP, hidap.FlowIndEDA, hidap.FlowHandFP} {
+		if name == "" || strings.EqualFold(name, string(f)) {
+			return f.Name(), nil
+		}
 	}
 	return "", fmt.Errorf("unknown flow %q", name)
 }

@@ -210,28 +210,31 @@ func TestServeShutdownDrains(t *testing.T) {
 	}
 }
 
+// invalidBodies are job submissions the server must refuse with a 400.
+var invalidBodies = map[string]string{
+	"empty":                `{}`,
+	"bad json":             `{not json`,
+	"bad effort":           `{"effort": "turbo", "circuit": {"name": "x"}}`,
+	"bad flow":             `{"flow": "nope", "circuit": {"name": "x"}}`,
+	"bad design":           `{"design": {"die": "not-a-rect"}}`,
+	"no macros":            `{"circuit": {"name": "not-a-suite-circuit"}}`,
+	"both inputs":          `{"circuit": {"name": "x"}, "design": {"name": "y"}}`,
+	"negative parallelism": `{"parallelism": -1, "circuit": {"name": "c1"}}`,
+	"too much parallelism": `{"parallelism": 1000000000, "circuit": {"name": "c1"}}`,
+	"too many cells":       `{"circuit": {"name": "c1", "cells": 1000000000000, "scale": 1}}`,
+	"too many macros":      `{"circuit": {"name": "x", "macros": 1000000}}`,
+	"too many subsystems":  `{"circuit": {"name": "c1", "subsystems": 1000}}`,
+	"bus too wide":         `{"circuit": {"name": "c1", "buswidth": 100000000}}`,
+	"pipeline too deep":    `{"circuit": {"name": "c1", "pipelinedepth": 100000000}}`,
+	"utilization above 1":  `{"circuit": {"name": "c1", "utilization": 2}}`,
+}
+
 // TestServeValidation covers the 400/404 surface.
 func TestServeValidation(t *testing.T) {
 	_, ts, eng := newTestServer(t, 1)
 	defer eng.Close()
 
-	for name, body := range map[string]string{
-		"empty":                `{}`,
-		"bad json":             `{not json`,
-		"bad effort":           `{"effort": "turbo", "circuit": {"name": "x"}}`,
-		"bad flow":             `{"flow": "nope", "circuit": {"name": "x"}}`,
-		"bad design":           `{"design": {"die": "not-a-rect"}}`,
-		"no macros":            `{"circuit": {"name": "not-a-suite-circuit"}}`,
-		"both inputs":          `{"circuit": {"name": "x"}, "design": {"name": "y"}}`,
-		"negative parallelism": `{"parallelism": -1, "circuit": {"name": "c1"}}`,
-		"too much parallelism": `{"parallelism": 1000000000, "circuit": {"name": "c1"}}`,
-		"too many cells":       `{"circuit": {"name": "c1", "cells": 1000000000000, "scale": 1}}`,
-		"too many macros":      `{"circuit": {"name": "x", "macros": 1000000}}`,
-		"too many subsystems":  `{"circuit": {"name": "c1", "subsystems": 1000}}`,
-		"bus too wide":         `{"circuit": {"name": "c1", "buswidth": 100000000}}`,
-		"pipeline too deep":    `{"circuit": {"name": "c1", "pipelinedepth": 100000000}}`,
-		"utilization above 1":  `{"circuit": {"name": "c1", "utilization": 2}}`,
-	} {
+	for name, body := range invalidBodies {
 		if _, code := postJob(t, ts, body); code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, code)
 		}
@@ -417,4 +420,43 @@ func waitFailed(t *testing.T, ts *httptest.Server, id string) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("job %s never failed", id)
+}
+
+// FuzzJobRequest decodes arbitrary bytes as a submission body and converts
+// it to a job, as the submit handler does before the engine sees it. It
+// never submits. toJob must not panic, and a job it accepts names exactly
+// one design source, a parallelism within bounds and, for a circuit job,
+// a registered placer.
+func FuzzJobRequest(f *testing.F) {
+	for _, body := range invalidBodies {
+		f.Add([]byte(body))
+	}
+	f.Add([]byte(`{"label":"c","flow":"IndEDA","seed":2,"effort":"low","lambda":0.5,"parallelism":2,
+		"circuit":{"name":"c1","scale":400},"autocluster":{}}`))
+	var sb strings.Builder
+	if err := hidap.WriteJSON(&sb, circuits.ABCDX().Design); err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{"label":"d","placer":"hidap","evaluate":true,"design":` + sb.String() + `}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req jobRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return
+		}
+		job, err := req.toJob()
+		if err != nil {
+			return
+		}
+		if (job.Design == nil) == (job.Circuit == nil) {
+			t.Fatalf("job names design %v and circuit %v", job.Design != nil, job.Circuit != nil)
+		}
+		if p := job.Config.Parallelism; p < 0 || p > maxParallelism {
+			t.Fatalf("parallelism %d outside [0, %d]", p, maxParallelism)
+		}
+		if job.Circuit != nil {
+			if _, err := hidap.Lookup(job.Placer); err != nil {
+				t.Fatalf("circuit job placer: %v", err)
+			}
+		}
+	})
 }

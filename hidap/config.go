@@ -37,7 +37,7 @@ const (
 // Knobs are the HiDaP parameters — λ, k, effort, parallelism, seed, trace,
 // flat and progress — declared once in the internal flow and embedded in
 // Config. Parallelism sizes the scheduler that a placement's sibling
-// hierarchy subtrees (and a circuit job's λ candidates) run on.
+// hierarchy subtrees (and an evaluating job's λ candidates) run on.
 type Knobs = core.Knobs
 
 // Config parameterizes a Placer run. Build one with NewConfig and functional
@@ -57,8 +57,8 @@ type Config struct {
 	// (design, params). Read only by the "hidap" placer.
 	Autocluster *AutoclusterParams
 
-	// warm is set by an Engine on a design job's config so the hidap
-	// placer reuses the job's cached artifacts; never set by callers.
+	// warm is set by an Engine on a job's config so the hidap placer
+	// reuses the job's cached artifacts; never set by callers.
 	warm *warmJob
 }
 

@@ -15,9 +15,9 @@ import (
 
 	"repro/circuits"
 	"repro/internal/core"
-	"repro/internal/eval"
 	"repro/internal/flows"
 	"repro/internal/netlist"
+	"repro/internal/sched"
 	"repro/internal/slicing"
 )
 
@@ -63,16 +63,16 @@ const (
 	JobCanceled JobState = "canceled"
 )
 
-// Job describes one unit of work for an Engine. Exactly one of Design or
-// Circuit must be set:
-//
-//   - Design jobs run a registered Placer on the given netlist. The engine
-//     deduplicates designs by content hash (or by Key when set), so repeated
-//     jobs on the same design share one parsed instance and one cached Gseq.
-//   - Circuit jobs generate (and cache) a synthetic suite circuit and run
-//     the full flow pipeline of the paper's evaluation on it — macro
-//     placement, standard-cell placement, measurement — yielding a
-//     FlowMetrics row.
+// Job describes one unit of work for an Engine: a registered Placer run on
+// one design, named by exactly one of Design or Circuit. A design job
+// places the given netlist, deduplicated by content hash (or by Key when
+// set), so repeated jobs on it share one parsed instance and one cached
+// Gseq. A circuit job places a synthetic suite circuit, generated once per
+// canonical spec and cached, with the circuit's intent as Config.Intent.
+// Both run one path: a job that does not evaluate calls its Placer once;
+// an evaluating job (a design job with Evaluate, or any circuit job) runs
+// the paper's evaluation pipeline — macro placement at each λ candidate,
+// standard-cell placement, measurement of the lowest-wirelength one.
 type Job struct {
 	// Design is the netlist to place (design jobs).
 	Design *Design
@@ -80,23 +80,21 @@ type Job struct {
 	// content hash. Two jobs with equal keys assert content-identical
 	// designs and share one canonical instance.
 	Key string
-	// Placer selects the registered flow for design jobs ("hidap" when
-	// empty).
+	// Placer selects the registered flow for both job kinds ("hidap" when
+	// empty). An unregistered name is refused at submit.
 	Placer string
-	// Evaluate, for design jobs, runs the shared standard-cell placer and
-	// measurement pipeline after macro placement and attaches a Report.
+	// Evaluate, for design jobs, runs the measurement pipeline and attaches
+	// a Report. Circuit jobs always evaluate.
 	Evaluate bool
 
-	// Circuit selects a synthetic suite circuit (circuit jobs). The
-	// generated design is cached by canonical spec.
+	// Circuit selects a synthetic suite circuit (circuit jobs).
 	Circuit *CircuitSpec
-	// Flow selects the pipeline for circuit jobs (FlowHiDaP when empty).
-	Flow Flow
-	// Lambdas overrides the HiDaP λ sweep for circuit jobs (default: the
-	// paper's {0.2, 0.5, 0.8}, best wirelength wins). A single value pins
-	// λ. Circuit jobs read Config.Knobs but ignore its Lambda (the sweep
-	// replaces it), Trace and Progress; the HiDaP flow also reads
-	// Config.Autocluster. The IndEDA flow always runs at high effort.
+	// Lambdas is the λ sweep of an evaluating hidap job: it places once per
+	// value and keeps the best post-placement wirelength, so a single value
+	// pins λ. Empty, a circuit job sweeps the paper's {0.2, 0.5, 0.8} and a
+	// design job places at Config.Lambda. A sweep of more than one λ
+	// returns no trace and streams no progress. Other placers place once at
+	// Config.Lambda, and a circuit job's indeda always runs at high effort.
 	Lambdas []float64
 
 	// Config overrides the engine's default Config for this job.
@@ -112,12 +110,14 @@ type JobResult struct {
 	// Placement is the physical result (macros, and standard cells when the
 	// job evaluated).
 	Placement *Placement
-	// Stats is the placer bookkeeping.
+	// Stats is the placer bookkeeping of the placement, the winning λ
+	// candidate's on an evaluating job.
 	Stats Stats
-	// Report is the measurement record (design jobs with Evaluate, and all
-	// circuit jobs).
+	// Report is the measurement record, annotated with Stats (evaluating
+	// jobs only).
 	Report *Report
-	// Metrics is the Table III row (circuit jobs only).
+	// Metrics is the Table III row: Report plus the circuit's name and
+	// flow (circuit jobs only).
 	Metrics *FlowMetrics
 }
 
@@ -127,8 +127,7 @@ type Ticket struct {
 	id     uint64
 	job    Job
 	eng    *Engine
-	art    *core.Artifacts                               // design jobs
-	gen    func() (*circuits.Generated, *core.Artifacts) // circuit jobs: generates once
+	src    source
 	placer Placer
 
 	ctx    context.Context
@@ -273,8 +272,8 @@ type Engine struct {
 	jobs   sync.WaitGroup // every accepted job: queued, in a slot or inline in Run
 
 	pool    *slicing.EvaluatorPool
-	designs *lruCache[*core.Artifacts]
-	gens    *lruCache[func() (*circuits.Generated, *core.Artifacts)]
+	designs *lruCache[source]
+	gens    *lruCache[source]
 
 	nextID    atomic.Uint64
 	queued    atomic.Int32
@@ -310,8 +309,8 @@ func NewEngine(cfg *Config, opt EngineOptions) *Engine {
 		maxPending: opt.MaxPending,
 		slots:      make(chan struct{}, workers),
 		pool:       &slicing.EvaluatorPool{},
-		designs:    newLRU[*core.Artifacts](cache),
-		gens:       newLRU[func() (*circuits.Generated, *core.Artifacts)](cache),
+		designs:    newLRU[source](cache),
+		gens:       newLRU[source](cache),
 	}
 }
 
@@ -341,32 +340,6 @@ func (e *Engine) Stats() EngineStats {
 		CoarseningLevels:   e.acLevels.Load(),
 		ClusterCacheHits:   e.acHits.Load(),
 	}
-}
-
-// artifacts returns what a HiDaP placement under cfg reads: a itself, or
-// its autoclustered variant when cfg asks for one, with the outcome (a
-// cache hit, a no-op pass-through or a fresh synthesis) tallied into the
-// engine counters. A nil engine (a one-shot Place) tallies nothing.
-func (e *Engine) artifacts(a *core.Artifacts, cfg *Config) (*core.Artifacts, error) {
-	if cfg.Autocluster == nil {
-		return a, nil
-	}
-	v, stats, fresh, err := a.Cluster(*cfg.Autocluster)
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case e == nil:
-	case !fresh:
-		e.acHits.Add(1)
-	case stats.NoOp:
-		e.acNoop.Add(1)
-	default:
-		e.acRuns.Add(1)
-		e.acClusters.Add(uint64(stats.Clusters))
-		e.acLevels.Add(uint64(stats.Levels))
-	}
-	return v, nil
 }
 
 // Submit enqueues a job. ctx parents the job's run context: cancelling it
@@ -539,11 +512,13 @@ type SuiteResult struct {
 	Summaries []FlowSummary  `json:"summary"`
 }
 
-// SubmitBatch fans a suite through the engine, one job per
-// (circuit, flow, seed). Repeated circuits across jobs share one cached
-// design and sequential graph. ctx parents every job. A batch is exempt
-// from the MaxPending bound: the whole suite is accepted atomically and
-// runs at most Workers jobs at a time.
+// SubmitBatch fans a suite through the engine, one circuit job per
+// (circuit, flow, seed), each placed by the flow's registered placer.
+// Repeated circuits across jobs share one cached design and sequential
+// graph. ctx parents every job. A batch is exempt from the MaxPending
+// bound: the whole suite is accepted atomically and runs at most Workers
+// jobs at a time. A flow with no registered placer refuses the batch
+// before any job is submitted.
 func (e *Engine) SubmitBatch(ctx context.Context, s Suite) (*Batch, error) {
 	if len(s.Circuits) == 0 {
 		return nil, errors.New("hidap: SubmitBatch needs at least one circuit")
@@ -551,6 +526,11 @@ func (e *Engine) SubmitBatch(ctx context.Context, s Suite) (*Batch, error) {
 	fl := s.Flows
 	if len(fl) == 0 {
 		fl = []Flow{FlowIndEDA, FlowHiDaP, FlowHandFP}
+	}
+	for _, f := range fl {
+		if _, err := Lookup(f.Name()); err != nil {
+			return nil, err
+		}
 	}
 	base := s.Config
 	if base == nil {
@@ -569,7 +549,7 @@ func (e *Engine) SubmitBatch(ctx context.Context, s Suite) (*Batch, error) {
 				spec := spec
 				t, err := e.submit(ctx, Job{
 					Circuit: &spec,
-					Flow:    f,
+					Placer:  f.Name(),
 					Config:  &cfg,
 					Label:   fmt.Sprintf("%s/%s/seed%d", spec.Name, f, seed),
 				}, true)
@@ -621,51 +601,56 @@ func (b *Batch) Wait(ctx context.Context) (*SuiteResult, error) {
 	return &SuiteResult{Rows: rows, Summaries: flows.Summarize(rows)}, nil
 }
 
-// prepare validates a job, interns its design/circuit in the engine caches
-// and wraps it in a ticket.
+// source yields what a job places: a design's cached artifacts and, for a
+// circuit job, the generated circuit they describe (nil for design jobs).
+type source func() (*core.Artifacts, *circuits.Generated)
+
+// prepare validates a job, interns its design or circuit in the engine
+// caches and wraps it in a ticket. Nothing is cached for a refused job.
 func (e *Engine) prepare(ctx context.Context, job Job) (*Ticket, error) {
-	t := &Ticket{
-		id:   e.nextID.Add(1),
-		job:  job,
-		eng:  e,
-		done: make(chan struct{}),
-	}
-	switch {
-	case job.Design != nil && job.Circuit != nil:
+	if job.Design != nil && job.Circuit != nil {
 		return nil, errors.New("hidap: job sets both Design and Circuit")
-	case job.Design != nil:
-		name := job.Placer
-		if name == "" {
-			name = FlowHiDaP.Name()
-		}
-		p, err := Lookup(name)
-		if err != nil {
-			return nil, err
-		}
-		t.placer = p
+	}
+	if job.Design == nil && job.Circuit == nil {
+		return nil, errors.New("hidap: job needs a Design or a Circuit")
+	}
+	name := job.Placer
+	if name == "" {
+		name = FlowHiDaP.Name()
+	}
+	p, err := Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	t := &Ticket{
+		id:     e.nextID.Add(1),
+		job:    job,
+		eng:    e,
+		placer: p,
+		done:   make(chan struct{}),
+	}
+	if d := job.Design; d != nil {
 		key := job.Key
 		if key == "" {
-			key = hashDesign(job.Design)
+			key = hashDesign(d)
 		}
-		d := job.Design
-		t.art = e.designs.getOrCreate("design:"+key, func() *core.Artifacts {
-			return core.NewArtifacts(d, nil)
+		t.src = e.designs.getOrCreate("design:"+key, func() source {
+			art := core.NewArtifacts(d, nil)
+			return func() (*core.Artifacts, *circuits.Generated) { return art, nil }
 		})
-	case job.Circuit != nil:
+	} else {
 		spec := job.Circuit.Canonical()
 		if err := checkSpec(spec); err != nil {
 			return nil, err
 		}
 		// The circuit's artifacts read Gseq from the Generated, so it is
 		// built once per circuit.
-		t.gen = e.gens.getOrCreate(fmt.Sprintf("circuit:%#v", spec), func() func() (*circuits.Generated, *core.Artifacts) {
-			return sync.OnceValues(func() (*circuits.Generated, *core.Artifacts) {
+		t.src = e.gens.getOrCreate(fmt.Sprintf("circuit:%#v", spec), func() source {
+			return sync.OnceValues(func() (*core.Artifacts, *circuits.Generated) {
 				g := circuits.Generate(spec)
-				return g, core.NewArtifacts(g.Design, g.SeqGraph)
+				return core.NewArtifacts(g.Design, g.SeqGraph), g
 			})
 		})
-	default:
-		return nil, errors.New("hidap: job needs a Design or a Circuit")
 	}
 	t.ctx, t.cancel = context.WithCancel(ctx)
 	return t, nil
@@ -718,20 +703,13 @@ func (e *Engine) execute(t *Ticket) (res *JobResult, err error) {
 	}
 	cc := *cfg // shallow copy: the warm handle is per job
 	if e.workers > 1 && cc.Parallelism <= 0 {
-		// The engine's Workers slots are the outer parallelism layer: a job's
-		// internal scheduler must not default to all cores on top of it, or
-		// concurrent jobs multiply into Workers × GOMAXPROCS busy
-		// goroutines. Jobs run serially inside their slot unless they ask
-		// for more; results are identical either way (placements are
-		// Parallelism-independent).
+		// The Workers slots are the outer parallelism layer: a job's own
+		// scheduler defaulting to all cores would multiply into Workers ×
+		// GOMAXPROCS busy goroutines. Results never depend on Parallelism.
 		cc.Parallelism = 1
 	}
 	err = guard(t.ctx, "job", func() (err error) {
-		if t.gen != nil {
-			res, err = e.runCircuitJob(t.ctx, t, &cc)
-		} else {
-			res, err = e.runDesignJob(t.ctx, t, &cc)
-		}
+		res, err = e.runJob(t.ctx, t, &cc)
 		return err
 	})
 	if err != nil && t.ctx.Err() == nil {
@@ -740,79 +718,85 @@ func (e *Engine) execute(t *Ticket) (res *JobResult, err error) {
 	return res, err
 }
 
-// runDesignJob places (and optionally evaluates) a cached design with a
-// registered placer. The config carries the warm handle; only the hidap
-// placer reads it, building the cached artifacts (and the autoclustered
-// variant) on first use, so indeda and handfp jobs pay for none of them.
-func (e *Engine) runDesignJob(ctx context.Context, t *Ticket, cfg *Config) (*JobResult, error) {
-	cfg.warm = &warmJob{art: t.art, eng: e}
-	pl, stats, err := t.placer.Place(ctx, t.art.Design(), cfg)
-	if err != nil {
-		return nil, err
+// runJob places the job's design with its Placer. A job that does not
+// evaluate calls the Placer once, at cfg.Lambda. An evaluating job runs
+// flows.Measure with the Placer as its callback, at flows.Sweep's λ
+// candidates, and a circuit job adds its Table III row. The config carries
+// the warm handle; only the hidap placer reads it, building the cached
+// artifacts (and the autoclustered variant) on first use, so indeda and
+// handfp jobs pay for none of them.
+func (e *Engine) runJob(ctx context.Context, t *Ticket, cfg *Config) (*JobResult, error) {
+	art, g := t.src()
+	if g != nil {
+		cfg.Intent = g.Intent
 	}
-	res := &JobResult{Label: t.job.Label, Placement: pl, Stats: stats}
-	if t.job.Evaluate {
-		if err := PlaceStdCells(ctx, pl); err != nil {
-			return nil, err
-		}
-		// Measure against the design the placement was made on (the
-		// autoclustered variant shares cells, nets and Gseq with t.art).
-		rep, err := eval.Evaluate(ctx, pl.D, pl, eval.Options{Graph: t.art.SeqGraph()})
-		if err != nil {
-			return nil, err
-		}
-		stats.Annotate(rep)
-		rep.Label = t.job.Label
-		res.Report = rep
+	w := e.warm(art, cfg)
+	placeAt := func(ctx context.Context, lambda float64, pool *sched.Pool) (*Placement, Stats, error) {
+		c, wc := *cfg, *w
+		c.Lambda, c.warm, wc.sched = lambda, &wc, pool
+		return t.placer.Place(ctx, art.Design(), &c)
+	}
+	res := &JobResult{Label: t.job.Label}
+	var err error
+	if g == nil && !t.job.Evaluate {
+		res.Placement, res.Stats, err = placeAt(ctx, cfg.Lambda, nil)
+	} else {
+		lambdas := flows.Sweep(t.placer.Name(), &cfg.Knobs, t.job.Lambdas, g != nil)
+		res.Placement, res.Stats, res.Report, err = flows.Measure(ctx, art, lambdas, cfg.Parallelism, placeAt)
+	}
+	switch {
+	case err != nil:
+		return nil, err
+	case g != nil:
+		res.Metrics = &FlowMetrics{Circuit: g.Spec.Name, Flow: flows.FlowNamed(t.placer.Name()), Report: *res.Report}
+		res.Report = &res.Metrics.Report
+	}
+	if res.Report != nil {
+		res.Report.Label = t.job.Label
 	}
 	return res, nil
 }
 
-// runCircuitJob generates (once) a synthetic circuit and runs the full flow
-// pipeline, yielding one Table III row.
-func (e *Engine) runCircuitJob(ctx context.Context, t *Ticket, cfg *Config) (*JobResult, error) {
-	g, art := t.gen()
-	fl := t.job.Flow
-	if fl == "" {
-		fl = FlowHiDaP
-	}
-	fopt := flows.DefaultOptions()
-	fopt.Knobs = cfg.Knobs
-	fopt.Pool = e.pool
-	if len(t.job.Lambdas) > 0 {
-		fopt.Lambdas = t.job.Lambdas
-	}
-	if fl == FlowHiDaP {
-		var err error
-		if fopt.Artifacts, err = e.artifacts(art, cfg); err != nil {
-			return nil, err
-		}
-	}
-	// Parallelism rides in from the config (execute pinned it to 1 on
-	// multi-worker engines, so the Workers bound stays the whole story of a
-	// busy engine's parallelism; a single-worker engine lets the job's own
-	// scheduler use the machine).
-	m, pl, err := flows.Run(ctx, g, fl, fopt)
-	if err != nil {
-		return nil, err
-	}
-	m.Label = t.job.Label
-	return &JobResult{
-		Label:     t.job.Label,
-		Placement: pl,
-		Stats:     Stats{Placer: fl.Name(), MacroSeconds: m.MacroSeconds, Lambda: m.Lambda},
-		Report:    &m.Report,
-		Metrics:   m,
-	}, nil
-}
-
-// warmJob is the handle an Engine puts on a design job's config: the job's
-// cached artifacts (Gseq, hierarchy tree, bipartite graph, autoclustered
-// variants) and the engine itself (scratch pool, autocluster counters). A
-// one-shot hidap Place builds a throwaway handle with a nil engine.
+// warmJob is the handle an Engine puts on a job's config: the job's cached
+// artifacts (Gseq, hierarchy tree, bipartite graph, autoclustered
+// variants), the engine itself (scratch pool, autocluster counters) and,
+// on an evaluating job, the scheduler its λ candidates share. A one-shot
+// hidap Place builds a throwaway handle with a nil engine.
 type warmJob struct {
 	art *core.Artifacts
-	eng *Engine
+	// hidap returns the artifacts a HiDaP placement reads, resolved once
+	// per job however many λ candidates place.
+	hidap func() (*core.Artifacts, error)
+	eng   *Engine
+	sched *sched.Pool
+}
+
+// warm builds the handle of a job placing art under cfg. Its hidap returns
+// art itself, or art's autoclustered variant when cfg asks for one, with
+// the outcome (a cache hit, a no-op pass-through or a fresh synthesis)
+// tallied into the engine counters; a nil engine tallies nothing.
+func (e *Engine) warm(art *core.Artifacts, cfg *Config) *warmJob {
+	return &warmJob{art: art, eng: e, hidap: sync.OnceValues(func() (*core.Artifacts, error) {
+		if cfg.Autocluster == nil {
+			return art, nil
+		}
+		v, stats, fresh, err := art.Cluster(*cfg.Autocluster)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case e == nil:
+		case !fresh:
+			e.acHits.Add(1)
+		case stats.NoOp:
+			e.acNoop.Add(1)
+		default:
+			e.acRuns.Add(1)
+			e.acClusters.Add(uint64(stats.Clusters))
+			e.acLevels.Add(uint64(stats.Levels))
+		}
+		return v, nil
+	})}
 }
 
 // hashDesign content-addresses a design: a truncated SHA-256 over every

@@ -12,6 +12,7 @@ import (
 
 	"repro/circuits"
 	"repro/hidap"
+	"repro/internal/flows"
 )
 
 // loadSpecA/B are tiny suite-shaped circuits for engine tests: small enough
@@ -80,7 +81,7 @@ func TestEngineConcurrentLoad(t *testing.T) {
 		for _, f := range []hidap.Flow{hidap.FlowIndEDA, hidap.FlowHiDaP, hidap.FlowHandFP} {
 			spec := spec
 			submit(hidap.Job{
-				Circuit: &spec, Flow: f, Config: fastCfg(1),
+				Circuit: &spec, Placer: f.Name(), Config: fastCfg(1),
 				Label: fmt.Sprintf("%s/%s", spec.Name, f),
 			})
 		}
@@ -361,7 +362,7 @@ func TestEngineLambdaPin(t *testing.T) {
 	defer eng.Close()
 	spec := loadSpecA()
 	tk, err := eng.Submit(context.Background(), hidap.Job{
-		Circuit: &spec, Flow: hidap.FlowHiDaP, Lambdas: []float64{0.8}, Config: fastCfg(1),
+		Circuit: &spec, Placer: "hidap", Lambdas: []float64{0.8}, Config: fastCfg(1),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -373,6 +374,40 @@ func TestEngineLambdaPin(t *testing.T) {
 	if res.Metrics.Lambda != 0.8 {
 		t.Errorf("lambda = %v, want pinned 0.8", res.Metrics.Lambda)
 	}
+}
+
+// TestDesignJobSweepsLikeCircuitJob: an evaluating design job reads
+// Job.Lambdas like a circuit job. Sweeping the paper's three λ on a
+// generated circuit's design picks the circuit job's λ, places every macro
+// alike and reports the same, and so does flows.Run on that circuit.
+func TestDesignJobSweepsLikeCircuitJob(t *testing.T) {
+	eng := hidap.NewEngine(fastCfg(1), hidap.EngineOptions{Workers: 1})
+	defer eng.Close()
+	ctx := context.Background()
+	spec := loadSpecA()
+	g := circuits.Generate(spec)
+	sweep := []float64{0.2, 0.5, 0.8}
+	ckt, err := eng.Run(ctx, hidap.Job{Circuit: &spec, Config: fastCfg(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	des, err := eng.Run(ctx, hidap.Job{Design: g.Design, Evaluate: true, Lambdas: sweep, Config: fastCfg(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := flows.DefaultOptions()
+	opt.Knobs = fastCfg(1).Knobs
+	row, pl, err := flows.Run(ctx, g, flows.FlowHiDaP, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ckt.Stats.Lambda != des.Stats.Lambda || row.Lambda != des.Stats.Lambda {
+		t.Errorf("λ: circuit job %v, design job %v, flows.Run %v", ckt.Stats.Lambda, des.Stats.Lambda, row.Lambda)
+	}
+	sameMacros(t, g.Design, ckt.Placement, des.Placement)
+	sameMacros(t, g.Design, pl, des.Placement)
+	sameReport(t, ckt.Report, des.Report)
+	sameReport(t, &row.Report, des.Report)
 }
 
 func TestEngineCloseDrainsAndRejects(t *testing.T) {
@@ -550,12 +585,13 @@ func TestEngineJobValidation(t *testing.T) {
 		return hidap.Job{Circuit: &s}
 	}
 	for name, job := range map[string]hidap.Job{
-		"empty":              {},
-		"design and circuit": {Design: g.Design, Circuit: &spec},
-		"unknown placer":     {Design: g.Design, Placer: "no-such-placer"},
-		"no macros":          {Circuit: &circuits.Spec{Name: "empty"}},
-		"too many macros":    circuit(func(s *circuits.Spec) { s.Macros = 1 << 20 }),
-		"too many cells":     circuit(func(s *circuits.Spec) { s.Cells, s.Scale = 1<<40, 1 }),
+		"empty":                  {},
+		"design and circuit":     {Design: g.Design, Circuit: &spec},
+		"unknown placer":         {Design: g.Design, Placer: "no-such-placer"},
+		"circuit unknown placer": {Circuit: &spec, Placer: "bogus"},
+		"no macros":              {Circuit: &circuits.Spec{Name: "empty"}},
+		"too many macros":        circuit(func(s *circuits.Spec) { s.Macros = 1 << 20 }),
+		"too many cells":         circuit(func(s *circuits.Spec) { s.Cells, s.Scale = 1<<40, 1 }),
 		"too many subsystems": circuit(func(s *circuits.Spec) {
 			s.Macros, s.Subsystems = 1000, 1000
 		}),
@@ -571,6 +607,14 @@ func TestEngineJobValidation(t *testing.T) {
 		if _, err := eng.Run(context.Background(), job); err == nil {
 			t.Errorf("%s: Run ran the job", name)
 		}
+	}
+	// A suite with an unregistered flow is refused whole, before any of
+	// its circuits is cached or any of its jobs runs.
+	if _, err := eng.SubmitBatch(context.Background(), hidap.Suite{
+		Circuits: []circuits.Spec{spec},
+		Flows:    []hidap.Flow{hidap.FlowHiDaP, "bogus"},
+	}); err == nil {
+		t.Error("SubmitBatch accepted a suite with an unknown flow")
 	}
 	if st := eng.Stats(); st.Completed != 0 || st.CachedCircuits != 0 {
 		t.Errorf("refused jobs left work behind: %+v", st)
@@ -706,10 +750,11 @@ func TestEngineAutocluster(t *testing.T) {
 	}
 
 	// A well-shaped circuit job under the default (loose) knobs records a
-	// no-op pass-through.
+	// no-op pass-through, once for the job: its three λ candidates, placed
+	// concurrently, share one resolution and tally no cache hit.
 	wellShaped := loadSpecB()
 	noopCfg := hidap.NewConfig(hidap.WithEffort(hidap.EffortLow), hidap.WithSeed(1),
-		hidap.WithAutocluster(hidap.DefaultAutocluster()))
+		hidap.WithAutocluster(hidap.DefaultAutocluster()), hidap.WithParallelism(2))
 	tk, err := eng.Submit(ctx, hidap.Job{Circuit: &wellShaped, Config: noopCfg, Label: "noop"})
 	if err != nil {
 		t.Fatal(err)
@@ -718,8 +763,8 @@ func TestEngineAutocluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = eng.Stats()
-	if st.AutoclusterNoop != 1 {
-		t.Errorf("noop count = %d, want 1", st.AutoclusterNoop)
+	if st.AutoclusterNoop != 1 || st.ClusterCacheHits != 1 {
+		t.Errorf("noop count = %d, cache hits = %d, want 1 and 1", st.AutoclusterNoop, st.ClusterCacheHits)
 	}
 
 	// indeda never reads the hierarchy: no clustering work is charged.
@@ -737,14 +782,15 @@ func TestEngineAutocluster(t *testing.T) {
 	}
 }
 
-// TestCircuitAndDesignJobsAgree: a circuit job and a design job on the same
-// design, with equal seed, place every macro alike and report the same
-// Placer. For HiDaP the circuit job runs at the one λ 0.5 and the design
-// job at λ 0.5, with and without autoclustering, at k 4 and flat (a
-// circuit job that dropped any of those knobs places differently). The
-// IndEDA circuit job, which always runs at high effort, matches an indeda
-// design job at high effort, and the handFP one a handfp design job given
-// the circuit's intent.
+// TestCircuitAndDesignJobsAgree: a circuit job and an evaluating design job
+// on the same design, with equal seed, place every macro alike and return
+// the same bookkeeping: equal Stats (but for MacroSeconds and Trace) and
+// equal Reports (but for MacroSeconds and Label). For HiDaP the circuit
+// job runs at the one λ 0.5 and the design job at λ 0.5, with and without
+// autoclustering, at k 4 and flat (a circuit job that dropped any of those
+// knobs places differently). The IndEDA circuit job, which always runs at
+// high effort, matches an indeda design job at high effort, and the handFP
+// one a handfp design job given the circuit's intent.
 func TestCircuitAndDesignJobsAgree(t *testing.T) {
 	p := hidap.DefaultAutocluster()
 	p.MaxNumInst = 300
@@ -754,16 +800,15 @@ func TestCircuitAndDesignJobsAgree(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		flat   bool
-		flow   hidap.Flow
 		placer string
 		opts   []hidap.Option
 	}{
-		{"plain", false, hidap.FlowHiDaP, "hidap", nil},
-		{"autocluster", true, hidap.FlowHiDaP, "hidap", []hidap.Option{hidap.WithAutocluster(p)}},
-		{"k4", false, hidap.FlowHiDaP, "hidap", []hidap.Option{hidap.WithK(4)}},
-		{"flat", false, hidap.FlowHiDaP, "hidap", []hidap.Option{hidap.WithFlat()}},
-		{"indeda", false, hidap.FlowIndEDA, "indeda", []hidap.Option{hidap.WithEffort(hidap.EffortHigh)}},
-		{"handfp", false, hidap.FlowHandFP, "handfp", []hidap.Option{hidap.WithIntent(intent)}},
+		{"plain", false, "hidap", nil},
+		{"autocluster", true, "hidap", []hidap.Option{hidap.WithAutocluster(p)}},
+		{"k4", false, "hidap", []hidap.Option{hidap.WithK(4)}},
+		{"flat", false, "hidap", []hidap.Option{hidap.WithFlat()}},
+		{"indeda", false, "indeda", []hidap.Option{hidap.WithEffort(hidap.EffortHigh)}},
+		{"handfp", false, "handfp", []hidap.Option{hidap.WithIntent(intent)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := loadSpecA()
@@ -783,20 +828,46 @@ func TestCircuitAndDesignJobsAgree(t *testing.T) {
 				}
 				return res
 			}
-			ckt := run(hidap.Job{Circuit: &spec, Flow: tc.flow, Lambdas: []float64{0.5}, Label: "circuit"})
+			ckt := run(hidap.Job{Circuit: &spec, Placer: tc.placer, Lambdas: []float64{0.5}, Label: "circuit"})
 			des := run(hidap.Job{Design: g.Design, Placer: tc.placer, Evaluate: true, Label: "design"})
-			for _, m := range g.Design.Macros() {
-				if ckt.Placement.Pos[m] != des.Placement.Pos[m] || ckt.Placement.Orient[m] != des.Placement.Orient[m] {
-					t.Fatalf("macro %s: circuit job %v %v, design job %v %v", g.Design.Cell(m).Name,
-						ckt.Placement.Pos[m], ckt.Placement.Orient[m], des.Placement.Pos[m], des.Placement.Orient[m])
-				}
-			}
+			sameMacros(t, g.Design, ckt.Placement, des.Placement)
 			if ckt.Stats.Placer != tc.placer || des.Stats.Placer != tc.placer {
 				t.Errorf("Stats.Placer: circuit job %q, design job %q, want %q", ckt.Stats.Placer, des.Stats.Placer, tc.placer)
 			}
-			if ckt.Report.Placer != tc.placer || des.Report.Placer != tc.placer {
-				t.Errorf("Report.Placer: circuit job %q, design job %q, want %q", ckt.Report.Placer, des.Report.Placer, tc.placer)
+			cs, ds := ckt.Stats, des.Stats
+			if cs.Levels != ds.Levels || cs.Flips != ds.Flips || cs.SeqStats != ds.SeqStats || cs.Lambda != ds.Lambda {
+				t.Errorf("Stats: circuit job levels %d flips %d seq %+v λ %v, design job levels %d flips %d seq %+v λ %v",
+					cs.Levels, cs.Flips, cs.SeqStats, cs.Lambda, ds.Levels, ds.Flips, ds.SeqStats, ds.Lambda)
 			}
+			if tc.placer == "hidap" && cs.Levels == 0 {
+				t.Error("hidap circuit job reports 0 levels")
+			}
+			if ckt.Report.Placer != tc.placer {
+				t.Errorf("Report.Placer = %q, want %q", ckt.Report.Placer, tc.placer)
+			}
+			sameReport(t, ckt.Report, des.Report)
 		})
+	}
+}
+
+// sameMacros fails t unless a and b place every macro of d alike.
+func sameMacros(t *testing.T, d *hidap.Design, a, b *hidap.Placement) {
+	t.Helper()
+	for _, m := range d.Macros() {
+		if a.Pos[m] != b.Pos[m] || a.Orient[m] != b.Orient[m] {
+			t.Fatalf("macro %s: %v %v vs %v %v", d.Cell(m).Name, a.Pos[m], a.Orient[m], b.Pos[m], b.Orient[m])
+		}
+	}
+}
+
+// sameReport fails t unless a and b agree in every field but the wall time
+// and the caller's label.
+func sameReport(t *testing.T, a, b *hidap.Report) {
+	t.Helper()
+	x, y := *a, *b
+	x.MacroSeconds, y.MacroSeconds = 0, 0
+	x.Label, y.Label = "", ""
+	if x != y {
+		t.Errorf("Reports differ:\n%+v\n%+v", x, y)
 	}
 }

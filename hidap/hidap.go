@@ -36,7 +36,10 @@
 //	t, _ := eng.Submit(ctx, hidap.Job{Design: d, Placer: "hidap", Evaluate: true})
 //	res, err := t.Wait(ctx)             // res.Report is the JSON-ready record
 //
-// Engine.SubmitBatch fans a whole evaluation suite (circuits × flows ×
+// Every job, on a Design or a generated suite Circuit, runs one path with
+// the placer Job.Placer names: once, or, when it evaluates, at each λ
+// candidate of the same place → cell-place → measure pipeline the Tables
+// use. Engine.SubmitBatch fans a whole evaluation suite (circuits × flows ×
 // seeds) through the engine and aggregates it with the Tables II/III
 // pipeline (see cmd/hidap-serve for the HTTP surface). The Engine wraps the
 // same placers: a one-shot Placer.Place is cold, building every per-design

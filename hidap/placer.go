@@ -145,21 +145,22 @@ func init() {
 // tree, shape curves, recursive dataflow-driven block floorplanning, macro
 // flipping), "indeda" the industrial baseline at high effort unless
 // cfg.Effort is low (circuit jobs always run it at high effort), and
-// "handfp" realizes the designer intent supplied via WithIntent. On an Engine job the hidap flow reads the
-// job's cached artifacts (and autoclustered variant) and the engine's
-// scratch pool; one-shot, a throwaway handle builds them cold.
+// "handfp" realizes the designer intent supplied via WithIntent. On an
+// Engine job the hidap flow reads the job's cached artifacts (and
+// autoclustered variant), the engine's scratch pool and the scheduler of
+// the job's λ candidates; one-shot, a throwaway handle builds them cold.
 func flowPlacer(flow Flow) Placer {
 	return PlacerFunc(flow.Name(), func(ctx context.Context, d *Design, cfg *Config) (*Placement, Stats, error) {
 		// The handle describes the job's design; a plug-in wrapping this
 		// placer on another design places that one cold.
 		w := cfg.warm
 		if w == nil || w.art.Design() != d {
-			w = &warmJob{art: core.NewArtifacts(d, nil)}
+			w = (*Engine)(nil).warm(core.NewArtifacts(d, nil), cfg)
 		}
 		art := w.art
 		if flow == FlowHiDaP {
 			var err error
-			if art, err = w.eng.artifacts(w.art, cfg); err != nil {
+			if art, err = w.hidap(); err != nil {
 				return nil, Stats{}, err
 			}
 		}
@@ -167,6 +168,6 @@ func flowPlacer(flow Flow) Placer {
 		if w.eng != nil {
 			opt.Pool = w.eng.pool
 		}
-		return flows.Place(ctx, art, flow, cfg.Intent, opt)
+		return flows.Place(ctx, art, flow, cfg.Intent, opt, w.sched)
 	})
 }

@@ -1,10 +1,11 @@
 // Package flows runs the three macro-placement flows of the paper's
 // evaluation end to end — macro placement, standard-cell placement,
 // wirelength / congestion / timing measurement — and assembles the rows of
-// Tables II and III. All flows place their macros through Place and share
-// the same cell placer and the eval measurement pipeline, mirroring §V
-// ("Metrics are taken after placement of standard cells using the same tool
-// as IndEDA").
+// Tables II and III. All flows place their macros through Place, and every
+// measured placement, a Table row or an evaluating engine job, goes through
+// Measure: the same cell placer and the same eval measurement, mirroring
+// §V ("Metrics are taken after placement of standard cells using the same
+// tool as IndEDA").
 package flows
 
 import (
@@ -12,7 +13,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"slices"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -46,19 +47,29 @@ const (
 // the Placer its Stats and measured Reports carry.
 func (f Flow) Name() string { return strings.ToLower(string(f)) }
 
+// FlowNamed returns the flow whose Name is name; a placer outside the
+// paper's three flows keeps its registry name.
+func FlowNamed(name string) Flow {
+	for _, f := range []Flow{FlowIndEDA, FlowHiDaP, FlowHandFP} {
+		if f.Name() == name {
+			return f
+		}
+	}
+	return Flow(name)
+}
+
 // Options configures a flow run.
 type Options struct {
 	// Knobs are HiDaP's λ, k, seed, effort, parallelism, trace, flat and
 	// progress switches. Seed drives every flow's stochastic stages; IndEDA
-	// reads Effort too. Place places at Lambda; Run sweeps Lambdas instead
-	// and returns neither a trace nor progress, so it ignores Lambda, Trace
-	// and Progress. Parallelism sizes the one work-stealing scheduler the
-	// whole HiDaP solve DAG drains through: candidates (one per λ) and the
-	// sibling hierarchy subtrees inside each placement are tasks of the
+	// reads Effort too. Place places at Lambda; Run places at Sweep's λ
+	// candidates instead. Parallelism sizes the one work-stealing scheduler
+	// the whole HiDaP solve DAG drains through: candidates (one per λ) and
+	// the sibling hierarchy subtrees inside each placement are tasks of the
 	// same pool, so the machine stays busy without one layer multiplying
 	// goroutines into the other.
 	core.Knobs
-	// Lambdas are the HiDaP blend values Run tries (the best post-placement
+	// Lambdas are the HiDaP blend values Run sweeps (the best post-placement
 	// wirelength wins); empty means the paper's 0.2, 0.5 and 0.8.
 	Lambdas []float64
 	// Pool, when set, shares annealing scratch (incremental slicing
@@ -76,22 +87,18 @@ type Options struct {
 // paperLambdas are the λ values the paper's evaluation tries (§V).
 var paperLambdas = []float64{0.2, 0.5, 0.8}
 
-// DefaultOptions mirrors the paper's setup.
-func DefaultOptions() Options {
-	return Options{
-		Knobs:   core.DefaultKnobs(),
-		Lambdas: slices.Clone(paperLambdas),
-	}
-}
+// DefaultOptions mirrors the paper's setup: its knobs, and Run sweeping
+// its three λ.
+func DefaultOptions() Options { return Options{Knobs: core.DefaultKnobs()} }
 
 // Stats is the bookkeeping of one macro placement.
 type Stats struct {
 	// Placer names the flow that produced the placement (Flow.Name).
 	Placer string
 	// MacroSeconds is the wall time of macro placement alone: cell
-	// placement and measurement are not in it. A Run HiDaP row times the
-	// macro placement of all its λ candidates, each a full placement the
-	// row paid for, before any of them is cell-placed.
+	// placement and measurement are not in it. Measure times the macro
+	// placement of all its λ candidates, each a full placement the run
+	// paid for, before any of them is cell-placed.
 	MacroSeconds float64
 	// Levels counts floorplanned recursion levels (HiDaP).
 	Levels int
@@ -134,17 +141,12 @@ type Metrics struct {
 // Place places the macros of art's design with one flow, leaving standard
 // cells to the cell placer. HiDaP places at opt.Lambda under the rest of
 // opt.Knobs, reading Gseq, the tree and the bipartite graph from art and
-// annealing scratch from opt.Pool; IndEDA runs at high effort unless
-// opt.Effort is low; handFP realizes intent, and fails without one. All
-// three read opt.Seed. A cancelled ctx aborts the run and returns
-// ctx.Err().
-func Place(ctx context.Context, art *core.Artifacts, flow Flow, intent handfp.Intent, opt Options) (*placement.Placement, Stats, error) {
-	return placeOn(ctx, art, flow, intent, opt, nil)
-}
-
-// placeOn is Place with HiDaP's solve DAG forked onto pool (nil: a pool of
-// opt.Parallelism lanes for this call).
-func placeOn(ctx context.Context, art *core.Artifacts, flow Flow, intent handfp.Intent, opt Options, pool *sched.Pool) (*placement.Placement, Stats, error) {
+// annealing scratch from opt.Pool, and forks its solve DAG onto pool (nil:
+// a pool of opt.Parallelism lanes for this call); IndEDA runs at high
+// effort unless opt.Effort is low; handFP realizes intent, and fails
+// without one. All three read opt.Seed. A cancelled ctx aborts the run and
+// returns ctx.Err().
+func Place(ctx context.Context, art *core.Artifacts, flow Flow, intent handfp.Intent, opt Options, pool *sched.Pool) (*placement.Placement, Stats, error) {
 	start := time.Now()
 	st := Stats{Placer: flow.Name()}
 	var pl *placement.Placement
@@ -179,87 +181,70 @@ func placeOn(ctx context.Context, art *core.Artifacts, flow Flow, intent handfp.
 	return pl, st, nil
 }
 
-// Run executes one flow on a generated circuit and measures it. IndEDA
-// always runs at the paper's high effort, whatever opt.Effort says (Place
-// follows opt.Effort instead). HiDaP places once per opt.Lambdas entry and
-// keeps the lowest post-placement wirelength, so Run ignores opt.Lambda;
-// it returns no trace and streams no progress, so it ignores opt.Trace and
-// opt.Progress too. A cancelled ctx aborts macro placement, candidate
-// evaluation and cell placement promptly and returns ctx.Err().
-func Run(ctx context.Context, g *circuits.Generated, flow Flow, opt Options) (*Metrics, *placement.Placement, error) {
-	if len(opt.Lambdas) == 0 {
-		opt.Lambdas = paperLambdas
+// Sweep applies the evaluation policies to a measured run of the placer
+// named placer, on a generated circuit when circuit is set, and returns the
+// λ candidates Measure places. HiDaP sweeps lambdas; when that is empty, a
+// circuit run sweeps the paper's three values and any other run places at
+// k.Lambda. Every other placer places once, at k.Lambda. A circuit run's
+// IndEDA runs at high effort. A sweep of more than one λ returns no trace
+// and streams no progress.
+func Sweep(placer string, k *core.Knobs, lambdas []float64, circuit bool) []float64 {
+	if circuit && placer == FlowIndEDA.Name() {
+		k.Effort = layout.EffortHigh
 	}
-	opt.Trace, opt.Progress = false, nil
-	if flow == FlowIndEDA {
-		opt.Effort = layout.EffortHigh
+	switch {
+	case placer != FlowHiDaP.Name(), len(lambdas) == 0 && !circuit:
+		return []float64{k.Lambda}
+	case len(lambdas) == 0:
+		lambdas = paperLambdas
 	}
-
-	var pl *placement.Placement
-	var st Stats
-	var err error
-	if flow == FlowHiDaP {
-		art := opt.Artifacts
-		if art == nil {
-			art = core.NewArtifacts(g.Design, g.SeqGraph)
-		}
-		pl, st, err = runHiDaP(ctx, art, opt)
-	} else {
-		pl, st, err = Place(ctx, core.NewArtifacts(g.Design, g.SeqGraph), flow, g.Intent, opt)
-		if err == nil {
-			err = place.Run(ctx, pl, place.DefaultOptions())
-		}
+	if len(lambdas) > 1 {
+		k.Trace, k.Progress = false, nil
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-
-	m, err := measure(ctx, g, flow, pl)
-	if err != nil {
-		return nil, nil, err
-	}
-	m.MacroSeconds = st.MacroSeconds
-	m.Lambda = st.Lambda
-	return m, pl, nil
+	return lambdas
 }
 
-// runHiDaP evaluates every λ candidate on one shared work-stealing pool —
-// candidates and their hierarchy subtrees are all tasks of the same
-// scheduler — and keeps the lowest post-placement wirelength. Selection
-// scans candidates in λ order, so the result is identical at any
-// Parallelism. It runs in two groups on that pool: every candidate's macro
-// placement, then every candidate's cell placement and wirelength. The
-// returned Stats carry the winner's λ and, as MacroSeconds, the wall time
-// of the first group. Per-candidate timers would not do: a candidate
-// waiting on its subtrees helps run the other candidates' tasks inside its
-// own interval, so their sum counts work several times.
-func runHiDaP(ctx context.Context, art *core.Artifacts, opt Options) (*placement.Placement, Stats, error) {
+// PlaceFunc places a design's macros at lambda, forking any parallel work
+// onto pool.
+type PlaceFunc func(ctx context.Context, lambda float64, pool *sched.Pool) (*placement.Placement, Stats, error)
+
+// Measure is the one pipeline of every measured placement. It places one
+// candidate per λ of lambdas (at least one) with placeAt, all on one
+// work-stealing pool of parallelism lanes that their hierarchy subtrees
+// fork onto too, cell-places each, and keeps the lowest wirelength,
+// scanning in λ order so the winner is the same at any parallelism. It
+// measures the winner through eval.Evaluate with art's Gseq and annotates
+// the Report with the winner's Stats. Their MacroSeconds is the wall time
+// of all candidates' macro placement: a candidate waiting on its subtrees
+// runs other candidates' tasks, so per-candidate timers would count work
+// several times. A panicking candidate fails the run. A cancelled ctx
+// aborts every stage promptly and returns ctx.Err().
+func Measure(ctx context.Context, art *core.Artifacts, lambdas []float64, parallelism int, placeAt PlaceFunc) (*placement.Placement, Stats, *eval.Report, error) {
 	type candidate struct {
-		lambda float64
-		pl     *placement.Placement
-		wl     float64
-		err    error
+		pl  *placement.Placement
+		st  Stats
+		wl  float64
+		err error
 	}
-	cands := make([]candidate, len(opt.Lambdas))
-	for i, lambda := range opt.Lambdas {
-		cands[i].lambda = lambda
-	}
-	// One pool for the whole run: candidate tasks fork subtree tasks onto
-	// the same lanes, so an idle lane always finds work in some layer
-	// instead of waiting for its own layer to produce more.
-	pool := sched.NewPool(opt.Parallelism)
+	cands := make([]candidate, len(lambdas))
+	pool := sched.NewPool(parallelism)
 	defer pool.Close()
 
 	// forEach runs step on every candidate still without an error and waits;
 	// a cancelled ctx drains, and per-candidate errors are scanned below.
-	forEach := func(step func(ctx context.Context, c *candidate)) {
+	forEach := func(step func(ctx context.Context, i int) error) {
 		grp := pool.Group(ctx)
 		for i := range cands {
 			c := &cands[i]
 			grp.Go(func(ctx context.Context) {
+				defer func() {
+					if r := recover(); r != nil {
+						c.err = fmt.Errorf("flows: candidate λ %v panicked: %v\n%s", lambdas[i], r, debug.Stack())
+					}
+				}()
 				if c.err == nil {
 					if c.err = ctx.Err(); c.err == nil {
-						step(ctx, c)
+						c.err = step(ctx, i)
 					}
 				}
 			})
@@ -267,39 +252,59 @@ func runHiDaP(ctx context.Context, art *core.Artifacts, opt Options) (*placement
 		grp.Wait()
 	}
 	start := time.Now()
-	forEach(func(ctx context.Context, c *candidate) {
-		o := opt
-		o.Lambda = c.lambda
-		c.pl, _, c.err = placeOn(ctx, art, FlowHiDaP, nil, o, pool)
+	forEach(func(ctx context.Context, i int) (err error) {
+		cands[i].pl, cands[i].st, err = placeAt(ctx, lambdas[i], pool)
+		return err
 	})
 	secs := time.Since(start).Seconds()
-	forEach(func(ctx context.Context, c *candidate) {
-		if c.err = place.Run(ctx, c.pl, place.DefaultOptions()); c.err == nil {
-			c.wl = metrics.WirelengthMeters(c.pl)
+	forEach(func(ctx context.Context, i int) error {
+		c := &cands[i]
+		if err := place.Run(ctx, c.pl, place.DefaultOptions()); err != nil {
+			return err
 		}
+		c.wl = metrics.WirelengthMeters(c.pl)
+		return nil
 	})
 	best := -1
 	for i := range cands {
 		if cands[i].err != nil {
-			return nil, Stats{}, cands[i].err
+			return nil, Stats{}, nil, cands[i].err
 		}
 		if best < 0 || cands[i].wl < cands[best].wl {
 			best = i
 		}
 	}
-	return cands[best].pl, Stats{MacroSeconds: secs, Lambda: cands[best].lambda}, nil
+	win := cands[best]
+	win.st.MacroSeconds = secs
+	// Measure against the design the placement was made on: an
+	// autoclustered variant shares its cells, nets and Gseq with art.
+	rep, err := eval.Evaluate(ctx, win.pl.D, win.pl, eval.Options{Graph: art.SeqGraph()})
+	if err != nil {
+		return nil, Stats{}, nil, err
+	}
+	win.st.Annotate(rep)
+	return win.pl, win.st, rep, nil
 }
 
-// measure computes the Table III metric columns for a fully placed design
-// through the shared eval pipeline: congestion and timing at its defaults,
-// with the wire delay calibrated to each die (see eval.CalibrateSTA).
-func measure(ctx context.Context, g *circuits.Generated, flow Flow, pl *placement.Placement) (*Metrics, error) {
-	rep, err := eval.Evaluate(ctx, g.Design, pl, eval.Options{Graph: g.SeqGraph()})
-	if err != nil {
-		return nil, err
+// Run executes one flow on a generated circuit through Measure, under
+// Sweep's circuit policies, and returns its Table III row. HiDaP places the
+// design of opt.Artifacts when set; IndEDA and handFP place g.Design, and
+// handFP realizes g.Intent.
+func Run(ctx context.Context, g *circuits.Generated, flow Flow, opt Options) (*Metrics, *placement.Placement, error) {
+	art := opt.Artifacts
+	if art == nil || flow != FlowHiDaP {
+		art = core.NewArtifacts(g.Design, g.SeqGraph)
 	}
-	rep.Placer = flow.Name()
-	return &Metrics{Circuit: g.Spec.Name, Flow: flow, Report: *rep}, nil
+	lambdas := Sweep(flow.Name(), &opt.Knobs, opt.Lambdas, true)
+	pl, _, rep, err := Measure(ctx, art, lambdas, opt.Parallelism, func(ctx context.Context, lambda float64, pool *sched.Pool) (*placement.Placement, Stats, error) {
+		o := opt
+		o.Lambda = lambda
+		return Place(ctx, art, flow, g.Intent, o, pool)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Metrics{Circuit: g.Spec.Name, Flow: flow, Report: *rep}, pl, nil
 }
 
 // Normalize fills WLnorm on a result set: each circuit's rows are divided

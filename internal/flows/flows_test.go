@@ -95,6 +95,26 @@ func TestHiDaPPicksBestLambda(t *testing.T) {
 	}
 }
 
+// TestRunReportsWinnerStats: a Run HiDaP row's Report carries the winning
+// candidate's bookkeeping, the levels and flips Place gives at that λ.
+func TestRunReportsWinnerStats(t *testing.T) {
+	g := tinyCircuit()
+	opt := fastOpts()
+	opt.Lambdas = nil // the paper's three candidates
+	m, _, err := Run(context.Background(), g, FlowHiDaP, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Lambda = m.Lambda
+	_, st, err := Place(context.Background(), core.NewArtifacts(g.Design, g.SeqGraph), FlowHiDaP, nil, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Levels == 0 || m.Levels != st.Levels || m.Flips != st.Flips {
+		t.Errorf("row at λ %v: levels %d flips %d, Place: levels %d flips %d", m.Lambda, m.Levels, m.Flips, st.Levels, st.Flips)
+	}
+}
+
 func TestRunUnknownFlow(t *testing.T) {
 	g := tinyCircuit()
 	if _, _, err := Run(context.Background(), g, Flow("nope"), fastOpts()); err == nil {

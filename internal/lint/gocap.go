@@ -9,7 +9,7 @@ import (
 // GoCap flags bare `go` statements outside internal/sched and the command
 // binaries. All solver fan-out must go through the work-stealing pool
 // (sched.Pool): ad-hoc goroutines bypass the Parallelism knob, multiply
-// unboundedly with input size (the exact bug PR 3 fixed in runHiDaP), and
+// unboundedly with input size (as a goroutine per λ candidate once did), and
 // make the determinism matrix meaningless because work ordering stops being
 // governed by seed-derived task paths.
 //

@@ -6,7 +6,7 @@ func spawn(f func()) {
 	go f() // want `bare go statement`
 }
 
-// Flagged: loops multiply goroutines with input size — the runHiDaP bug.
+// Flagged: loops multiply goroutines with input size — one per λ candidate.
 func fanOut(fs []func()) {
 	for _, f := range fs {
 		go f() // want `bare go statement`
