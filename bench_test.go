@@ -21,6 +21,7 @@ import (
 	"repro/internal/hier"
 	"repro/internal/layout"
 	"repro/internal/metrics"
+	"repro/internal/place"
 	"repro/internal/render"
 	"repro/internal/seqgraph"
 	"repro/internal/slicing"
@@ -292,7 +293,7 @@ func BenchmarkAblationK(b *testing.B) {
 					b.Fatal(err)
 				}
 				pl := res.Placement
-				if err := hidap.PlaceStdCells(context.Background(), pl); err != nil {
+				if err := place.Run(context.Background(), pl, place.DefaultOptions()); err != nil {
 					b.Fatal(err)
 				}
 				wl = metrics.WirelengthMeters(pl)
@@ -319,7 +320,7 @@ func BenchmarkAblationEffort(b *testing.B) {
 					b.Fatal(err)
 				}
 				pl := res.Placement
-				if err := hidap.PlaceStdCells(context.Background(), pl); err != nil {
+				if err := place.Run(context.Background(), pl, place.DefaultOptions()); err != nil {
 					b.Fatal(err)
 				}
 				wl = metrics.WirelengthMeters(pl)
@@ -347,7 +348,7 @@ func BenchmarkAblationMinBits(b *testing.B) {
 				}
 				nodes = res.SeqStats.Nodes
 				pl := res.Placement
-				if err := hidap.PlaceStdCells(context.Background(), pl); err != nil {
+				if err := place.Run(context.Background(), pl, place.DefaultOptions()); err != nil {
 					b.Fatal(err)
 				}
 				wl = metrics.WirelengthMeters(pl)
@@ -377,7 +378,7 @@ func BenchmarkAblationFlat(b *testing.B) {
 					b.Fatal(err)
 				}
 				pl := res.Placement
-				if err := hidap.PlaceStdCells(context.Background(), pl); err != nil {
+				if err := place.Run(context.Background(), pl, place.DefaultOptions()); err != nil {
 					b.Fatal(err)
 				}
 				wl = metrics.WirelengthMeters(pl)

@@ -20,10 +20,11 @@
 //	{"label":"t2", "placer":"hidap", "evaluate":true,
 //	 "design":{"name":"soc", "die":[0,0,500000,500000], ...}}
 //
-// Both become one engine job with one placer selector: a circuit's "flow"
-// names a paper flow and selects its placer, a design's "placer" names any
-// registered one. A circuit job always evaluates; a design job evaluates
-// unless "evaluate" is false.
+// Both become one engine job with one placer selector, on either kind:
+// "flow" names a paper flow in any case (IndEDA, HiDaP, handFP), "placer"
+// any registered placer; a request may set both only to the same placer,
+// and setting neither selects hidap. A circuit job always evaluates; a
+// design job evaluates unless "evaluate" is false.
 //
 // On SIGINT/SIGTERM the server stops accepting work, drains every accepted
 // job, and only aborts in-flight placements if the -grace budget expires.
@@ -134,9 +135,9 @@ func (s *server) handler() http.Handler {
 // jobRequest is the submission body. Exactly one of circuit/design.
 type jobRequest struct {
 	Label    string          `json:"label"`
-	Flow     string          `json:"flow"`     // circuit jobs: IndEDA | HiDaP | handFP, the job's placer
+	Flow     string          `json:"flow"`     // IndEDA | HiDaP | handFP, any case: the job's placer
 	Circuit  *circuits.Spec  `json:"circuit"`  // synthetic suite circuit
-	Placer   string          `json:"placer"`   // design jobs: registered placer name
+	Placer   string          `json:"placer"`   // registered placer name: the job's placer
 	Design   json.RawMessage `json:"design"`   // netlist JSON interchange form
 	Evaluate *bool           `json:"evaluate"` // design jobs; default true (circuit jobs always evaluate)
 	Seed     int64           `json:"seed"`
@@ -220,7 +221,11 @@ func (req *jobRequest) toJob() (hidap.Job, error) {
 	if req.Autocluster != nil {
 		opts = append(opts, hidap.WithAutocluster(*req.Autocluster))
 	}
-	job := hidap.Job{Label: req.Label, Config: hidap.NewConfig(opts...)}
+	placer, err := req.placer()
+	if err != nil {
+		return hidap.Job{}, err
+	}
+	job := hidap.Job{Label: req.Label, Placer: placer, Config: hidap.NewConfig(opts...)}
 	switch {
 	case req.Circuit != nil && req.Design != nil:
 		return hidap.Job{}, errors.New("request sets both circuit and design")
@@ -230,9 +235,6 @@ func (req *jobRequest) toJob() (hidap.Job, error) {
 			return hidap.Job{}, err
 		}
 		job.Circuit = &spec
-		if job.Placer, err = parseFlow(req.Flow); err != nil {
-			return hidap.Job{}, err
-		}
 		if req.Lambda != nil {
 			// Pin λ instead of the pipeline's best-of-three sweep.
 			job.Lambdas = []float64{*req.Lambda}
@@ -243,7 +245,6 @@ func (req *jobRequest) toJob() (hidap.Job, error) {
 			return hidap.Job{}, fmt.Errorf("bad design: %w", err)
 		}
 		job.Design = d
-		job.Placer = req.Placer
 		// Job.Key is deliberately not exposed over HTTP: the key asserts
 		// content identity, and one client's assertion must not be able to
 		// poison the cache entry another client's job resolves to. The
@@ -295,15 +296,34 @@ func resolveSpec(spec circuits.Spec) (circuits.Spec, error) {
 	return base, nil
 }
 
-// parseFlow maps a circuit job's flow (any case; HiDaP when empty) to the
-// name of the placer that runs it.
-func parseFlow(name string) (string, error) {
-	for _, f := range []hidap.Flow{hidap.FlowHiDaP, hidap.FlowIndEDA, hidap.FlowHandFP} {
-		if name == "" || strings.EqualFold(name, string(f)) {
-			return f.Name(), nil
+// placer resolves the request's one placer selector to a registered
+// placer's name: "flow" spells a paper flow in any case, "placer" names any
+// registered placer, and a request setting both must name one placer with
+// them. Neither selects hidap.
+func (req *jobRequest) placer() (string, error) {
+	name := req.Placer
+	if req.Flow != "" {
+		flow := ""
+		for _, f := range []hidap.Flow{hidap.FlowHiDaP, hidap.FlowIndEDA, hidap.FlowHandFP} {
+			if strings.EqualFold(req.Flow, string(f)) {
+				flow = f.Name()
+			}
 		}
+		switch {
+		case flow == "":
+			return "", fmt.Errorf("unknown flow %q", req.Flow)
+		case name != "" && name != flow:
+			return "", fmt.Errorf("flow %q and placer %q name different placers", req.Flow, name)
+		}
+		name = flow
 	}
-	return "", fmt.Errorf("unknown flow %q", name)
+	if name == "" {
+		name = hidap.FlowHiDaP.Name()
+	}
+	if _, err := hidap.Lookup(name); err != nil {
+		return "", err
+	}
+	return name, nil
 }
 
 // remember indexes a ticket, evicting the oldest finished records beyond

@@ -216,6 +216,8 @@ var invalidBodies = map[string]string{
 	"bad json":             `{not json`,
 	"bad effort":           `{"effort": "turbo", "circuit": {"name": "x"}}`,
 	"bad flow":             `{"flow": "nope", "circuit": {"name": "x"}}`,
+	"bad placer":           `{"placer": "nope", "circuit": {"name": "c1"}}`,
+	"flow/placer conflict": `{"flow": "IndEDA", "placer": "hidap", "circuit": {"name": "c1"}}`,
 	"bad design":           `{"design": {"die": "not-a-rect"}}`,
 	"no macros":            `{"circuit": {"name": "not-a-suite-circuit"}}`,
 	"both inputs":          `{"circuit": {"name": "x"}, "design": {"name": "y"}}`,
@@ -239,6 +241,20 @@ func TestServeValidation(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400", name, code)
 		}
 	}
+	// The placer selector is checked on a design job as on a circuit job.
+	design := abcdxJSON(t)
+	for name, sel := range map[string]string{
+		"design: bad placer":           `"placer": "nope"`,
+		"design: bad flow":             `"flow": "nope"`,
+		"design: flow/placer conflict": `"flow": "handFP", "placer": "indeda"`,
+	} {
+		if _, code := postJob(t, ts, `{`+sel+`, "design": `+design+`}`); code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", name, code)
+		}
+	}
+	if st := eng.Stats(); st.DesignCacheMisses+st.CircuitCacheMisses != 0 {
+		t.Errorf("refused requests reached the engine caches: %+v", st)
+	}
 	resp, err := http.Get(ts.URL + "/v1/jobs/nope")
 	if err != nil {
 		t.Fatal(err)
@@ -247,6 +263,44 @@ func TestServeValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job status = %d, want 404", resp.StatusCode)
 	}
+}
+
+// TestServePlacerSelector: "flow" and "placer" select the job's placer on
+// both job kinds — "flow" in any case, "placer" by registry name, both at
+// once when they agree — and a request naming neither runs hidap.
+func TestServePlacerSelector(t *testing.T) {
+	design := abcdxJSON(t)
+	for _, tc := range []struct{ sel, want string }{
+		{``, "hidap"},
+		{`"flow": "indeda",`, "indeda"},
+		{`"flow": "HANDFP",`, "handfp"},
+		{`"placer": "indeda",`, "indeda"},
+		{`"flow": "IndEDA", "placer": "indeda",`, "indeda"},
+	} {
+		for kind, input := range map[string]string{
+			"circuit": `"circuit": {"name": "c1"}`,
+			"design":  `"design": ` + design,
+		} {
+			var req jobRequest
+			if err := json.Unmarshal([]byte(`{`+tc.sel+input+`}`), &req); err != nil {
+				t.Fatal(err)
+			}
+			job, err := req.toJob()
+			if err != nil || job.Placer != tc.want {
+				t.Errorf("%s job with {%s}: placer %q, err %v; want %q", kind, tc.sel, job.Placer, err, tc.want)
+			}
+		}
+	}
+}
+
+// abcdxJSON is the ABCDX design in the netlist JSON interchange form.
+func abcdxJSON(t testing.TB) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := hidap.WriteJSON(&sb, circuits.ABCDX().Design); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
 }
 
 // TestServeIgnoresLegacyBatchField: older clients still send knobs that
@@ -425,19 +479,14 @@ func waitFailed(t *testing.T, ts *httptest.Server, id string) {
 // FuzzJobRequest decodes arbitrary bytes as a submission body and converts
 // it to a job, as the submit handler does before the engine sees it. It
 // never submits. toJob must not panic, and a job it accepts names exactly
-// one design source, a parallelism within bounds and, for a circuit job,
-// a registered placer.
+// one design source, a parallelism within bounds and a registered placer.
 func FuzzJobRequest(f *testing.F) {
 	for _, body := range invalidBodies {
 		f.Add([]byte(body))
 	}
 	f.Add([]byte(`{"label":"c","flow":"IndEDA","seed":2,"effort":"low","lambda":0.5,"parallelism":2,
 		"circuit":{"name":"c1","scale":400},"autocluster":{}}`))
-	var sb strings.Builder
-	if err := hidap.WriteJSON(&sb, circuits.ABCDX().Design); err != nil {
-		f.Fatal(err)
-	}
-	f.Add([]byte(`{"label":"d","placer":"hidap","evaluate":true,"design":` + sb.String() + `}`))
+	f.Add([]byte(`{"label":"d","placer":"hidap","evaluate":true,"design":` + abcdxJSON(f) + `}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req jobRequest
 		if err := json.Unmarshal(body, &req); err != nil {
@@ -453,10 +502,8 @@ func FuzzJobRequest(f *testing.F) {
 		if p := job.Config.Parallelism; p < 0 || p > maxParallelism {
 			t.Fatalf("parallelism %d outside [0, %d]", p, maxParallelism)
 		}
-		if job.Circuit != nil {
-			if _, err := hidap.Lookup(job.Placer); err != nil {
-				t.Fatalf("circuit job placer: %v", err)
-			}
+		if _, err := hidap.Lookup(job.Placer); err != nil {
+			t.Fatalf("job placer: %v", err)
 		}
 	})
 }

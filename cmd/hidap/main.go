@@ -101,10 +101,6 @@ func main() {
 		fatal(fmt.Errorf("parse %s: %w", *in, err))
 	}
 
-	placer, err := hidap.Lookup(*flow)
-	if err != nil {
-		fatal(err)
-	}
 	opts := []hidap.Option{
 		hidap.WithLambda(*lambda),
 		hidap.WithK(*k),
@@ -133,29 +129,22 @@ func main() {
 		}
 		opts = append(opts, hidap.WithAutocluster(p))
 	}
-	cfg := hidap.NewConfig(opts...)
-
-	pl, stats, err := placer.Place(ctx, d, cfg)
+	// One job on a one-worker engine: the engine forces a job's Parallelism
+	// to 1 only beside other workers, so -parallelism keeps its meaning.
+	// With -cells the job also places the standard cells and measures the
+	// result; cell placement moves only standard cells, so the macro
+	// listing below is the same either way.
+	eng := hidap.NewEngine(hidap.NewConfig(opts...), hidap.EngineOptions{Workers: 1})
+	defer eng.Close()
+	res, err := eng.Run(ctx, hidap.Job{Design: d, Key: *in, Placer: *flow, Evaluate: *cells})
 	if err != nil {
 		fatal(err)
 	}
-
-	// Cell placement moves only standard cells, so the macro listing below
-	// is the same before and after it.
-	var rep *hidap.Report
-	if *cells {
-		if err := hidap.PlaceStdCells(ctx, pl); err != nil {
-			fatal(err)
-		}
-		if rep, err = hidap.Evaluate(ctx, d, pl); err != nil {
-			fatal(err)
-		}
-		stats.Annotate(rep)
-	}
+	pl, rep := res.Placement, res.Report
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "# design %s: die %dx%d DBU, %d macros, flow %s, %d levels\n",
-		d.Name, d.Die.W, d.Die.H, len(d.Macros()), placer.Name(), stats.Levels)
+		d.Name, d.Die.W, d.Die.H, len(d.Macros()), *flow, res.Stats.Levels)
 	for _, m := range d.Macros() {
 		r := pl.Rect(m)
 		fmt.Fprintf(&sb, "macro %s %d %d %s\n", d.Cell(m).Name, r.X, r.Y, pl.Orient[m])

@@ -37,27 +37,20 @@ func main() {
 			e.From, e.To, e.Bits, e.MinLatency, e.Score)
 	}
 
+	// One evaluating job per lens on one Engine, so the design's Gseq and
+	// hierarchy tree are built once for all three.
 	fmt.Println("\nlayouts under the three lenses (Fig. 3):")
-	placer, err := hidap.Lookup("hidap")
-	if err != nil {
-		log.Fatal(err)
-	}
+	eng := hidap.NewEngine(nil, hidap.EngineOptions{Workers: 1})
+	defer eng.Close()
 	for _, lambda := range []float64{1.0, 0.0, 0.5} {
 		cfg := hidap.NewConfig(hidap.WithLambda(lambda), hidap.WithSeed(7))
-		pl, _, err := placer.Place(ctx, d, cfg)
+		res, err := eng.Run(ctx, hidap.Job{Design: d, Placer: "hidap", Evaluate: true, Config: cfg})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := hidap.PlaceStdCells(ctx, pl); err != nil {
-			log.Fatal(err)
-		}
-		rep, err := hidap.Evaluate(ctx, d, pl)
-		if err != nil {
-			log.Fatal(err)
-		}
-		chain := chainLength(d, pl)
+		chain := chainLength(d, res.Placement)
 		fmt.Printf("  λ=%.1f  WL=%.4f m   A->B->C->D chain span %.0f µm  %s\n",
-			lambda, rep.WirelengthM, float64(chain)/1000, lensName(lambda))
+			lambda, res.Report.WirelengthM, float64(chain)/1000, lensName(lambda))
 	}
 }
 

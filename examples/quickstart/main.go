@@ -1,5 +1,5 @@
-// Quickstart: the paper's running example (Fig. 1) end to end, on the
-// registry-based Placer API.
+// Quickstart: the paper's running example (Fig. 1) end to end, as one
+// evaluating Engine job.
 //
 // A sixteen-macro design is floorplanned with the "hidap" placer; the
 // program streams per-level progress, prints the multi-level evolution of
@@ -39,11 +39,9 @@ func main() {
 		fmt.Printf("  block %-8s %s\n", names[i], kind)
 	}
 
-	// Run the full flow with per-level tracing and progress streaming.
-	placer, err := hidap.Lookup("hidap")
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Run the full flow with per-level tracing and progress streaming, then
+	// place the standard cells and measure: one evaluating Engine job. The
+	// one-worker engine leaves the job's scheduler free to use every core.
 	cfg := hidap.NewConfig(
 		hidap.WithSeed(1),
 		hidap.WithTrace(),
@@ -53,10 +51,13 @@ func main() {
 			}
 		}),
 	)
-	pl, stats, err := placer.Place(ctx, d, cfg)
+	eng := hidap.NewEngine(cfg, hidap.EngineOptions{Workers: 1})
+	defer eng.Close()
+	res, err := eng.Run(ctx, hidap.Job{Design: d, Placer: "hidap", Evaluate: true})
 	if err != nil {
 		log.Fatal(err)
 	}
+	pl, stats, rep := res.Placement, res.Stats, res.Report
 	fmt.Printf("\nHiDaP placed %d macros across %d levels (%d flips) in %.2fs\n",
 		len(d.Macros()), stats.Levels, stats.Flips, stats.MacroSeconds)
 
@@ -89,14 +90,6 @@ func main() {
 	f.Close()
 
 	// Metrics after standard-cell placement: one Report for everything.
-	if err := hidap.PlaceStdCells(ctx, pl); err != nil {
-		log.Fatal(err)
-	}
-	rep, err := hidap.Evaluate(ctx, d, pl)
-	if err != nil {
-		log.Fatal(err)
-	}
-	stats.Annotate(rep)
 	fmt.Printf("\nafter cell placement: WL %.4f m, GRC %.2f%%, WNS %.1f%%, TNS %.1f ns\n",
 		rep.WirelengthM, rep.CongestionPct, rep.WNSPct, rep.TNSns)
 	fmt.Println("report as JSON:")

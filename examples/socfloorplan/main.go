@@ -2,9 +2,10 @@
 //
 // A c5-class synthetic SoC (133 macros) is floorplanned by each placer in
 // the registry — the industrial-style baseline, HiDaP and the handcrafted
-// oracle; standard cells are placed with the shared quadratic placer and
-// the paper's Table III metrics come out of the unified Evaluate pipeline,
-// along with SVG floorplans and ASCII density maps (Fig. 9).
+// oracle — as one evaluating job each on a single Engine, so the design's
+// Gseq is built once; each job places the standard cells with the shared
+// quadratic placer and measures the paper's Table III metrics. SVG
+// floorplans and ASCII density maps (Fig. 9) come out alongside.
 //
 //	go run ./examples/socfloorplan
 package main
@@ -34,26 +35,18 @@ func main() {
 		float64(d.Die.W)/1e6, float64(d.Die.H)/1e6)
 
 	// The handfp placer needs the designer intent; the others ignore it.
+	// Jobs run one at a time, each free to use every core.
 	cfg := hidap.NewConfig(hidap.WithSeed(1), hidap.WithIntent(g.Intent))
+	eng := hidap.NewEngine(cfg, hidap.EngineOptions{Workers: 1})
+	defer eng.Close()
 
 	fmt.Printf("%-8s %10s %8s %9s %10s\n", "flow", "WL(m)", "GRC%", "WNS%", "TNS(ns)")
 	for _, name := range hidap.Placers() {
-		placer, err := hidap.Lookup(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		pl, stats, err := placer.Place(ctx, d, cfg)
+		res, err := eng.Run(ctx, hidap.Job{Design: d, Placer: name, Evaluate: true})
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
-		if err := hidap.PlaceStdCells(ctx, pl); err != nil {
-			log.Fatalf("%s: cells: %v", name, err)
-		}
-		rep, err := hidap.Evaluate(ctx, d, pl)
-		if err != nil {
-			log.Fatalf("%s: evaluate: %v", name, err)
-		}
-		stats.Annotate(rep)
+		pl, rep := res.Placement, res.Report
 		fmt.Printf("%-8s %10.4f %8.2f %9.1f %10.1f\n",
 			name, rep.WirelengthM, rep.CongestionPct, rep.WNSPct, rep.TNSns)
 

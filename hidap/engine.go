@@ -722,15 +722,21 @@ func (e *Engine) execute(t *Ticket) (res *JobResult, err error) {
 // evaluate calls the Placer once, at cfg.Lambda. An evaluating job runs
 // flows.Measure with the Placer as its callback, at flows.Sweep's λ
 // candidates, and a circuit job adds its Table III row. The config carries
-// the warm handle; only the hidap placer reads it, building the cached
-// artifacts (and the autoclustered variant) on first use, so indeda and
-// handfp jobs pay for none of them.
+// the warm handle; only the hidap placer reads it, so indeda and handfp
+// jobs pay for none of the artifacts it builds. A hidap job resolves its
+// autoclustered variant here, before any placement clock starts, so
+// Stats.MacroSeconds leaves the autocluster front end out on every path.
 func (e *Engine) runJob(ctx context.Context, t *Ticket, cfg *Config) (*JobResult, error) {
 	art, g := t.src()
 	if g != nil {
 		cfg.Intent = g.Intent
 	}
 	w := e.warm(art, cfg)
+	if t.placer.Name() == FlowHiDaP.Name() {
+		if _, err := w.hidap(); err != nil {
+			return nil, err
+		}
+	}
 	placeAt := func(ctx context.Context, lambda float64, pool *sched.Pool) (*Placement, Stats, error) {
 		c, wc := *cfg, *w
 		c.Lambda, c.warm, wc.sched = lambda, &wc, pool

@@ -782,6 +782,43 @@ func TestEngineAutocluster(t *testing.T) {
 	}
 }
 
+// TestJobMacroSecondsExcludesAutocluster: a job's MacroSeconds leaves the
+// autocluster front end (the synthesis and the Gseq build it triggers) out,
+// whether the job evaluates or not. On a flat design, a non-evaluating job
+// on a fresh engine measures the front end as the wall time outside its
+// MacroSeconds. An evaluating job on another fresh engine pays the same
+// front end and places the same single candidate, so its MacroSeconds must
+// exceed the non-evaluating job's by well under half the front end.
+func TestJobMacroSecondsExcludesAutocluster(t *testing.T) {
+	g := circuits.GenFlat(circuits.Spec{
+		Name: "front", Cells: 600_000, Macros: 6, Subsystems: 2,
+		BusWidth: 8, PipelineDepth: 1, Scale: 6, Seed: 5,
+	})
+	cfg := hidap.NewConfig(hidap.WithEffort(hidap.EffortLow), hidap.WithSeed(1),
+		hidap.WithParallelism(1), hidap.WithAutocluster(hidap.DefaultAutocluster()))
+	run := func(evaluate bool) (macro, wall float64) {
+		t.Helper()
+		eng := hidap.NewEngine(cfg, hidap.EngineOptions{Workers: 1})
+		defer eng.Close()
+		start := time.Now()
+		res, err := eng.Run(context.Background(), hidap.Job{Design: g.Design, Key: "front", Placer: "hidap", Evaluate: evaluate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := eng.Stats(); st.DesignsClustered != 1 {
+			t.Fatalf("evaluate=%v: %d designs clustered, want 1", evaluate, st.DesignsClustered)
+		}
+		return res.Stats.MacroSeconds, time.Since(start).Seconds()
+	}
+	macro, wall := run(false)
+	front := wall - macro
+	evalMacro, _ := run(true)
+	t.Logf("front end %.4fs; MacroSeconds %.4fs without evaluation, %.4fs with", front, macro, evalMacro)
+	if evalMacro <= 0 || evalMacro >= macro+front/2 {
+		t.Errorf("evaluating job: MacroSeconds = %.4fs, want in (0, %.4f): the front end took %.4fs", evalMacro, macro+front/2, front)
+	}
+}
+
 // TestCircuitAndDesignJobsAgree: a circuit job and an evaluating design job
 // on the same design, with equal seed, place every macro alike and return
 // the same bookkeeping: equal Stats (but for MacroSeconds and Trace) and

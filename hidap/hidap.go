@@ -1,20 +1,25 @@
 // Package hidap is the public API of the HiDaP reproduction: RTL-aware,
 // dataflow-driven macro placement after Vidal-Obiols et al. (DATE 2019).
 //
-// # One-shot placement
+// # Placing and measuring a design
 //
-// Every flow sits behind the Placer interface and a name registry, with one
-// evaluation pipeline for the results:
+// Every flow sits behind the Placer interface and a name registry. An
+// Engine job runs one on a design; with Evaluate it also places the
+// standard cells and measures the result, through the same pipeline as
+// the paper's Tables:
 //
 //	b := hidap.NewDesign("soc")
 //	... build the hierarchical netlist (or hidap.ParseVerilog) ...
 //	d := b.MustBuild()
-//	p, _ := hidap.Lookup("hidap") // or "indeda", "handfp", a plug-in
 //	cfg := hidap.NewConfig(hidap.WithLambda(0.5), hidap.WithSeed(7))
-//	pl, stats, err := p.Place(ctx, d, cfg)
-//	hidap.PlaceStdCells(ctx, pl)        // standard cells
-//	rep, err := hidap.Evaluate(ctx, d, pl)
-//	stats.Annotate(rep)                 // one JSON-ready Report
+//	eng := hidap.NewEngine(cfg, hidap.EngineOptions{Workers: 1})
+//	defer eng.Close()
+//	res, err := eng.Run(ctx, hidap.Job{
+//		Design:   d,
+//		Placer:   "hidap", // or "indeda", "handfp", a plug-in
+//		Evaluate: true,    // standard cells + one JSON-ready Report
+//	})
+//	// res.Placement, res.Stats (levels, flips, λ), res.Report
 //
 // Placers honor context cancellation and deadlines, report progress through
 // hidap.WithProgress, and are deterministic for a fixed seed. Third-party
@@ -41,17 +46,16 @@
 // candidate of the same place → cell-place → measure pipeline the Tables
 // use. Engine.SubmitBatch fans a whole evaluation suite (circuits × flows ×
 // seeds) through the engine and aggregates it with the Tables II/III
-// pipeline (see cmd/hidap-serve for the HTTP surface). The Engine wraps the
-// same placers: a one-shot Placer.Place is cold, building every per-design
-// artifact itself, so callers that place a design more than once should
-// run an Engine to reuse its warm caches.
+// pipeline (see cmd/hidap-serve for the HTTP surface). A Placer's own
+// Place, called outside an Engine, places macros only and is cold,
+// building every per-design artifact itself.
 //
 // # Interchange
 //
 // The package also re-exports the stable subset of the internal machinery:
 // netlist construction, the Verilog front end, metric models, interchange
-// formats and SVG rendering. Placements go through a Placer (or an Engine
-// job) and measurements through Evaluate.
+// formats and SVG rendering. Placements and measurements go through Engine
+// jobs.
 package hidap
 
 import (

@@ -37,6 +37,19 @@ func place(t *testing.T, name string, d *hidap.Design, opts ...hidap.Option) (*h
 	return pl, stats
 }
 
+// measure runs one evaluating Engine job of the hidap placer on d under a
+// config built from opts, failing the test on error.
+func measure(t *testing.T, d *hidap.Design, opts ...hidap.Option) *hidap.JobResult {
+	t.Helper()
+	eng := hidap.NewEngine(hidap.NewConfig(opts...), hidap.EngineOptions{Workers: 1})
+	defer eng.Close()
+	res, err := eng.Run(context.Background(), hidap.Job{Design: d, Placer: "hidap", Evaluate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestParseVerilogAndPlace(t *testing.T) {
 	lib := hidap.DefaultLibrary()
 	lib.AddMacro("RAM4", 20_000, 12_000, 4)
@@ -44,20 +57,12 @@ func TestParseVerilogAndPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, _ := place(t, "hidap", d)
-	if !pl.AllMacrosPlaced() {
+	res := measure(t, d)
+	if !res.Placement.AllMacrosPlaced() {
 		t.Fatal("macro unplaced")
 	}
-	ctx := context.Background()
-	if err := hidap.PlaceStdCells(ctx, pl); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := hidap.Evaluate(ctx, d, pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.WirelengthM <= 0 {
-		t.Errorf("wirelength = %v", rep.WirelengthM)
+	if res.Report.WirelengthM <= 0 {
+		t.Errorf("wirelength = %v", res.Report.WirelengthM)
 	}
 }
 
@@ -66,15 +71,8 @@ func TestFullPublicFlow(t *testing.T) {
 		Name: "pub", Cells: 200_000, Macros: 6, Subsystems: 2,
 		BusWidth: 32, Scale: 400, Seed: 3,
 	})
-	pl, stats := place(t, "hidap", g.Design, hidap.WithEffort(hidap.EffortLow), hidap.WithTrace())
-	ctx := context.Background()
-	if err := hidap.PlaceStdCells(ctx, pl); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := hidap.Evaluate(ctx, g.Design, pl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := measure(t, g.Design, hidap.WithEffort(hidap.EffortLow), hidap.WithTrace())
+	pl, stats, rep := res.Placement, res.Stats, res.Report
 	if rep.CongestionPct < 0 {
 		t.Error("congestion negative")
 	}

@@ -15,8 +15,8 @@ import (
 // SeqStats is the sequential-graph size summary (Table I).
 type SeqStats = seqgraph.Stats
 
-// Stats is the bookkeeping of one Placer run; Stats.Annotate copies it
-// onto a Report.
+// Stats is the bookkeeping of one Placer run; an evaluating Engine job
+// copies it onto its Report.
 type Stats = flows.Stats
 
 // Placer is a macro-placement flow behind the uniform entry point. The
@@ -26,7 +26,8 @@ type Placer interface {
 	// Name is the registry key of the flow.
 	Name() string
 	// Place produces a macro placement for the design. Ports are fixed by
-	// the design; standard cells are left to PlaceStdCells. A nil cfg
+	// the design; standard cells are left to an evaluating Engine job,
+	// which places and measures them after Place returns. A nil cfg
 	// means NewConfig() defaults. A cancelled or expired ctx aborts the
 	// run promptly and returns ctx.Err().
 	Place(ctx context.Context, d *Design, cfg *Config) (*Placement, Stats, error)

@@ -226,20 +226,7 @@ func TestPlacerFuncPanicIsError(t *testing.T) {
 
 func TestEvaluateReportJSONRoundTrip(t *testing.T) {
 	g := circuits.ABCDX()
-	ctx := context.Background()
-	p, _ := hidap.Lookup("hidap")
-	pl, stats, err := p.Place(ctx, g.Design, hidap.NewConfig(hidap.WithSeed(1), hidap.WithEffort(hidap.EffortLow)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := hidap.PlaceStdCells(ctx, pl); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := hidap.Evaluate(ctx, g.Design, pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats.Annotate(rep)
+	rep := measure(t, g.Design, hidap.WithSeed(1), hidap.WithEffort(hidap.EffortLow)).Report
 
 	if rep.WirelengthM <= 0 {
 		t.Errorf("wirelength = %v", rep.WirelengthM)
@@ -274,19 +261,5 @@ func TestEvaluateReportJSONRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "wirelength_m") {
 		t.Errorf("WriteJSON output: %s", sb.String())
-	}
-}
-
-func TestEvaluateHonorsCancellation(t *testing.T) {
-	g := circuits.ABCDX()
-	p, _ := hidap.Lookup("indeda")
-	pl, _, err := p.Place(context.Background(), g.Design, hidap.NewConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := hidap.Evaluate(ctx, g.Design, pl); !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }

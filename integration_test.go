@@ -11,6 +11,7 @@ import (
 	"repro/internal/flows"
 	"repro/internal/layout"
 	"repro/internal/netlist"
+	"repro/internal/place"
 )
 
 // TestEndToEndSuiteCircuit runs all three flows on a small suite circuit
@@ -186,7 +187,7 @@ func TestPlaceMacroOnlyDesign(t *testing.T) {
 		t.Errorf("overlap = %d", ov)
 	}
 	// Cell placement over a macro-only design is a no-op but must succeed.
-	if err := hidap.PlaceStdCells(context.Background(), pl); err != nil {
+	if err := place.Run(context.Background(), pl, place.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 }

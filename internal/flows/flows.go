@@ -98,7 +98,11 @@ type Stats struct {
 	// MacroSeconds is the wall time of macro placement alone: cell
 	// placement and measurement are not in it. Measure times the macro
 	// placement of all its λ candidates, each a full placement the run
-	// paid for, before any of them is cell-placed.
+	// paid for, before any of them is cell-placed. The autocluster front
+	// end (the synthesis and the Gseq build it triggers) is never in it:
+	// every caller resolves the clustered variant before the clock starts.
+	// The artifacts a placement builds on first use (Gseq without
+	// autoclustering, the hierarchy tree, the bipartite graph) are in it.
 	MacroSeconds float64
 	// Levels counts floorplanned recursion levels (HiDaP).
 	Levels int
@@ -112,10 +116,10 @@ type Stats struct {
 	Trace []core.LevelTrace
 }
 
-// Annotate copies the run bookkeeping onto a measurement report, fusing
+// annotate copies the run bookkeeping onto a measurement report, fusing
 // "what the placer did" with "how good the placement is" into the single
 // record a server or the bench harness emits.
-func (s Stats) Annotate(r *eval.Report) {
+func (s Stats) annotate(r *eval.Report) {
 	r.Placer = s.Placer
 	r.MacroSeconds = s.MacroSeconds
 	r.Levels = s.Levels
@@ -282,7 +286,7 @@ func Measure(ctx context.Context, art *core.Artifacts, lambdas []float64, parall
 	if err != nil {
 		return nil, Stats{}, nil, err
 	}
-	win.st.Annotate(rep)
+	win.st.annotate(rep)
 	return win.pl, win.st, rep, nil
 }
 
