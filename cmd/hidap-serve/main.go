@@ -20,11 +20,12 @@
 //	{"label":"t2", "placer":"hidap", "evaluate":true,
 //	 "design":{"name":"soc", "die":[0,0,500000,500000], ...}}
 //
-// Both become one engine job with one placer selector, on either kind:
-// "flow" names a paper flow in any case (IndEDA, HiDaP, handFP), "placer"
-// any registered placer; a request may set both only to the same placer,
-// and setting neither selects hidap. A circuit job always evaluates; a
-// design job evaluates unless "evaluate" is false.
+// Both become one engine job running one of the paper's three flows, on
+// either kind: "flow" names it in any case (IndEDA, HiDaP, handFP),
+// "placer" by its lower-case name (indeda, hidap, handfp); a request may
+// set both only to the same flow, and setting neither selects hidap. A
+// circuit job always evaluates; a design job evaluates unless "evaluate"
+// is false.
 //
 // On SIGINT/SIGTERM the server stops accepting work, drains every accepted
 // job, and only aborts in-flight placements if the -grace budget expires.
@@ -41,6 +42,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -135,9 +137,9 @@ func (s *server) handler() http.Handler {
 // jobRequest is the submission body. Exactly one of circuit/design.
 type jobRequest struct {
 	Label    string          `json:"label"`
-	Flow     string          `json:"flow"`     // IndEDA | HiDaP | handFP, any case: the job's placer
+	Flow     string          `json:"flow"`     // IndEDA | HiDaP | handFP, any case: the job's flow
 	Circuit  *circuits.Spec  `json:"circuit"`  // synthetic suite circuit
-	Placer   string          `json:"placer"`   // registered placer name: the job's placer
+	Placer   string          `json:"placer"`   // indeda | hidap | handfp: the job's flow
 	Design   json.RawMessage `json:"design"`   // netlist JSON interchange form
 	Evaluate *bool           `json:"evaluate"` // design jobs; default true (circuit jobs always evaluate)
 	Seed     int64           `json:"seed"`
@@ -296,32 +298,24 @@ func resolveSpec(spec circuits.Spec) (circuits.Spec, error) {
 	return base, nil
 }
 
-// placer resolves the request's one placer selector to a registered
-// placer's name: "flow" spells a paper flow in any case, "placer" names any
-// registered placer, and a request setting both must name one placer with
-// them. Neither selects hidap.
+// placer resolves the request's one flow selector to the Job.Placer name
+// of one of hidap.Placers(): "flow" spells a paper flow in any case,
+// "placer" gives its lower-case name, and a request setting both must name
+// one flow with them. Neither selects hidap.
 func (req *jobRequest) placer() (string, error) {
 	name := req.Placer
 	if req.Flow != "" {
-		flow := ""
-		for _, f := range []hidap.Flow{hidap.FlowHiDaP, hidap.FlowIndEDA, hidap.FlowHandFP} {
-			if strings.EqualFold(req.Flow, string(f)) {
-				flow = f.Name()
-			}
-		}
-		switch {
-		case flow == "":
-			return "", fmt.Errorf("unknown flow %q", req.Flow)
-		case name != "" && name != flow:
-			return "", fmt.Errorf("flow %q and placer %q name different placers", req.Flow, name)
+		flow := strings.ToLower(req.Flow)
+		if name != "" && name != flow {
+			return "", fmt.Errorf("flow %q and placer %q name different flows", req.Flow, name)
 		}
 		name = flow
 	}
 	if name == "" {
 		name = hidap.FlowHiDaP.Name()
 	}
-	if _, err := hidap.Lookup(name); err != nil {
-		return "", err
+	if !slices.Contains(hidap.Placers(), name) {
+		return "", fmt.Errorf("unknown flow %q (want one of %v)", name, hidap.Placers())
 	}
 	return name, nil
 }

@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -126,43 +128,43 @@ func TestServeJobRoundTrip(t *testing.T) {
 	}
 }
 
-// serveBlockStarted receives a token each time the "test-serve-block"
-// placer starts a run.
-var serveBlockStarted = make(chan struct{}, 4)
-
-// test-serve-block parks until its context is cancelled. It is registered
-// once per package, so the tests can run repeatedly in one process.
-func init() {
-	hidap.MustRegister(hidap.PlacerFunc("test-serve-block",
-		func(ctx context.Context, d *hidap.Design, cfg *hidap.Config) (*hidap.Placement, hidap.Stats, error) {
-			select {
-			case serveBlockStarted <- struct{}{}:
-			default:
-			}
-			<-ctx.Done()
-			return nil, hidap.Stats{}, ctx.Err()
-		}))
-}
-
 // TestServeDesignJobAndCancel ships a design in the netlist JSON form to a
-// deliberately blocking placer, then cancels it over HTTP.
+// one-worker engine whose slot a directly submitted job holds, so the
+// design job queues behind it, and then cancels the design job over HTTP.
 func TestServeDesignJobAndCancel(t *testing.T) {
 	_, ts, eng := newTestServer(t, 1)
 	defer eng.Close()
+	g := circuits.ABCDX()
 
-	var sb strings.Builder
-	if err := hidap.WriteJSON(&sb, circuits.ABCDX().Design); err != nil {
+	// The holder's progress callback signals started on its first event,
+	// then waits for release.
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	hold := hidap.NewConfig(hidap.WithEffort(hidap.EffortLow), hidap.WithProgress(func(hidap.Progress) {
+		once.Do(func() { close(started) })
+		<-release
+	}))
+	holder, err := eng.Submit(context.Background(), hidap.Job{Design: g.Design, Config: hold})
+	if err != nil {
 		t.Fatal(err)
 	}
-	st, code := postJob(t, ts, fmt.Sprintf(
-		`{"label": "blk", "placer": "test-serve-block", "design": %s}`, sb.String()))
+	defer close(release) // after holder.Cancel below, or on a failed check
+	select {
+	case <-started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("holding job never started")
+	}
+
+	var sb strings.Builder
+	if err := hidap.WriteJSON(&sb, g.Design); err != nil {
+		t.Fatal(err)
+	}
+	st, code := postJob(t, ts, fmt.Sprintf(`{"label": "blk", "design": %s}`, sb.String()))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status = %d", code)
 	}
-	select {
-	case <-serveBlockStarted:
-	case <-time.After(30 * time.Second):
-		t.Fatal("job never started")
+	if got := getStatus(t, ts, st.ID); got.State != hidap.JobQueued {
+		t.Fatalf("design job state = %q behind the holding job, want queued", got.State)
 	}
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
@@ -183,6 +185,7 @@ func TestServeDesignJobAndCancel(t *testing.T) {
 	if rr.StatusCode != http.StatusGone {
 		t.Errorf("cancelled result status = %d, want 410", rr.StatusCode)
 	}
+	holder.Cancel()
 }
 
 // TestServeShutdownDrains submits a real job and closes the engine: the
@@ -266,7 +269,7 @@ func TestServeValidation(t *testing.T) {
 }
 
 // TestServePlacerSelector: "flow" and "placer" select the job's placer on
-// both job kinds — "flow" in any case, "placer" by registry name, both at
+// both job kinds — "flow" in any case, "placer" by lower-case name, both at
 // once when they agree — and a request naming neither runs hidap.
 func TestServePlacerSelector(t *testing.T) {
 	design := abcdxJSON(t)
@@ -479,7 +482,7 @@ func waitFailed(t *testing.T, ts *httptest.Server, id string) {
 // FuzzJobRequest decodes arbitrary bytes as a submission body and converts
 // it to a job, as the submit handler does before the engine sees it. It
 // never submits. toJob must not panic, and a job it accepts names exactly
-// one design source, a parallelism within bounds and a registered placer.
+// one design source, a parallelism within bounds and one of hidap.Placers().
 func FuzzJobRequest(f *testing.F) {
 	for _, body := range invalidBodies {
 		f.Add([]byte(body))
@@ -502,8 +505,8 @@ func FuzzJobRequest(f *testing.F) {
 		if p := job.Config.Parallelism; p < 0 || p > maxParallelism {
 			t.Fatalf("parallelism %d outside [0, %d]", p, maxParallelism)
 		}
-		if _, err := hidap.Lookup(job.Placer); err != nil {
-			t.Fatalf("job placer: %v", err)
+		if !slices.Contains(hidap.Placers(), job.Placer) {
+			t.Fatalf("job placer %q not one of %v", job.Placer, hidap.Placers())
 		}
 	})
 }

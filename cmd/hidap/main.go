@@ -1,5 +1,6 @@
-// Command hidap places the macros of a structural Verilog netlist with any
-// registered placement flow and writes the placement plus an SVG floorplan.
+// Command hidap places the macros of a structural Verilog netlist with the
+// HiDaP flow or the IndEDA baseline and writes the placement plus an SVG
+// floorplan.
 //
 // Usage:
 //
@@ -7,7 +8,8 @@
 //	hidap -in design.v -top chip -flow indeda -seed 7
 //	hidap -in design.v -top chip -lambda 0.2 -effort high -cells -json
 //
-// Flows come from the hidap placer registry (-flow hidap|indeda|...).
+// -flow selects hidap or indeda. The third flow, handfp, realizes a
+// designer intent that a netlist does not carry, so the command refuses it.
 // Macro cell types are declared inline with -macro name=WxHxBITS (repeat
 // as needed) or via -lef; the DFF/gate library is built in. With -json the
 // evaluation report is the only stdout payload (the placement listing goes
@@ -42,7 +44,7 @@ func main() {
 		svg      = flag.String("svg", "", "optional SVG floorplan output")
 		def_     = flag.String("def", "", "optional DEF placement output")
 		lef      = flag.String("lef", "", "optional LEF file defining the macro library")
-		flow     = flag.String("flow", "hidap", "placement flow: "+strings.Join(hidap.Placers(), "|"))
+		flow     = flag.String("flow", "hidap", "placement flow: hidap|indeda")
 		lambda   = flag.Float64("lambda", 0.5, "block-flow vs macro-flow blend λ")
 		k        = flag.Float64("k", 2, "latency decay exponent")
 		effort   = flag.String("effort", "medium", "annealing effort: low|medium|high")
@@ -67,6 +69,9 @@ func main() {
 	eff, err := hidap.ParseEffort(*effort)
 	if err != nil {
 		fatal(err)
+	}
+	if *flow != hidap.FlowHiDaP.Name() && *flow != hidap.FlowIndEDA.Name() {
+		fatal(fmt.Errorf("-flow %q: want hidap or indeda (handfp needs a designer intent, which this command cannot supply)", *flow))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -228,7 +233,9 @@ func parseMacro(s string) (name string, w, h int64, bits int, err error) {
 	return name, w, h, bits, nil
 }
 
+// fatal prints err with one "hidap:" prefix, which Engine errors already
+// carry, and exits 1.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hidap:", err)
+	fmt.Fprintln(os.Stderr, "hidap:", strings.TrimPrefix(err.Error(), "hidap: "))
 	os.Exit(1)
 }

@@ -1,7 +1,7 @@
 // Quickstart: the paper's running example (Fig. 1) end to end, as one
 // evaluating Engine job.
 //
-// A sixteen-macro design is floorplanned with the "hidap" placer; the
+// A sixteen-macro design is floorplanned with the "hidap" flow; the
 // program streams per-level progress, prints the multi-level evolution of
 // the block floorplan (first partition, recursive partitions, final macro
 // coordinates) and writes one SVG per level plus the final floorplan,

@@ -1,8 +1,8 @@
-// Socfloorplan: every registered placement flow compared on a mid-size SoC.
+// Socfloorplan: the three placement flows compared on a mid-size SoC.
 //
-// A c5-class synthetic SoC (133 macros) is floorplanned by each placer in
-// the registry — the industrial-style baseline, HiDaP and the handcrafted
-// oracle — as one evaluating job each on a single Engine, so the design's
+// A c5-class synthetic SoC (133 macros) is floorplanned by each flow of
+// hidap.Placers() — the handcrafted oracle, HiDaP and the industrial-style
+// baseline — as one evaluating job each on a single Engine, so the design's
 // Gseq is built once; each job places the standard cells with the shared
 // quadratic placer and measures the paper's Table III metrics. SVG
 // floorplans and ASCII density maps (Fig. 9) come out alongside.
@@ -34,7 +34,7 @@ func main() {
 		spec.Name, st.Cells, st.MacroCells,
 		float64(d.Die.W)/1e6, float64(d.Die.H)/1e6)
 
-	// The handfp placer needs the designer intent; the others ignore it.
+	// The handfp flow needs the designer intent; the others ignore it.
 	// Jobs run one at a time, each free to use every core.
 	cfg := hidap.NewConfig(hidap.WithSeed(1), hidap.WithIntent(g.Intent))
 	eng := hidap.NewEngine(cfg, hidap.EngineOptions{Workers: 1})

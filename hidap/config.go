@@ -17,7 +17,7 @@ type AutoclusterParams = autocluster.Params
 func DefaultAutocluster() AutoclusterParams { return autocluster.DefaultParams() }
 
 // Progress aliases: the per-level and flipping events delivered to a
-// WithProgress callback while a placer runs.
+// WithProgress callback while a job places.
 type (
 	// Progress is one event of a running placement.
 	Progress = core.Progress
@@ -40,26 +40,24 @@ const (
 // hierarchy subtrees (and an evaluating job's λ candidates) run on.
 type Knobs = core.Knobs
 
-// Config parameterizes a Placer run. Build one with NewConfig and functional
-// options; the zero value is not a valid configuration.
+// Config parameterizes Engine jobs: the engine's default for every job
+// (NewEngine) or one job's own (Job.Config). Build one with NewConfig and
+// functional options; the zero value is not a valid configuration.
 type Config struct {
 	// Knobs are the HiDaP parameters. Parallelism trades wall time only,
 	// never the result; Progress streams per-level events so a server can
 	// report status for long runs.
 	Knobs
 	// Intent maps macro names to intended outlines; required by the
-	// "handfp" placer, ignored by the others.
+	// "handfp" flow, ignored by the others. A circuit job uses its
+	// circuit's intent instead.
 	Intent Intent
 	// Autocluster, when set, runs the hierarchy-synthesis front-end before
 	// HiDaP placement: flat (or badly shaped) netlists get a synthesized
 	// physical hierarchy honoring the given bounds; well-shaped ones pass
 	// through untouched. Engines cache the clustered design per
-	// (design, params). Read only by the "hidap" placer.
+	// (design, params). Read only by the "hidap" flow.
 	Autocluster *AutoclusterParams
-
-	// warm is set by an Engine on a job's config so the hidap placer
-	// reuses the job's cached artifacts; never set by callers.
-	warm *warmJob
 }
 
 // Option mutates a Config under construction.
@@ -114,7 +112,7 @@ func WithTrace() Option { return func(c *Config) { c.Trace = true } }
 // first contribution).
 func WithFlat() Option { return func(c *Config) { c.Flat = true } }
 
-// WithIntent supplies the designer intent consumed by the "handfp" placer.
+// WithIntent supplies the designer intent consumed by the "handfp" flow.
 func WithIntent(intent Intent) Option { return func(c *Config) { c.Intent = intent } }
 
 // WithProgress registers a progress callback for the run.

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -42,6 +43,12 @@ const (
 	FlowHandFP = flows.FlowHandFP
 )
 
+// Placers lists the names Job.Placer accepts, sorted: the Name of each of
+// the three flows.
+func Placers() []string {
+	return []string{FlowHandFP.Name(), FlowHiDaP.Name(), FlowIndEDA.Name()}
+}
+
 // Engine errors.
 var (
 	// ErrEngineClosed is returned by Submit/Run after Close.
@@ -63,16 +70,17 @@ const (
 	JobCanceled JobState = "canceled"
 )
 
-// Job describes one unit of work for an Engine: a registered Placer run on
-// one design, named by exactly one of Design or Circuit. A design job
-// places the given netlist, deduplicated by content hash (or by Key when
-// set), so repeated jobs on it share one parsed instance and one cached
-// Gseq. A circuit job places a synthetic suite circuit, generated once per
-// canonical spec and cached, with the circuit's intent as Config.Intent.
-// Both run one path: a job that does not evaluate calls its Placer once;
-// an evaluating job (a design job with Evaluate, or any circuit job) runs
-// the paper's evaluation pipeline — macro placement at each λ candidate,
-// standard-cell placement, measurement of the lowest-wirelength one.
+// Job describes one unit of work for an Engine: one of the paper's three
+// flows, named by Placer, run on one design, named by exactly one of Design
+// or Circuit. A design job places the given netlist, deduplicated by
+// content hash (or by Key when set), so repeated jobs on it share one
+// parsed instance and one cached Gseq. A circuit job places a synthetic
+// suite circuit, generated once per canonical spec and cached, with the
+// circuit's intent as Config.Intent. Both run one path: a job that does
+// not evaluate places once; an evaluating job (a design job with Evaluate,
+// or any circuit job) runs the paper's evaluation pipeline — macro
+// placement at each λ candidate, standard-cell placement, measurement of
+// the lowest-wirelength one.
 type Job struct {
 	// Design is the netlist to place (design jobs).
 	Design *Design
@@ -80,8 +88,8 @@ type Job struct {
 	// content hash. Two jobs with equal keys assert content-identical
 	// designs and share one canonical instance.
 	Key string
-	// Placer selects the registered flow for both job kinds ("hidap" when
-	// empty). An unregistered name is refused at submit.
+	// Placer names the job's flow, one of Placers(): "hidap" (also when
+	// empty), "indeda" or "handfp". Any other name is refused at submit.
 	Placer string
 	// Evaluate, for design jobs, runs the measurement pipeline and attaches
 	// a Report. Circuit jobs always evaluate.
@@ -93,8 +101,8 @@ type Job struct {
 	// value and keeps the best post-placement wirelength, so a single value
 	// pins λ. Empty, a circuit job sweeps the paper's {0.2, 0.5, 0.8} and a
 	// design job places at Config.Lambda. A sweep of more than one λ
-	// returns no trace and streams no progress. Other placers place once at
-	// Config.Lambda, and a circuit job's indeda always runs at high effort.
+	// returns no trace and streams no progress. The other flows place once
+	// at Config.Lambda, and a circuit job's indeda always runs at high effort.
 	Lambdas []float64
 
 	// Config overrides the engine's default Config for this job.
@@ -110,7 +118,7 @@ type JobResult struct {
 	// Placement is the physical result (macros, and standard cells when the
 	// job evaluated).
 	Placement *Placement
-	// Stats is the placer bookkeeping of the placement, the winning λ
+	// Stats is the flow's bookkeeping of the placement, the winning λ
 	// candidate's on an evaluating job.
 	Stats Stats
 	// Report is the measurement record, annotated with Stats (evaluating
@@ -124,11 +132,11 @@ type JobResult struct {
 // Ticket tracks one submitted job. Wait blocks for the result; Cancel
 // aborts the job whether queued or running.
 type Ticket struct {
-	id     uint64
-	job    Job
-	eng    *Engine
-	src    source
-	placer Placer
+	id   uint64
+	job  Job
+	eng  *Engine
+	src  source
+	flow Flow
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -513,12 +521,11 @@ type SuiteResult struct {
 }
 
 // SubmitBatch fans a suite through the engine, one circuit job per
-// (circuit, flow, seed), each placed by the flow's registered placer.
-// Repeated circuits across jobs share one cached design and sequential
-// graph. ctx parents every job. A batch is exempt from the MaxPending
-// bound: the whole suite is accepted atomically and runs at most Workers
-// jobs at a time. A flow with no registered placer refuses the batch
-// before any job is submitted.
+// (circuit, flow, seed). Repeated circuits across jobs share one cached
+// design and sequential graph. ctx parents every job. A batch is exempt
+// from the MaxPending bound: the whole suite is accepted atomically and
+// runs at most Workers jobs at a time. A flow outside the paper's three
+// refuses the batch before any job is submitted.
 func (e *Engine) SubmitBatch(ctx context.Context, s Suite) (*Batch, error) {
 	if len(s.Circuits) == 0 {
 		return nil, errors.New("hidap: SubmitBatch needs at least one circuit")
@@ -528,8 +535,8 @@ func (e *Engine) SubmitBatch(ctx context.Context, s Suite) (*Batch, error) {
 		fl = []Flow{FlowIndEDA, FlowHiDaP, FlowHandFP}
 	}
 	for _, f := range fl {
-		if _, err := Lookup(f.Name()); err != nil {
-			return nil, err
+		if _, err := flows.FlowNamed(f.Name()); err != nil {
+			return nil, fmt.Errorf("hidap: %w", err)
 		}
 	}
 	base := s.Config
@@ -618,16 +625,16 @@ func (e *Engine) prepare(ctx context.Context, job Job) (*Ticket, error) {
 	if name == "" {
 		name = FlowHiDaP.Name()
 	}
-	p, err := Lookup(name)
+	flow, err := flows.FlowNamed(name)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hidap: job placer: %w", err)
 	}
 	t := &Ticket{
-		id:     e.nextID.Add(1),
-		job:    job,
-		eng:    e,
-		placer: p,
-		done:   make(chan struct{}),
+		id:   e.nextID.Add(1),
+		job:  job,
+		eng:  e,
+		flow: flow,
+		done: make(chan struct{}),
 	}
 	if d := job.Design; d != nil {
 		key := job.Key
@@ -695,20 +702,20 @@ func checkSpec(spec circuits.Spec) error {
 
 // execute runs one job on the caller's goroutine under guard, so a
 // panicking job becomes a job error rather than taking down the engine. A
-// failure names the job, whichever layer (engine or placer) reported it.
+// failure names the job, whichever layer (engine or flow) reported it.
 func (e *Engine) execute(t *Ticket) (res *JobResult, err error) {
 	cfg := t.job.Config
 	if cfg == nil {
 		cfg = e.cfg
 	}
-	cc := *cfg // shallow copy: the warm handle is per job
+	cc := *cfg // shallow copy: runJob edits the intent and knobs per job
 	if e.workers > 1 && cc.Parallelism <= 0 {
 		// The Workers slots are the outer parallelism layer: a job's own
 		// scheduler defaulting to all cores would multiply into Workers ×
 		// GOMAXPROCS busy goroutines. Results never depend on Parallelism.
 		cc.Parallelism = 1
 	}
-	err = guard(t.ctx, "job", func() (err error) {
+	err = guard(t.ctx, func() (err error) {
 		res, err = e.runJob(t.ctx, t, &cc)
 		return err
 	})
@@ -718,43 +725,63 @@ func (e *Engine) execute(t *Ticket) (res *JobResult, err error) {
 	return res, err
 }
 
-// runJob places the job's design with its Placer. A job that does not
-// evaluate calls the Placer once, at cfg.Lambda. An evaluating job runs
-// flows.Measure with the Placer as its callback, at flows.Sweep's λ
-// candidates, and a circuit job adds its Table III row. The config carries
-// the warm handle; only the hidap placer reads it, so indeda and handfp
-// jobs pay for none of the artifacts it builds. A hidap job resolves its
-// autoclustered variant here, before any placement clock starts, so
-// Stats.MacroSeconds leaves the autocluster front end out on every path.
+// guard runs one job: not at all when ctx is already done, and with a
+// panic (a degenerate design tripping an internal invariant, or a panicking
+// progress callback) turned into an error, so one bad job cannot take down
+// its caller or a server built on it.
+func guard(ctx context.Context, run func() error) (err error) {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("hidap: job panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
+	return run()
+}
+
+// runJob places the job's design with its flow through flows.Place. A job
+// that does not evaluate places once, at cfg.Lambda. An evaluating job runs
+// flows.Measure at flows.Sweep's λ candidates, and a circuit job adds its
+// Table III row. A hidap job resolves what it places — the cached artifacts
+// or their autoclustered variant, with Gseq, the hierarchy tree and the
+// bipartite graph built — before any placement clock starts, so
+// Stats.MacroSeconds counts none of those builds on a cold job either.
+// indeda and handfp jobs build none of them.
 func (e *Engine) runJob(ctx context.Context, t *Ticket, cfg *Config) (*JobResult, error) {
 	art, g := t.src()
 	if g != nil {
 		cfg.Intent = g.Intent
 	}
-	w := e.warm(art, cfg)
-	if t.placer.Name() == FlowHiDaP.Name() {
-		if _, err := w.hidap(); err != nil {
+	placed := art
+	if t.flow == FlowHiDaP {
+		var err error
+		if placed, err = e.cluster(art, cfg.Autocluster); err != nil {
 			return nil, err
 		}
+		placed.SeqGraph()
+		placed.Tree()
+		placed.Bipartite()
 	}
 	placeAt := func(ctx context.Context, lambda float64, pool *sched.Pool) (*Placement, Stats, error) {
-		c, wc := *cfg, *w
-		c.Lambda, c.warm, wc.sched = lambda, &wc, pool
-		return t.placer.Place(ctx, art.Design(), &c)
+		k := cfg.Knobs
+		k.Lambda = lambda
+		return flows.Place(ctx, placed, t.flow, cfg.Intent, flows.Options{Knobs: k, Pool: e.pool}, pool)
 	}
 	res := &JobResult{Label: t.job.Label}
 	var err error
 	if g == nil && !t.job.Evaluate {
 		res.Placement, res.Stats, err = placeAt(ctx, cfg.Lambda, nil)
 	} else {
-		lambdas := flows.Sweep(t.placer.Name(), &cfg.Knobs, t.job.Lambdas, g != nil)
+		lambdas := flows.Sweep(t.flow.Name(), &cfg.Knobs, t.job.Lambdas, g != nil)
 		res.Placement, res.Stats, res.Report, err = flows.Measure(ctx, art, lambdas, cfg.Parallelism, placeAt)
 	}
 	switch {
 	case err != nil:
 		return nil, err
 	case g != nil:
-		res.Metrics = &FlowMetrics{Circuit: g.Spec.Name, Flow: flows.FlowNamed(t.placer.Name()), Report: *res.Report}
+		res.Metrics = &FlowMetrics{Circuit: g.Spec.Name, Flow: t.flow, Report: *res.Report}
 		res.Report = &res.Metrics.Report
 	}
 	if res.Report != nil {
@@ -763,46 +790,29 @@ func (e *Engine) runJob(ctx context.Context, t *Ticket, cfg *Config) (*JobResult
 	return res, nil
 }
 
-// warmJob is the handle an Engine puts on a job's config: the job's cached
-// artifacts (Gseq, hierarchy tree, bipartite graph, autoclustered
-// variants), the engine itself (scratch pool, autocluster counters) and,
-// on an evaluating job, the scheduler its λ candidates share. A one-shot
-// hidap Place builds a throwaway handle with a nil engine.
-type warmJob struct {
-	art *core.Artifacts
-	// hidap returns the artifacts a HiDaP placement reads, resolved once
-	// per job however many λ candidates place.
-	hidap func() (*core.Artifacts, error)
-	eng   *Engine
-	sched *sched.Pool
-}
-
-// warm builds the handle of a job placing art under cfg. Its hidap returns
-// art itself, or art's autoclustered variant when cfg asks for one, with
-// the outcome (a cache hit, a no-op pass-through or a fresh synthesis)
-// tallied into the engine counters; a nil engine tallies nothing.
-func (e *Engine) warm(art *core.Artifacts, cfg *Config) *warmJob {
-	return &warmJob{art: art, eng: e, hidap: sync.OnceValues(func() (*core.Artifacts, error) {
-		if cfg.Autocluster == nil {
-			return art, nil
-		}
-		v, stats, fresh, err := art.Cluster(*cfg.Autocluster)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case e == nil:
-		case !fresh:
-			e.acHits.Add(1)
-		case stats.NoOp:
-			e.acNoop.Add(1)
-		default:
-			e.acRuns.Add(1)
-			e.acClusters.Add(uint64(stats.Clusters))
-			e.acLevels.Add(uint64(stats.Levels))
-		}
-		return v, nil
-	})}
+// cluster returns the artifacts a hidap job places: art itself, or art's
+// autoclustered variant under p when p is set, with the outcome (a cache
+// hit, a no-op pass-through or a fresh synthesis) tallied into the engine
+// counters.
+func (e *Engine) cluster(art *core.Artifacts, p *AutoclusterParams) (*core.Artifacts, error) {
+	if p == nil {
+		return art, nil
+	}
+	v, stats, fresh, err := art.Cluster(*p)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case !fresh:
+		e.acHits.Add(1)
+	case stats.NoOp:
+		e.acNoop.Add(1)
+	default:
+		e.acRuns.Add(1)
+		e.acClusters.Add(uint64(stats.Clusters))
+		e.acLevels.Add(uint64(stats.Levels))
+	}
+	return v, nil
 }
 
 // hashDesign content-addresses a design: a truncated SHA-256 over every

@@ -7,11 +7,13 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/circuits"
 	"repro/hidap"
+	"repro/internal/core"
 	"repro/internal/flows"
 )
 
@@ -201,57 +203,53 @@ func BenchmarkEngineSameDesign(b *testing.B) {
 	})
 }
 
-// startedKey marks a job context that carries a channel: the
-// "test-engine-block" placer sends one token on it per run it starts.
-type startedKey struct{}
-
-// The test placers are registered once per package, so the tests that use
-// them can run repeatedly in one process (go test -count=N).
-func init() {
-	// test-engine-block parks until its context is cancelled; tests use it
-	// to hold a slot deterministically.
-	hidap.MustRegister(hidap.PlacerFunc("test-engine-block",
-		func(ctx context.Context, d *hidap.Design, cfg *hidap.Config) (*hidap.Placement, hidap.Stats, error) {
-			if started, ok := ctx.Value(startedKey{}).(chan struct{}); ok {
-				select {
-				case started <- struct{}{}:
-				default:
-				}
-			}
-			<-ctx.Done()
-			return nil, hidap.Stats{}, ctx.Err()
-		}))
-	hidap.MustRegister(hidap.PlacerFunc("test-engine-panic",
-		func(ctx context.Context, d *hidap.Design, cfg *hidap.Config) (*hidap.Placement, hidap.Stats, error) {
-			panic("boom")
-		}))
+// blocker holds hidap jobs at their first progress event, through the
+// public WithProgress hook: each job's callback signals started once and
+// then waits until release is closed. A test cancels a held job and then
+// releases it, and the job returns context.Canceled; a held job that is
+// released without a cancel places to the end.
+type blocker struct {
+	started chan struct{}
+	release chan struct{}
+	// free closes release; later calls do nothing.
+	free func()
 }
 
-// withStarted returns ctx carrying a fresh started channel for
-// test-engine-block.
-func withStarted(ctx context.Context) (context.Context, chan struct{}) {
-	started := make(chan struct{}, 4)
-	return context.WithValue(ctx, startedKey{}, started), started
+func newBlocker() *blocker {
+	b := &blocker{started: make(chan struct{}, 4), release: make(chan struct{})}
+	b.free = sync.OnceFunc(func() { close(b.release) })
+	return b
+}
+
+// job returns a fresh hidap job on d that b holds once it starts placing.
+func (b *blocker) job(d *hidap.Design) hidap.Job {
+	var once sync.Once
+	hold := func(hidap.Progress) {
+		once.Do(func() { b.started <- struct{}{} })
+		<-b.release
+	}
+	cfg := hidap.NewConfig(hidap.WithEffort(hidap.EffortLow), hidap.WithSeed(1), hidap.WithProgress(hold))
+	return hidap.Job{Design: d, Placer: "hidap", Config: cfg}
 }
 
 func TestEngineCancelAndQueueFull(t *testing.T) {
 	g := circuits.ABCDX()
-	block := hidap.Job{Design: g.Design, Placer: "test-engine-block"}
+	b := newBlocker()
 
 	eng := hidap.NewEngine(nil, hidap.EngineOptions{Workers: 1, MaxPending: 1})
 	defer eng.Close()
-	ctx, started := withStarted(context.Background())
+	defer b.free() // so a failed check cannot leave Close waiting
+	ctx := context.Background()
 	// A dropped job must finish at once; waits on one give up after this.
 	soon, cancelSoon := context.WithTimeout(ctx, 10*time.Second)
 	defer cancelSoon()
 
-	running, err := eng.Submit(ctx, block)
+	running, err := eng.Submit(ctx, b.job(g.Design))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer running.Cancel() // so a failed check cannot leave Close waiting
 	select {
-	case <-started:
+	case <-b.started:
 	case <-time.After(10 * time.Second):
 		t.Fatal("blocking job never started")
 	}
@@ -259,14 +257,14 @@ func TestEngineCancelAndQueueFull(t *testing.T) {
 		t.Errorf("state = %q, want running", running.State())
 	}
 
-	queued, err := eng.Submit(ctx, block)
+	queued, err := eng.Submit(ctx, b.job(g.Design))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if queued.State() != hidap.JobQueued {
 		t.Errorf("state = %q, want queued", queued.State())
 	}
-	if _, err := eng.Submit(ctx, block); !errors.Is(err, hidap.ErrQueueFull) {
+	if _, err := eng.Submit(ctx, b.job(g.Design)); !errors.Is(err, hidap.ErrQueueFull) {
 		t.Errorf("third submit err = %v, want ErrQueueFull", err)
 	}
 
@@ -283,7 +281,7 @@ func TestEngineCancelAndQueueFull(t *testing.T) {
 	// Cancel a queued job's parent context instead: the same must hold, and
 	// the running job must not notice.
 	parent, cancelParent := context.WithCancel(ctx)
-	orphan, err := eng.Submit(parent, block)
+	orphan, err := eng.Submit(parent, b.job(g.Design))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,12 +296,13 @@ func TestEngineCancelAndQueueFull(t *testing.T) {
 		t.Errorf("running job state = %q after another job's parent ended, want running", running.State())
 	}
 
-	refill, err := eng.Submit(ctx, block)
+	refill, err := eng.Submit(ctx, b.job(g.Design))
 	if err != nil {
 		t.Fatalf("submit after cancelling queued jobs: %v (place not freed)", err)
 	}
 	refill.Cancel()
 	running.Cancel()
+	b.free()
 	for _, tk := range []*hidap.Ticket{running, queued, orphan, refill} {
 		if _, err := tk.Wait(ctx); !errors.Is(err, context.Canceled) {
 			t.Errorf("err = %v, want context.Canceled", err)
@@ -312,8 +311,8 @@ func TestEngineCancelAndQueueFull(t *testing.T) {
 			t.Errorf("state = %q, want canceled", tk.State())
 		}
 	}
-	if len(started) != 0 {
-		t.Errorf("%d cancelled queued jobs ran", len(started))
+	if len(b.started) != 0 {
+		t.Errorf("%d cancelled queued jobs ran", len(b.started))
 	}
 	if st := eng.Stats(); st.Completed != 4 || st.Canceled != 4 || st.Queued != 0 || st.Running != 0 {
 		t.Errorf("stats = %+v, want 4 cancelled completions and nothing left", st)
@@ -325,17 +324,19 @@ func TestEngineCancelAndQueueFull(t *testing.T) {
 func TestEngineCloseWaitsForRun(t *testing.T) {
 	g := circuits.ABCDX()
 	eng := hidap.NewEngine(nil, hidap.EngineOptions{Workers: 1})
+	b := newBlocker()
+	defer b.free()
 
-	ctx, started := withStarted(context.Background())
-	ctx, cancel := context.WithCancel(ctx)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	runDone := make(chan struct{})
+	var runErr error
 	go func() {
 		defer close(runDone)
-		_, _ = eng.Run(ctx, hidap.Job{Design: g.Design, Placer: "test-engine-block"})
+		_, runErr = eng.Run(ctx, b.job(g.Design))
 	}()
 	select {
-	case <-started:
+	case <-b.started:
 	case <-time.After(10 * time.Second):
 		t.Fatal("inline run never started")
 	}
@@ -347,13 +348,17 @@ func TestEngineCloseWaitsForRun(t *testing.T) {
 		t.Fatal("Close returned while an inline Run was still executing")
 	case <-time.After(100 * time.Millisecond):
 	}
-	cancel() // release the blocked job; Close must now complete
+	cancel() // cancel and release the held job; Close must now complete
+	b.free()
 	select {
 	case <-closeDone:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close never finished after the inline run ended")
 	}
 	<-runDone
+	if !errors.Is(runErr, context.Canceled) {
+		t.Errorf("inline run err = %v, want context.Canceled", runErr)
+	}
 }
 
 // TestEngineLambdaPin: Job.Lambdas overrides the circuit pipeline's λ sweep.
@@ -477,20 +482,22 @@ func TestEngineSubmitBatch(t *testing.T) {
 	}
 }
 
-// TestEnginePanicIsolated: a job that panics (degenerate design tripping an
-// internal invariant) must fail alone — the worker, the engine and later
-// jobs survive.
+// TestEnginePanicIsolated: a job that panics (here its progress callback;
+// a degenerate design tripping an internal invariant fails the same way)
+// must fail alone — the worker, the engine and later jobs survive.
 func TestEnginePanicIsolated(t *testing.T) {
 	g := circuits.ABCDX()
 	eng := hidap.NewEngine(fastCfg(1), hidap.EngineOptions{Workers: 1})
 	defer eng.Close()
 	ctx := context.Background()
 
-	tk, err := eng.Submit(ctx, hidap.Job{Label: "boom-job", Design: g.Design, Placer: "test-engine-panic"})
+	boom := hidap.NewConfig(hidap.WithEffort(hidap.EffortLow), hidap.WithSeed(1),
+		hidap.WithProgress(func(hidap.Progress) { panic("boom") }))
+	tk, err := eng.Submit(ctx, hidap.Job{Label: "boom-job", Design: g.Design, Placer: "hidap", Config: boom})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tk.Wait(ctx); err == nil || !strings.Contains(err.Error(), "panicked") {
+	if _, err := tk.Wait(ctx); err == nil || !strings.Contains(err.Error(), "panicked: boom") {
 		t.Fatalf("err = %v, want panic converted to error", err)
 	} else if !strings.Contains(err.Error(), `"boom-job"`) {
 		t.Errorf("err = %v, want it to name the job", err)
@@ -603,12 +610,14 @@ func TestEngineJobValidation(t *testing.T) {
 	} {
 		if _, err := eng.Submit(context.Background(), job); err == nil {
 			t.Errorf("%s: submit accepted the job", name)
+		} else if job.Placer != "" && !strings.Contains(err.Error(), job.Placer) {
+			t.Errorf("%s: error should name the unknown placer: %v", name, err)
 		}
 		if _, err := eng.Run(context.Background(), job); err == nil {
 			t.Errorf("%s: Run ran the job", name)
 		}
 	}
-	// A suite with an unregistered flow is refused whole, before any of
+	// A suite with a flow outside the three is refused whole, before any of
 	// its circuits is cached or any of its jobs runs.
 	if _, err := eng.SubmitBatch(context.Background(), hidap.Suite{
 		Circuits: []circuits.Spec{spec},
@@ -624,11 +633,11 @@ func TestEngineJobValidation(t *testing.T) {
 // TestEngineConcurrentMultiStart starts several identical engine jobs at
 // once on a shared cached design (shared Gseq, hierarchy tree and
 // bipartite graph) with their solve DAGs fanned out WithParallelism(2).
-// Every result must be identical, and identical to a direct Placer.Place
-// call with the same config: placement is deterministic regardless of
-// worker scheduling, and the engine's warm path places like the cold one.
-// Run under -race in CI, this also proves the scheduler fan-out and the
-// shared artifacts are race-free.
+// Every result must be identical, and identical to a direct flows.Place
+// call on fresh artifacts with the same knobs: placement is deterministic
+// regardless of worker scheduling, and the engine's warm path places like
+// the cold one. Run under -race in CI, this also proves the scheduler
+// fan-out and the shared artifacts are race-free.
 func TestEngineConcurrentMultiStart(t *testing.T) {
 	g := circuits.Generate(loadSpecA())
 	eng := hidap.NewEngine(nil, hidap.EngineOptions{Workers: 4})
@@ -658,11 +667,8 @@ func TestEngineConcurrentMultiStart(t *testing.T) {
 		}
 		return sb.String()
 	}
-	p, err := hidap.Lookup("hidap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, _, err := p.Place(context.Background(), g.Design, cfg)
+	direct, _, err := flows.Place(context.Background(), core.NewArtifacts(g.Design, nil), flows.FlowHiDaP, nil,
+		flows.Options{Knobs: cfg.Knobs}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -673,7 +679,7 @@ func TestEngineConcurrentMultiStart(t *testing.T) {
 			t.Fatalf("job %d: %v", i, err)
 		}
 		if key(res.Placement) != want {
-			t.Fatalf("job %d placement differs from the direct Place call", i)
+			t.Fatalf("job %d placement differs from the direct flows.Place call", i)
 		}
 	}
 	st := eng.Stats()
@@ -816,6 +822,41 @@ func TestJobMacroSecondsExcludesAutocluster(t *testing.T) {
 	t.Logf("front end %.4fs; MacroSeconds %.4fs without evaluation, %.4fs with", front, macro, evalMacro)
 	if evalMacro <= 0 || evalMacro >= macro+front/2 {
 		t.Errorf("evaluating job: MacroSeconds = %.4fs, want in (0, %.4f): the front end took %.4fs", evalMacro, macro+front/2, front)
+	}
+}
+
+// TestJobMacroSecondsExcludesArtifactBuilds: a hidap job's MacroSeconds
+// leaves out building the design's Gseq, hierarchy tree and bipartite
+// graph, so a design's first job reports about what a later job on the
+// cached design does. Timed on their own, the builds take some time; the
+// first job on a fresh engine must spend at least a quarter of that
+// outside its MacroSeconds (a job that timed them spends almost nothing
+// outside).
+func TestJobMacroSecondsExcludesArtifactBuilds(t *testing.T) {
+	g := circuits.Generate(circuits.Spec{
+		Name: "builds", Cells: 600_000, Macros: 6, Subsystems: 2,
+		BusWidth: 8, PipelineDepth: 1, Scale: 3, Seed: 5,
+	})
+	start := time.Now()
+	art := core.NewArtifacts(g.Design, nil)
+	art.SeqGraph()
+	art.Tree()
+	art.Bipartite()
+	builds := time.Since(start).Seconds()
+
+	eng := hidap.NewEngine(fastCfg(1), hidap.EngineOptions{Workers: 1})
+	defer eng.Close()
+	start = time.Now()
+	res, err := eng.Run(context.Background(), hidap.Job{Design: g.Design, Key: "builds", Placer: "hidap"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	macro := res.Stats.MacroSeconds
+	outside := time.Since(start).Seconds() - macro
+	t.Logf("builds %.4fs; first job: MacroSeconds %.4fs, %.4fs outside it", builds, macro, outside)
+	if macro <= 0 || outside < builds/4 {
+		t.Errorf("first job: MacroSeconds %.4fs with %.4fs outside it, want > 0 and at least %.4fs outside: the builds take %.4fs",
+			macro, outside, builds/4, builds)
 	}
 }
 

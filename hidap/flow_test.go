@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,77 +13,16 @@ import (
 	"repro/hidap"
 )
 
-func TestRegistryHasBuiltinFlows(t *testing.T) {
-	names := hidap.Placers()
-	for _, want := range []string{"handfp", "hidap", "indeda"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("builtin placer %q missing from registry %v", want, names)
-		}
-	}
-	for _, n := range names {
-		p, err := hidap.Lookup(n)
-		if err != nil {
-			t.Fatalf("Lookup(%q): %v", n, err)
-		}
-		if p.Name() != n {
-			t.Errorf("Lookup(%q).Name() = %q", n, p.Name())
-		}
-	}
-}
-
-func TestLookupUnknownPlacer(t *testing.T) {
-	_, err := hidap.Lookup("nope")
-	if err == nil {
-		t.Fatal("expected error for unknown placer")
-	}
-	if !strings.Contains(err.Error(), "nope") {
-		t.Errorf("error should name the missing placer: %v", err)
-	}
-}
-
-func TestRegisterDuplicateFails(t *testing.T) {
-	stub := hidap.PlacerFunc("dup-test-placer",
-		func(ctx context.Context, d *hidap.Design, cfg *hidap.Config) (*hidap.Placement, hidap.Stats, error) {
-			return nil, hidap.Stats{}, errors.New("stub")
-		})
-	if err := hidap.Register(stub); err != nil {
-		t.Fatalf("first Register: %v", err)
-	}
-	if err := hidap.Register(stub); err == nil {
-		t.Fatal("duplicate Register must fail")
-	}
-	if err := hidap.Register(hidap.PlacerFunc("", nil)); err == nil {
-		t.Fatal("empty-name Register must fail")
-	}
-}
-
+// TestAllFlowsViaRegistry runs each of the three flows, by its Placers()
+// name, as one non-evaluating Engine job.
 func TestAllFlowsViaRegistry(t *testing.T) {
+	if got, want := hidap.Placers(), []string{"handfp", "hidap", "indeda"}; !slices.Equal(got, want) {
+		t.Errorf("Placers() = %v, want %v", got, want)
+	}
 	g := circuits.ABCDX()
-	ctx := context.Background()
-	cfg := hidap.NewConfig(
-		hidap.WithSeed(1),
-		hidap.WithEffort(hidap.EffortLow),
-		hidap.WithIntent(g.Intent),
-	)
-	builtin := map[string]bool{"handfp": true, "hidap": true, "indeda": true}
 	for _, name := range hidap.Placers() {
-		if !builtin[name] {
-			continue // stubs registered by other tests
-		}
-		p, err := hidap.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl, stats, err := p.Place(ctx, g.Design, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		pl, stats := place(t, name, g.Design,
+			hidap.WithSeed(1), hidap.WithEffort(hidap.EffortLow), hidap.WithIntent(g.Intent))
 		if !pl.AllMacrosPlaced() {
 			t.Errorf("%s left macros unplaced", name)
 		}
@@ -97,11 +37,7 @@ func TestAllFlowsViaRegistry(t *testing.T) {
 
 func TestHandFPRequiresIntent(t *testing.T) {
 	g := circuits.ABCDX()
-	p, err := hidap.Lookup("handfp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.Place(context.Background(), g.Design, hidap.NewConfig()); err == nil {
+	if _, err := runOne(context.Background(), hidap.Job{Design: g.Design, Placer: "handfp"}); err == nil {
 		t.Fatal("handfp without intent must fail")
 	}
 }
@@ -134,9 +70,8 @@ func TestConfigOptions(t *testing.T) {
 
 func TestProgressEventsStream(t *testing.T) {
 	g := circuits.ABCDX()
-	p, _ := hidap.Lookup("hidap")
 	var levels, flips int
-	cfg := hidap.NewConfig(
+	_, stats := place(t, "hidap", g.Design,
 		hidap.WithSeed(1),
 		hidap.WithEffort(hidap.EffortLow),
 		hidap.WithProgress(func(ev hidap.Progress) {
@@ -148,10 +83,6 @@ func TestProgressEventsStream(t *testing.T) {
 			}
 		}),
 	)
-	_, stats, err := p.Place(context.Background(), g.Design, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if levels == 0 {
 		t.Error("no level progress events")
 	}
@@ -164,7 +95,7 @@ func TestProgressEventsStream(t *testing.T) {
 }
 
 // TestCancellationMidAnneal cancels from inside the first progress event —
-// provably mid-run — and requires the placer to return ctx.Err() promptly
+// provably mid-run — and requires the job to return ctx.Err() promptly
 // instead of spinning through the high-effort annealing budget.
 func TestCancellationMidAnneal(t *testing.T) {
 	spec, err := circuits.SuiteSpec("c3")
@@ -176,8 +107,8 @@ func TestCancellationMidAnneal(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	p, _ := hidap.Lookup("hidap")
-	cfg := hidap.NewConfig(
+	start := time.Now()
+	_, err = runOne(ctx, hidap.Job{Design: g.Design, Placer: "hidap"},
 		hidap.WithSeed(1),
 		hidap.WithEffort(hidap.EffortHigh),
 		hidap.WithProgress(func(ev hidap.Progress) {
@@ -186,8 +117,6 @@ func TestCancellationMidAnneal(t *testing.T) {
 			}
 		}),
 	)
-	start := time.Now()
-	_, _, err = p.Place(ctx, g.Design, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -203,24 +132,10 @@ func TestCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, name := range []string{"hidap", "indeda", "handfp"} {
-		p, _ := hidap.Lookup(name)
-		cfg := hidap.NewConfig(hidap.WithSeed(1), hidap.WithIntent(g.Intent))
-		if _, _, err := p.Place(ctx, g.Design, cfg); !errors.Is(err, context.Canceled) {
+		job := hidap.Job{Design: g.Design, Placer: name}
+		if _, err := runOne(ctx, job, hidap.WithSeed(1), hidap.WithIntent(g.Intent)); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
-	}
-}
-
-// TestPlacerFuncPanicIsError: a one-shot Place on a panicking placer
-// returns an error instead of crashing the caller.
-func TestPlacerFuncPanicIsError(t *testing.T) {
-	p := hidap.PlacerFunc("test-oneshot-panic",
-		func(ctx context.Context, d *hidap.Design, cfg *hidap.Config) (*hidap.Placement, hidap.Stats, error) {
-			panic("boom")
-		})
-	_, _, err := p.Place(context.Background(), circuits.ABCDX().Design, nil)
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("err = %v, want panic converted to error", err)
 	}
 }
 

@@ -11,12 +11,12 @@ import (
 	"repro/hidap"
 )
 
-// The placer goldens pin the public entry points across commits: the
-// sha256 of every macro's position and orientation, placed once by a
-// one-shot Placer.Place and once by an Engine job with Evaluate (whose
-// report wirelength is pinned too). A refactor of the Placer or Engine
-// plumbing that shifts any macro fails here. Update them only for a
-// deliberate behaviour change.
+// The placer goldens pin the public entry point across commits: the sha256
+// of every macro's position and orientation, placed once by a one-shot
+// Engine job without Evaluate and once by one with Evaluate (whose report
+// wirelength is pinned too). A refactor of the Engine or flow plumbing
+// that shifts any macro fails here. Update them only for a deliberate
+// behaviour change.
 const (
 	placerGolden      = "6a22f24e5160282de4bdb39dfcbcfed5f30bbf533c00d15f5d427fa3e019ea30"
 	autoclusterGolden = "e0d2d9bee82fed400e31ed9695529d17ab318c1a03ffef209b81a50d80cc08bf"
@@ -49,15 +49,11 @@ func TestPlacerGolden(t *testing.T) {
 
 	var sb strings.Builder
 	for _, name := range []string{"hidap", "indeda", "handfp"} {
-		p, err := hidap.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl, _, err := p.Place(ctx, g.Design, cfg)
+		one, err := eng.Run(ctx, hidap.Job{Design: g.Design, Placer: name, Config: cfg})
 		if err != nil {
 			t.Fatalf("%s one-shot: %v", name, err)
 		}
-		macroLines(&sb, name+" one-shot", pl)
+		macroLines(&sb, name+" one-shot", one.Placement)
 		res, err := eng.Run(ctx, hidap.Job{Design: g.Design, Placer: name, Config: cfg, Evaluate: true})
 		if err != nil {
 			t.Fatalf("%s engine: %v", name, err)
@@ -69,7 +65,9 @@ func TestPlacerGolden(t *testing.T) {
 }
 
 // TestAutoclusterGolden pins HiDaP with the autoclustering front-end on a
-// flat netlist, one-shot and through an Engine.
+// flat netlist, placed by two non-evaluating Engine jobs: the "one-shot"
+// one on a fresh engine, the "engine" one on an engine that already
+// clustered the design.
 func TestAutoclusterGolden(t *testing.T) {
 	spec := loadSpecA()
 	spec.Flat = true
@@ -81,18 +79,14 @@ func TestAutoclusterGolden(t *testing.T) {
 	ac.MinNumMacro = 1
 	cfg := hidap.NewConfig(hidap.WithEffort(hidap.EffortLow), hidap.WithSeed(1), hidap.WithAutocluster(ac))
 
-	p, err := hidap.Lookup("hidap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, _, err := p.Place(ctx, g.Design, cfg)
+	eng := hidap.NewEngine(nil, hidap.EngineOptions{Workers: 1})
+	defer eng.Close()
+	one, err := eng.Run(ctx, hidap.Job{Design: g.Design, Placer: "hidap", Config: cfg})
 	if err != nil {
 		t.Fatalf("one-shot: %v", err)
 	}
 	var sb strings.Builder
-	macroLines(&sb, "one-shot", pl)
-	eng := hidap.NewEngine(nil, hidap.EngineOptions{Workers: 1})
-	defer eng.Close()
+	macroLines(&sb, "one-shot", one.Placement)
 	res, err := eng.Run(ctx, hidap.Job{Design: g.Design, Placer: "hidap", Config: cfg})
 	if err != nil {
 		t.Fatalf("engine: %v", err)

@@ -3,10 +3,11 @@
 //
 // # Placing and measuring a design
 //
-// Every flow sits behind the Placer interface and a name registry. An
-// Engine job runs one on a design; with Evaluate it also places the
-// standard cells and measures the result, through the same pipeline as
-// the paper's Tables:
+// The package places with the paper's three flows: "hidap" (the paper's
+// flow), "indeda" (the industrial baseline) and "handfp" (the handcrafted
+// floorplan oracle, which needs a designer intent). Every placement is a
+// job on an Engine; with Evaluate it also places the standard cells and
+// measures the result, through the same pipeline as the paper's Tables:
 //
 //	b := hidap.NewDesign("soc")
 //	... build the hierarchical netlist (or hidap.ParseVerilog) ...
@@ -16,15 +17,13 @@
 //	defer eng.Close()
 //	res, err := eng.Run(ctx, hidap.Job{
 //		Design:   d,
-//		Placer:   "hidap", // or "indeda", "handfp", a plug-in
+//		Placer:   "hidap", // or "indeda", "handfp"
 //		Evaluate: true,    // standard cells + one JSON-ready Report
 //	})
 //	// res.Placement, res.Stats (levels, flips, λ), res.Report
 //
-// Placers honor context cancellation and deadlines, report progress through
-// hidap.WithProgress, and are deterministic for a fixed seed. Third-party
-// flows join the registry with hidap.Register without touching this
-// package.
+// Jobs honor context cancellation and deadlines, report progress through
+// hidap.WithProgress, and are deterministic for a fixed seed.
 //
 // # Engine: the long-lived run model
 //
@@ -42,13 +41,11 @@
 //	res, err := t.Wait(ctx)             // res.Report is the JSON-ready record
 //
 // Every job, on a Design or a generated suite Circuit, runs one path with
-// the placer Job.Placer names: once, or, when it evaluates, at each λ
+// the flow Job.Placer names: once, or, when it evaluates, at each λ
 // candidate of the same place → cell-place → measure pipeline the Tables
 // use. Engine.SubmitBatch fans a whole evaluation suite (circuits × flows ×
 // seeds) through the engine and aggregates it with the Tables II/III
-// pipeline (see cmd/hidap-serve for the HTTP surface). A Placer's own
-// Place, called outside an Engine, places macros only and is cold,
-// building every per-design artifact itself.
+// pipeline (see cmd/hidap-serve for the HTTP surface).
 //
 // # Interchange
 //
@@ -128,7 +125,7 @@ func WriteVerilog(w io.Writer, d *Design, lib *Library) error {
 	return verilog.Write(w, d, lib)
 }
 
-// Placer aliases.
+// Placement aliases.
 type (
 	// LevelTrace is one recursion level of the multi-level floorplan.
 	LevelTrace = core.LevelTrace

@@ -22,28 +22,30 @@ module top (din, dout);
 endmodule
 `
 
-// place runs the named registry placer on d under a config built from opts,
-// failing the test on error.
+// runOne runs job on a fresh one-worker Engine whose default config is
+// built from opts.
+func runOne(ctx context.Context, job hidap.Job, opts ...hidap.Option) (*hidap.JobResult, error) {
+	eng := hidap.NewEngine(hidap.NewConfig(opts...), hidap.EngineOptions{Workers: 1})
+	defer eng.Close()
+	return eng.Run(ctx, job)
+}
+
+// place runs one non-evaluating Engine job of the named flow on d under a
+// config built from opts, failing the test on error.
 func place(t *testing.T, name string, d *hidap.Design, opts ...hidap.Option) (*hidap.Placement, hidap.Stats) {
 	t.Helper()
-	p, err := hidap.Lookup(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, stats, err := p.Place(context.Background(), d, hidap.NewConfig(opts...))
+	res, err := runOne(context.Background(), hidap.Job{Design: d, Placer: name}, opts...)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	return pl, stats
+	return res.Placement, res.Stats
 }
 
-// measure runs one evaluating Engine job of the hidap placer on d under a
+// measure runs one evaluating Engine job of the hidap flow on d under a
 // config built from opts, failing the test on error.
 func measure(t *testing.T, d *hidap.Design, opts ...hidap.Option) *hidap.JobResult {
 	t.Helper()
-	eng := hidap.NewEngine(hidap.NewConfig(opts...), hidap.EngineOptions{Workers: 1})
-	defer eng.Close()
-	res, err := eng.Run(context.Background(), hidap.Job{Design: d, Placer: "hidap", Evaluate: true})
+	res, err := runOne(context.Background(), hidap.Job{Design: d, Placer: "hidap", Evaluate: true}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,15 +55,17 @@ func TestEndToEndSuiteCircuit(t *testing.T) {
 	}
 }
 
-// placeHiDaP runs the registered "hidap" placer with the default config.
+// placeHiDaP places d with the "hidap" flow as one non-evaluating job on a
+// one-worker Engine whose config is built from opts.
 func placeHiDaP(t *testing.T, d *hidap.Design, opts ...hidap.Option) (*hidap.Placement, error) {
 	t.Helper()
-	p, err := hidap.Lookup("hidap")
+	eng := hidap.NewEngine(hidap.NewConfig(opts...), hidap.EngineOptions{Workers: 1})
+	defer eng.Close()
+	res, err := eng.Run(context.Background(), hidap.Job{Design: d, Placer: "hidap"})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	pl, _, err := p.Place(context.Background(), d, hidap.NewConfig(opts...))
-	return pl, err
+	return res.Placement, nil
 }
 
 // TestVerilogExportImport writes a generated circuit as flat Verilog and

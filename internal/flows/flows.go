@@ -43,19 +43,20 @@ const (
 	FlowHandFP Flow = "handFP"
 )
 
-// Name is the flow's registry name — "indeda", "hidap" or "handfp" — and
-// the Placer its Stats and measured Reports carry.
+// Name is the flow's lower-case name — "indeda", "hidap" or "handfp" — by
+// which an engine job selects it and which its Stats and measured Reports
+// carry as their Placer.
 func (f Flow) Name() string { return strings.ToLower(string(f)) }
 
-// FlowNamed returns the flow whose Name is name; a placer outside the
-// paper's three flows keeps its registry name.
-func FlowNamed(name string) Flow {
+// FlowNamed returns the flow whose Name is name, and an error for any name
+// outside the paper's three flows.
+func FlowNamed(name string) (Flow, error) {
 	for _, f := range []Flow{FlowIndEDA, FlowHiDaP, FlowHandFP} {
 		if f.Name() == name {
-			return f
+			return f, nil
 		}
 	}
-	return Flow(name)
+	return "", fmt.Errorf("unknown flow %q (want hidap, indeda or handfp)", name)
 }
 
 // Options configures a flow run.
@@ -95,14 +96,14 @@ func DefaultOptions() Options { return Options{Knobs: core.DefaultKnobs()} }
 type Stats struct {
 	// Placer names the flow that produced the placement (Flow.Name).
 	Placer string
-	// MacroSeconds is the wall time of macro placement alone: cell
-	// placement and measurement are not in it. Measure times the macro
-	// placement of all its λ candidates, each a full placement the run
-	// paid for, before any of them is cell-placed. The autocluster front
-	// end (the synthesis and the Gseq build it triggers) is never in it:
-	// every caller resolves the clustered variant before the clock starts.
-	// The artifacts a placement builds on first use (Gseq without
-	// autoclustering, the hierarchy tree, the bipartite graph) are in it.
+	// MacroSeconds is the wall time of macro placement alone, never of
+	// cell placement or measurement; an engine job builds what it places
+	// from (the autoclustered variant, Gseq, the hierarchy tree, the
+	// bipartite graph) before its clock starts, so a design's first job
+	// reports what later ones do. Measure times the macro placement of all
+	// its λ candidates together, before any of them is cell-placed. Run
+	// builds nothing up front: its first HiDaP candidate builds whichever
+	// of Gseq, the tree and the bipartite graph is not built yet.
 	MacroSeconds float64
 	// Levels counts floorplanned recursion levels (HiDaP).
 	Levels int
